@@ -61,10 +61,11 @@ from .perms import (
 from .spaces import (
     NormSpec,
     Tensor,
-    integrate_product_log,
+    exp_or_inf,
+    integral_log_inplace,
     log_values,
-    mixed_norm_log,
-    mixed_norm_log_values,
+    log_weights,
+    mixed_norm_logs,
 )
 
 KINDS = (
@@ -479,6 +480,14 @@ def _build_holder_mixed(params):
     if not ok:
         bad = {a: str(r) for a, r in residuals.items() if r != 0}
         raise ValidationError(f"reciprocal exponents do not sum to 1: residuals {bad}")
+    # Holder's inequality for mixed norms needs every factor to reduce the
+    # axes in the same order; with different orders it can fail.
+    for i, s in enumerate(specs[1:], start=2):
+        if s.axis_ids != specs[0].axis_ids:
+            raise ValidationError(
+                f"spec {i} reduces the axes in the order {list(s.axis_ids)}, "
+                f"spec 1 in the order {list(specs[0].axis_ids)}; HolderMixed needs one order"
+            )
     return InequalityInstance(
         kind="HolderMixed",
         axis_ids=specs[0].axis_ids,
@@ -770,10 +779,74 @@ def _resolve_inputs(inst: InequalityInstance, tensors) -> list[Tensor]:
 def _pair_ratio(log_lhs: float, log_rhs: float, tolerance: float):
     """(ratio, hard_failure) under the 0/0 -> 0 convention."""
     if log_rhs == -math.inf:
-        if log_lhs == -math.inf or math.exp(log_lhs) <= tolerance:
+        if log_lhs == -math.inf or exp_or_inf(log_lhs) <= tolerance:
             return 0.0, False
         return math.inf, True
-    return math.exp(log_lhs - log_rhs), False
+    return exp_or_inf(log_lhs - log_rhs), False
+
+
+def _log_sides(inst: InequalityInstance, fs: list[Tensor]) -> tuple[float, float, float | None]:
+    """(log lhs, log rhs, log lower or None) in one pass over the inputs.
+
+    Each distinct input tensor is logged once, when its first slot comes up;
+    every norm of it (right-side factors, a mixed-norm left side, the sandwich
+    lower spec) then goes through one mixed_norm_logs call, and its log array
+    is dropped after its last slot is folded into the left side's
+    accumulator.  The accumulator is the slots' logs summed in slot order,
+    bit for bit the plain slot-by-slot sum, built in place where it can be.
+    """
+    if inst.lhs_form not in ("product_integral", "gm_lp_norm", "mixed_norm"):
+        raise ValidationError(f"unknown lhs form {inst.lhs_form!r}")
+    space = fs[0].space
+    requests = [(f.input_index, f.spec) for f in inst.rhs]
+    if inst.lhs_form == "mixed_norm":
+        requests.append((0, inst.lhs_spec))
+    if inst.sandwich_lower is not None:
+        requests.append((0, inst.sandwich_lower))
+    keys = [id(t) for t in fs]  # broadcast slots hold the same Tensor object
+    last_slot = {key: slot for slot, key in enumerate(keys)}
+    by_key: dict = {}
+    for r, (i, _) in enumerate(requests):
+        by_key.setdefault(keys[i], []).append(r)
+    folds = inst.lhs_form != "mixed_norm"
+    logw = log_weights(space)
+    values = [0.0] * len(requests)
+    logs: dict = {}
+    acc = None
+    for slot, key in enumerate(keys):
+        if key not in logs:
+            logs[key] = log_values(fs[slot])
+            mine = by_key.get(key, [])
+            found = mixed_norm_logs(logs[key], space, [requests[r][1] for r in mine], logw)
+            for r, v in zip(mine, found):
+                values[r] = v
+        if folds:
+            log = logs[key]
+            if slot == 0:
+                acc = log
+            elif slot == 1 or acc.strides != log.strides:
+                # a new array, laid out as numpy lays out a sum; the gm norm's
+                # reductions below sum in that memory order
+                acc = acc + log
+            else:
+                acc += log
+        if last_slot[key] == slot:
+            del logs[key]  # no later slot needs it; acc may still be this buffer
+
+    log_rhs = 0.0
+    for factor, v in zip(inst.rhs, values):
+        log_rhs += float(factor.weight) * v
+    extra = values[len(inst.rhs) :]
+    if inst.lhs_form == "product_integral":
+        log_lhs = integral_log_inplace(acc, space, logw)
+    elif inst.lhs_form == "gm_lp_norm":
+        acc /= len(fs)
+        uniform = NormSpec.uniform(inst.lhs_exponent, space.ids)
+        log_lhs = mixed_norm_logs(acc, space, (uniform,), logw)[0]
+    else:
+        log_lhs = extra[0]
+    log_lower = extra[-1] if inst.sandwich_lower is not None else None
+    return log_lhs, log_rhs, log_lower
 
 
 def evaluate_instance(
@@ -786,7 +859,8 @@ def evaluate_instance(
     """Evaluate both sides in the log domain and report the ratio.
 
     pass <=> ratio <= 1 + tolerance; a zero right side with a left side above
-    tolerance is flagged as a hard failure.
+    tolerance is flagged as a hard failure.  A side beyond the float range is
+    reported as inf.
     """
     fs = _resolve_inputs(inst, tensors)
     space = fs[0].space
@@ -802,38 +876,21 @@ def evaluate_instance(
     if inst.derived.get("notes"):
         meta["notes"] = list(inst.derived["notes"])
 
-    log_rhs = 0.0
-    for factor in inst.rhs:
-        log_rhs += float(factor.weight) * mixed_norm_log(fs[factor.input_index], factor.spec)
+    log_lhs, log_rhs, log_lo = _log_sides(inst, fs)
 
-    if inst.lhs_form == "product_integral":
-        log_lhs = integrate_product_log(fs)
-    elif inst.lhs_form == "gm_lp_norm":
-        acc = log_values(fs[0])
-        for t in fs[1:]:
-            acc = acc + log_values(t)
-        acc = acc / len(fs)
-        uniform = NormSpec.uniform(inst.lhs_exponent, space.ids)
-        log_lhs = mixed_norm_log_values(acc, space, uniform)
-    elif inst.lhs_form == "mixed_norm":
-        log_lhs = mixed_norm_log(fs[0], inst.lhs_spec)
-    else:
-        raise ValidationError(f"unknown lhs form {inst.lhs_form!r}")
-
-    if inst.kind == "SortedSandwich":
-        log_lo = mixed_norm_log(fs[0], inst.sandwich_lower)
+    if log_lo is not None:
         r1, h1 = _pair_ratio(log_lo, log_lhs, tolerance)  # lower <= middle
         r2, h2 = _pair_ratio(log_lhs, log_rhs, tolerance)  # middle <= upper
         meta["log_lower"], meta["log_middle"], meta["log_upper"] = log_lo, log_lhs, log_rhs
         if r1 >= r2:
             ratio, hard = r1, h1
-            lhs_v, rhs_v = math.exp(log_lo), math.exp(log_lhs)
+            lhs_v, rhs_v = exp_or_inf(log_lo), exp_or_inf(log_lhs)
         else:
             ratio, hard = r2, h2
-            lhs_v, rhs_v = math.exp(log_lhs), math.exp(log_rhs)
+            lhs_v, rhs_v = exp_or_inf(log_lhs), exp_or_inf(log_rhs)
     else:
         ratio, hard = _pair_ratio(log_lhs, log_rhs, tolerance)
-        lhs_v, rhs_v = math.exp(log_lhs), math.exp(log_rhs)
+        lhs_v, rhs_v = exp_or_inf(log_lhs), exp_or_inf(log_rhs)
         meta["log_lhs"], meta["log_rhs"] = log_lhs, log_rhs
 
     passed = (not hard) and ratio <= 1 + tolerance

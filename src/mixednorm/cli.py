@@ -36,6 +36,12 @@ from .spaces import NormSpec, eval_mixed_norm, mixed_norm_log
 PROBE_RTOL = 1e-9
 
 
+def _check_tolerance(value: float, source: str) -> float:
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValidationError(f"{source} must be a finite nonnegative number, got {value!r}")
+    return value
+
+
 def _default_tolerance() -> float:
     raw = os.environ.get("MIXEDNORM_TOL")
     if raw is None:
@@ -44,9 +50,7 @@ def _default_tolerance() -> float:
         value = float(raw)
     except ValueError:
         raise ValidationError(f"MIXEDNORM_TOL is not a number: {raw!r}")
-    if not (value >= 0 and math.isfinite(value)):
-        raise ValidationError(f"MIXEDNORM_TOL must be a finite nonnegative number, got {raw!r}")
-    return value
+    return _check_tolerance(value, "MIXEDNORM_TOL")
 
 
 def _load_doc(arg: str):
@@ -375,6 +379,8 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
+        if hasattr(args, "tol"):
+            _check_tolerance(args.tol, "--tol")
         _require_seed(args)
         return args.func(args)
     except ValidationError as exc:

@@ -65,14 +65,15 @@ Exponent = Fraction | _Infinity
 
 
 def as_exponent(value) -> Exponent:
-    """Coerce a number, Fraction, 'inf', or 'a/b' string to an exponent in (0, inf]."""
+    """Coerce a number, Fraction, 'inf' (also 'oo' or '∞'), or 'a/b' string to an
+    exponent in (0, inf]."""
     if isinstance(value, _Infinity):
         return INF
     if isinstance(value, bool):
         raise ValidationError(f"not an exponent: {value!r}")
     if isinstance(value, str):
         text = value.strip().lower()
-        if text in ("inf", "+inf", "infinity"):
+        if text in ("inf", "+inf", "infinity", "oo", "∞"):
             return INF
         try:
             frac = Fraction(text)

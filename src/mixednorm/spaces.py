@@ -10,7 +10,16 @@ everywhere, with 0^p = 0.
 Two evaluation paths are provided and must agree: direct power sums, and a
 log-domain path that masks zeros as -inf and uses shifted log-sum-exp so
 large exponents (12th powers and the like) cannot overflow.  The log path
-is the default.
+is the default and the oracle the catalog's verdicts rest on.
+
+Every log-domain result comes from one kernel.  `mixed_norm_logs` takes one
+log array and several specs, logs each axis's weights once, walks the specs
+as a trie so that each distinct column prefix is reduced once, and runs each
+finite-exponent column as a shifted log-sum-exp done in place on one work
+array.  Its input is never written, and besides it at most one full-size
+work array is alive.  `mixed_norm_log_values`, `mixed_norm_log` and
+`integrate_product_log` are thin wrappers over it and its log-sum-exp step,
+so a shared pass returns bit for bit what one-spec-at-a-time calls return.
 """
 
 from __future__ import annotations
@@ -50,10 +59,6 @@ class Axis:
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.weights))
 
 
 @dataclass(frozen=True)
@@ -223,36 +228,104 @@ def log_values(t: Tensor) -> np.ndarray:
         return np.log(t.values)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """Shifted log-sum-exp along one axis; all -inf slices stay -inf."""
-    amax = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(amax), amax, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis))
-    return out + np.squeeze(shift, axis=axis)
+def log_weights(space: ProductSpace) -> dict[str, np.ndarray]:
+    """The log of each axis's atom weights, keyed by axis id."""
+    return {a.id: np.log(np.asarray(a.weights, dtype=float)) for a in space.axes}
+
+
+def exp_or_inf(x: float) -> float:
+    """math.exp that returns inf where the result leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
+    """Shifted log-sum-exp along one axis, keeping it with length 1.
+
+    a is overwritten.  A slice that is all -inf gives -inf; the caller holds
+    np.errstate(divide="ignore") for its log(0).  Log arrays never hold NaN
+    (values are finite and exponents positive), so a max that is not finite
+    is infinite.
+    """
+    shift = np.maximum.reduce(a, axis=axis, keepdims=True)
+    np.copyto(shift, 0.0, where=np.isinf(shift))
+    a -= shift
+    np.exp(a, out=a)
+    out = np.add.reduce(a, axis=axis, keepdims=True)
+    np.log(out, out=out)
+    out += shift
+    return out
+
+
+def _reduce_column(arr: np.ndarray, pf: float, ax: int, logw: np.ndarray) -> np.ndarray:
+    """Collapse axis ax of a log array under exponent pf; arr is not written."""
+    if pf == math.inf:
+        return np.maximum.reduce(arr, axis=ax)
+    a = np.multiply(arr, pf)
+    a += logw.reshape((-1,) + (1,) * (arr.ndim - ax - 1))
+    out = _logsumexp_inplace(a, ax)
+    out /= pf
+    return out.reshape(arr.shape[:ax] + arr.shape[ax + 1 :])
+
+
+def _reduce_trie(arr, remaining, group, logw, out) -> None:
+    """Reduce arr, whose axes are `remaining`, for every (index, columns) in
+    group, where columns are (axis id, float exponent) pairs and the group
+    shares the columns already reduced.  Depth first, so only the arrays on
+    the current path are alive."""
+    if not remaining:
+        value = float(arr)
+        for i, _ in group:
+            out[i] = value
+        return
+    depth = len(group[0][1]) - len(remaining)
+    children: dict = {}
+    for member in group:
+        children.setdefault(member[1][depth], []).append(member)
+    for (aid, pf), members in children.items():
+        ax = remaining.index(aid)
+        reduced = _reduce_column(arr, pf, ax, logw[aid])
+        _reduce_trie(reduced, remaining[:ax] + remaining[ax + 1 :], members, logw, out)
+
+
+def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs, logw=None) -> list[float]:
+    """Logs of the mixed norms of one log-domain array under several specs.
+
+    logv holds log values with zeros as -inf; it is not modified.  logw, from
+    log_weights(space), may be passed to share it between calls.
+    """
+    group = []
+    for i, spec in enumerate(specs):
+        spec.validate_for(space)
+        group.append((i, tuple((aid, to_float(p)) for p, aid in spec.columns)))
+    if logw is None:
+        logw = log_weights(space)
+    out = [0.0] * len(group)
+    if group:
+        with np.errstate(divide="ignore"):
+            _reduce_trie(logv, space.ids, group, logw, out)
+    return out
 
 
 def mixed_norm_log_values(logv: np.ndarray, space: ProductSpace, spec: NormSpec) -> float:
     """Log of the mixed norm, from log-domain values (zeros already -inf)."""
-    spec.validate_for(space)
-    remaining = list(space.ids)
-    arr = logv
-    for p, aid in spec.columns:
-        ax = remaining.index(aid)
-        if isinstance(p, _Infinity):
-            arr = np.max(arr, axis=ax)
-        else:
-            pf = to_float(p)
-            logw = np.log(space.weight_array(aid))
-            shape = [1] * arr.ndim
-            shape[ax] = -1
-            arr = _logsumexp(pf * arr + logw.reshape(shape), axis=ax) / pf
-        remaining.pop(ax)
-    return float(arr)
+    return mixed_norm_logs(logv, space, (spec,))[0]
 
 
 def mixed_norm_log(f: Tensor, spec: NormSpec) -> float:
     return mixed_norm_log_values(log_values(f), f.space, spec)
+
+
+def integral_log_inplace(acc: np.ndarray, space: ProductSpace, logw) -> float:
+    """Log of the weighted sum of exp(acc) over the whole space; acc is overwritten."""
+    for i, axis in enumerate(space.ids):
+        shape = [1] * acc.ndim
+        shape[i] = -1
+        acc += logw[axis].reshape(shape)
+    with np.errstate(divide="ignore"):
+        return float(_logsumexp_inplace(acc.reshape(-1), 0)[0])
 
 
 def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
@@ -281,7 +354,7 @@ def eval_mixed_norm(f: Tensor, spec: NormSpec, method: str = "log") -> float:
     for well-scaled inputs; the log path is robust to extreme exponents.
     """
     if method == "log":
-        return math.exp(mixed_norm_log(f, spec))
+        return exp_or_inf(mixed_norm_log(f, spec))
     if method == "direct":
         return _mixed_norm_direct(f, spec)
     raise ValidationError(f"unknown evaluation method {method!r}")
@@ -292,18 +365,14 @@ def integrate_product_log(tensors) -> float:
     space = _require_shared_space(tensors)
     acc = log_values(tensors[0])
     for t in tensors[1:]:
-        acc = acc + log_values(t)
-    for i, axis in enumerate(space.axes):
-        shape = [1] * acc.ndim
-        shape[i] = -1
-        acc = acc + np.log(np.asarray(axis.weights)).reshape(shape)
-    return float(_logsumexp(acc.reshape(-1), axis=0))
+        acc += log_values(t)
+    return integral_log_inplace(acc, space, log_weights(space))
 
 
 def integrate_product(tensors, method: str = "log") -> float:
     """Integral of the pointwise product f_1 * ... * f_m over the product space."""
     if method == "log":
-        return math.exp(integrate_product_log(tensors))
+        return exp_or_inf(integrate_product_log(tensors))
     if method != "direct":
         raise ValidationError(f"unknown evaluation method {method!r}")
     space = _require_shared_space(tensors)

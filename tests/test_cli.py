@@ -275,6 +275,25 @@ def test_tolerance_env_var(capsys, monkeypatch):
     assert "MIXEDNORM_TOL" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "-5", "inf"])
+def test_tol_flag_is_validated_like_the_env_var(capsys, bad):
+    rc, out, err = run(capsys, "sweep", "--seed", "1", "--trials", "1", "--tol", bad)
+    assert rc == 2 and out == ""
+    assert "--tol must be a finite nonnegative number" in err
+
+
+def test_holder_mixed_with_two_column_orders_is_a_validation_error(capsys):
+    params = {
+        "specs": [
+            {"columns": [{"p": "3/2", "axis": "x1"}, {"p": 3, "axis": "x2"}]},
+            {"columns": [{"p": "3/2", "axis": "x2"}, {"p": 3, "axis": "x1"}]},
+        ]
+    }
+    rc, out, err = run(capsys, "plan", "--kind", "HolderMixed", "--params", json.dumps(params))
+    assert rc == 2 and out == ""
+    assert "order" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mixednorm", "orbit", "--spec", SPEC_21],

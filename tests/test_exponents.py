@@ -29,6 +29,13 @@ def test_as_exponent_rejects_nonpositive_and_garbage(bad):
         as_exponent(bad)
 
 
+@pytest.mark.parametrize("text", ["oo", "∞", " OO ", "inf"])
+def test_infinity_spellings_round_trip_to_inf(text):
+    e = as_exponent(text)
+    assert e is INF
+    assert exponent_to_doc(e) == "inf" and exponent_str(e) == "inf"
+
+
 def test_as_exponent_rejects_nan_float():
     with pytest.raises(ValidationError):
         as_exponent(math.nan)

@@ -18,6 +18,7 @@ from mixednorm import (
     integrate_product,
     mixed_norm_log,
 )
+from mixednorm.spaces import integrate_product_log, log_values, mixed_norm_logs
 
 
 def unit_space(*sizes):
@@ -252,3 +253,95 @@ def test_geometric_mean_oracle():
     # zero anywhere forces zero in the mean
     gm0 = geometric_mean([Tensor(space, [0.0]), Tensor(space, [9.0])])
     assert gm0.values[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the shared reduction kernel
+
+def _reference_log_norm(f: Tensor, spec: NormSpec) -> float:
+    """One spec at a time, one fresh array per operation: the loop the shared
+    kernel replaced, kept as the reference it must match bit for bit."""
+    with np.errstate(divide="ignore"):
+        arr = np.log(f.values)
+    remaining = list(f.space.ids)
+    for p, aid in spec.columns:
+        ax = remaining.index(aid)
+        if p is INF:
+            arr = np.max(arr, axis=ax)
+        else:
+            pf = float(p)
+            shape = [1] * arr.ndim
+            shape[ax] = -1
+            a = pf * arr + np.log(np.asarray(f.space.axis(aid).weights)).reshape(shape)
+            amax = np.max(a, axis=ax, keepdims=True)
+            shift = np.where(np.isfinite(amax), amax, 0.0)
+            with np.errstate(divide="ignore"):
+                total = np.log(np.sum(np.exp(a - shift), axis=ax))
+            arr = (total + np.squeeze(shift, axis=ax)) / pf
+        remaining.pop(ax)
+    return float(arr)
+
+
+def _random_case(rng, ndim):
+    shape = tuple(int(rng.integers(1, 5)) for _ in range(ndim))
+    space = ProductSpace(
+        tuple(
+            Axis(f"x{i + 1}", tuple(np.exp(rng.uniform(-3, 3, size))))
+            for i, size in enumerate(shape)
+        )
+    )
+    vals = np.exp(rng.uniform(-4, 4, shape))
+    vals[rng.random(shape) < 0.3] = 0.0
+    if rng.integers(2):
+        vals = np.asfortranarray(vals)
+    return space, Tensor(space, vals)
+
+
+def test_shared_pass_is_bit_identical_to_the_one_spec_loop():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        ndim = int(rng.integers(1, 5))
+        space, f = _random_case(rng, ndim)
+        # a small exponent pool makes specs share column prefixes
+        specs = []
+        for _ in range(8):
+            order = rng.permutation(ndim)
+            exps = rng.choice(["1/2", "2", "inf"], size=ndim)
+            specs.append(NormSpec(tuple((exps[i], f"x{order[i] + 1}") for i in range(ndim))))
+        logv = log_values(f)
+        before = logv.copy()
+        got = mixed_norm_logs(logv, space, specs)
+        assert got == [_reference_log_norm(f, s) for s in specs]
+        assert got == [mixed_norm_log(f, s) for s in specs]
+        assert np.array_equal(logv, before)  # the kernel never writes its input
+
+
+def test_kernel_agrees_with_scipy_logsumexp():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(77)
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        w = np.exp(rng.uniform(-5, 5, n))
+        vals = np.exp(rng.uniform(-20, 20, n))
+        vals[rng.random(n) < 0.3] = 0.0
+        vals[0] = 1.5  # keep one atom nonzero
+        p = float(rng.choice([0.5, 1.0, 3.0, 12.0]))
+        space = ProductSpace((Axis("x1", tuple(w)),))
+        f = Tensor(space, vals)
+        with np.errstate(divide="ignore"):
+            logf = np.log(vals)
+        want = special.logsumexp(p * logf, b=w) / p
+        assert mixed_norm_log(f, NormSpec(((p, "x1"),))) == pytest.approx(want, rel=1e-12)
+        g = Tensor(space, np.exp(rng.uniform(-20, 20, n)))
+        want_integral = special.logsumexp(logf + np.log(g.values), b=w)
+        assert integrate_product_log([f, g]) == pytest.approx(want_integral, rel=1e-12)
+
+
+def test_log_path_gives_inf_beyond_the_float_range():
+    # the norm is 2e600: its log is fine, exp of it is not a float
+    space = ProductSpace((Axis("x1", (1e300, 1e300)),))
+    f = Tensor(space, [1e300, 1e300])
+    spec = NormSpec.uniform(1, ("x1",))
+    assert mixed_norm_log(f, spec) == pytest.approx(math.log(2) + 600 * math.log(10))
+    assert eval_mixed_norm(f, spec) == math.inf
+    assert integrate_product([f]) == math.inf
