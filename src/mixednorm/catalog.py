@@ -1,12 +1,17 @@
 """A catalog of mixed-norm inequalities with exact derived exponents.
 
-Each instance pins down one inequality over named axes: a left-hand side
-(a product integral, an L^p norm of a geometric mean, or a single mixed
-norm), a list of right-hand-side mixed norms with rational weights, and the
-exact rational data (harmonic means, complementary exponents, subset
-coefficients) that the inequality needs.  Instances are built from plain
-parameter dicts, serialize to {"kind", "params", "derived"} documents, and
-are re-derived and cross-checked on load.
+Each instance is one inequality over named axes: a typed left side bounded
+by a product of weighted right-side factors.  The left side is a
+ProductIntegral (the integral of the inputs' product), a GmLpNorm (the L^p
+norm of their geometric mean) or a MixedNorm (one mixed norm of the first
+input); each right-side factor is a mixed norm of one input raised to a
+rational weight, so the factors run over an orbit, a subset family or a
+Holder system.  SortedSandwich also carries a `lower` spec whose norm must
+not exceed the left side.  The exact rational data the inequality needs
+(harmonic means, complementary exponents, subset coefficients) is kept in a
+`derived` block.  Instances are built from plain parameter dicts, serialize
+to {"kind", "params", "derived"} documents, and are re-derived and
+cross-checked on load.
 
 Kinds
 -----
@@ -31,12 +36,13 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from .documents import json_float
 from .errors import ValidationError
 from .exponents import (
     INF,
@@ -45,6 +51,7 @@ from .exponents import (
     as_exponent,
     exponent_str,
     exponent_to_doc,
+    harmonic_mean,
     reciprocal,
     to_float,
 )
@@ -54,7 +61,6 @@ from .perms import (
     inversion_count,
     lowers,
     orbit,
-    orbit_info,
     raises,
     sorting_permutations,
 )
@@ -122,8 +128,8 @@ def _validate_coefficients(n, k, subsets, coeffs):
     if len(coeffs) != len(subsets):
         raise ValidationError(f"need {len(subsets)} coefficients, got {len(coeffs)}")
     for i, c in enumerate(coeffs):
-        if c < 0:
-            raise ValidationError(f"coefficient c_{i + 1} = {c} is negative")
+        if not c >= 0:
+            raise ValidationError(f"coefficient c_{i + 1} = {c} is negative or not a number")
     exact = all(isinstance(c, (Fraction, int)) for c in coeffs)
     for j in range(1, n + 1):
         total = sum(c for c, s in zip(coeffs, subsets) if j in s)
@@ -150,6 +156,8 @@ def solve_subset_coefficients(
     'user' (alias 'user-supplied') validates the supplied coefficients.
     """
     subsets = size_k_subsets(n, k)
+    if not isinstance(strategy, str):
+        raise ValidationError(f"unknown coefficient strategy {strategy!r}")
     strategy = {"seeded-random-feasible": "random", "user-supplied": "user"}.get(
         strategy, strategy
     )
@@ -157,21 +165,24 @@ def solve_subset_coefficients(
         c = Fraction(1, math.comb(n - 1, k - 1))
         return tuple(c for _ in subsets)
     if strategy == "user":
-        if coefficients is None:
-            raise ValidationError("user strategy needs explicit coefficients")
+        if not isinstance(coefficients, (list, tuple)):
+            raise ValidationError("user strategy needs an explicit list of coefficients")
         coeffs = []
-        for v in coefficients:
-            if isinstance(v, str) or isinstance(v, int):
-                coeffs.append(Fraction(v))
-            elif isinstance(v, Fraction):
-                coeffs.append(v)
-            else:
-                coeffs.append(float(v))
+        try:
+            for v in coefficients:
+                if isinstance(v, str) or isinstance(v, int):
+                    coeffs.append(Fraction(v))
+                elif isinstance(v, Fraction):
+                    coeffs.append(v)
+                else:
+                    coeffs.append(float(v))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"not a coefficient: {v!r}") from exc
         _validate_coefficients(n, k, subsets, coeffs)
         return tuple(coeffs)
     if strategy == "random":
-        if seed is None:
-            raise ValidationError("random strategy needs a seed")
+        if not isinstance(seed, int) or seed < 0:
+            raise ValidationError(f"random strategy needs a nonnegative integer seed, got {seed!r}")
         uniform = np.full(len(subsets), 1.0 / math.comb(n - 1, k - 1))
         incidence = np.zeros((n, len(subsets)))
         for i, s in enumerate(subsets):
@@ -207,35 +218,21 @@ class SubsetSystem:
     k: int
     subsets: tuple[tuple[int, ...], ...]
     c: tuple
-    q: tuple | None = None
-    epsilon: Fraction | None = None
 
     def __post_init__(self):
         expected = size_k_subsets(self.n, self.k)
         if list(self.subsets) != expected:
             raise ValidationError("subsets must be the k-subsets of {1..n} in lex order")
         _validate_coefficients(self.n, self.k, self.subsets, self.c)
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValidationError(f"epsilon = {self.epsilon} is negative")
-        if self.q is not None and self.epsilon is not None:
-            balance = sum((reciprocal(e) for e in self.q), Fraction(0)) + self.epsilon
-            if balance != 1:
-                raise ValidationError("1/q sum plus epsilon must equal 1 exactly")
 
     def to_doc(self) -> dict:
-        doc = {
+        return {
             "n": self.n,
             "k": self.k,
             "subsets": [list(s) for s in self.subsets],
             "c": [_rational_doc(v) for v in self.c],
             "c_float": [float(v) for v in self.c],
         }
-        if self.q is not None:
-            doc["q"] = [exponent_to_doc(e) for e in self.q]
-        if self.epsilon is not None:
-            doc["epsilon"] = _rational_doc(self.epsilon)
-            doc["epsilon_float"] = float(self.epsilon)
-        return doc
 
 
 def _rational_doc(v):
@@ -252,19 +249,37 @@ class RhsFactor:
 
 
 @dataclass(frozen=True)
+class ProductIntegral:
+    """Left side: the integral of the product of the inputs."""
+
+
+@dataclass(frozen=True)
+class GmLpNorm:
+    """Left side: the uniform L^exponent norm of the inputs' geometric mean."""
+
+    exponent: Exponent
+
+
+@dataclass(frozen=True)
+class MixedNorm:
+    """Left side: one mixed norm of the first input."""
+
+    spec: NormSpec
+
+
+@dataclass(frozen=True)
 class InequalityInstance:
-    """One concrete inequality: lhs(tensors) <= prod_i ||f_(idx_i)||_{spec_i}^{w_i}."""
+    """One concrete inequality: lhs(tensors) <= prod_i ||f_(idx_i)||_{spec_i}^{w_i},
+    and also ||f_0||_lower <= lhs(tensors) where `lower` is set."""
 
     kind: str
     axis_ids: tuple[str, ...]
     arity: int
-    lhs_form: str  # 'product_integral' | 'gm_lp_norm' | 'mixed_norm'
-    lhs_exponent: Exponent | None
-    lhs_spec: NormSpec | None
+    lhs: ProductIntegral | GmLpNorm | MixedNorm
     rhs: tuple[RhsFactor, ...]
-    sandwich_lower: NormSpec | None
     params: dict
     derived: dict
+    lower: NormSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -281,24 +296,19 @@ class VerificationReport:
 
     def to_doc(self) -> dict:
         return {
-            "lhs": _float_doc(self.lhs),
-            "rhs": _float_doc(self.rhs),
-            "ratio": _float_doc(self.ratio),
-            "margin": _float_doc(self.margin),
+            "lhs": json_float(self.lhs),
+            "rhs": json_float(self.rhs),
+            "ratio": json_float(self.ratio),
+            "margin": json_float(self.margin),
             "pass": self.passed,
             "hard_failure": self.hard_failure,
             "tolerance": self.tolerance,
             "seed": self.seed,
             "trial": {
-                k: _float_doc(v) if isinstance(v, float) else v
+                k: json_float(v) if isinstance(v, float) else v
                 for k, v in self.trial.items()
             },
         }
-
-
-def _float_doc(x: float):
-    # keep emitted documents strict JSON: non-finite floats become strings
-    return float(x) if math.isfinite(x) else str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +317,14 @@ def _float_doc(x: float):
 def _default_axes(n: int, given=None) -> tuple[str, ...]:
     if given is None:
         return tuple(f"x{i}" for i in range(1, n + 1))
+    if not isinstance(given, (list, tuple)):
+        raise ValidationError(f"axes must be a list of ids, got {given!r}")
     axes = tuple(str(a) for a in given)
     if len(axes) != n:
         raise ValidationError(f"expected {n} axis ids, got {len(axes)}")
     if len(set(axes)) != n:
         raise ValidationError(f"duplicate axis ids: {list(axes)}")
     return axes
-
-
-def _exp_pair(e: Exponent) -> tuple[str, float]:
-    return exponent_str(e), to_float(e)
 
 
 def _spec_from_params(params, key="spec") -> NormSpec:
@@ -328,83 +336,81 @@ def _spec_from_params(params, key="spec") -> NormSpec:
     return NormSpec.from_doc(doc)
 
 
-def _gm_builder(kind, spec, mode, multi_input, params_norm, params):
-    """Shared construction for the geometric-mean family."""
-    info = orbit_info(spec)
-    orbit_specs = orbit(spec, mode)
-    m = info.size
-    pbar = info.harmonic_mean
+def _gm_builder(kind, axes, orbit_specs, pbar, multi_input, params_norm, params, **extra_derived):
+    """Assemble ||GM(f_1..f_m)||_pbar <= prod_i ||f_i||_{orbit_i}^(1/m), the one
+    shape of the geometric-mean family; params['lhs_exponent'] perturbs pbar."""
+    m = len(orbit_specs)
     override = params.get("lhs_exponent")
     lhs_e = as_exponent(override) if override is not None else pbar
-    perturbed = lhs_e != pbar
-    arity = m if multi_input else 1
-    rhs = tuple(
-        RhsFactor(s, Fraction(1, m), i if multi_input else 0)
-        for i, s in enumerate(orbit_specs)
-    )
-    pbar_s, pbar_f = _exp_pair(pbar)
     derived = {
-        "pbar": pbar_s,
-        "pbar_float": pbar_f,
+        "pbar": exponent_str(pbar),
+        "pbar_float": json_float(to_float(pbar)),
         "m": m,
+        **extra_derived,
         "orbit": [s.to_doc() for s in orbit_specs],
     }
-    if perturbed:
+    if lhs_e != pbar:
         derived["perturbed"] = True
         params_norm["lhs_exponent"] = exponent_str(lhs_e)
     return InequalityInstance(
         kind=kind,
-        axis_ids=spec.axis_ids,
-        arity=arity,
-        lhs_form="gm_lp_norm",
-        lhs_exponent=lhs_e,
-        lhs_spec=None,
-        rhs=rhs,
-        sandwich_lower=None,
+        axis_ids=axes,
+        arity=m if multi_input else 1,
+        lhs=GmLpNorm(lhs_e),
+        rhs=tuple(
+            RhsFactor(s, Fraction(1, m), i if multi_input else 0)
+            for i, s in enumerate(orbit_specs)
+        ),
         params=params_norm,
         derived=derived,
     )
 
 
+def _orbit_gm(kind, spec, mode, multi_input, params_norm, params):
+    """A geometric-mean instance over the orbit of spec."""
+    return _gm_builder(
+        kind, spec.axis_ids, orbit(spec, mode), harmonic_mean(spec.exponents),
+        multi_input, params_norm, params,
+    )
+
+
 def _build_symmetric_holder(params):
     spec = _spec_from_params(params)
-    return _gm_builder(
-        "SymmetricHolder", spec, "exponents", True, {"spec": spec.to_doc()}, params
-    )
+    return _orbit_gm("SymmetricHolder", spec, "exponents", True, {"spec": spec.to_doc()}, params)
 
 
 def _build_symmetric_gm(params):
     spec = _spec_from_params(params)
     if not spec.is_nonincreasing():
         raise ValidationError("SymmetricGM needs exponents sorted nonincreasing")
-    return _gm_builder("SymmetricGM", spec, "variables", True, {"spec": spec.to_doc()}, params)
+    return _orbit_gm("SymmetricGM", spec, "variables", True, {"spec": spec.to_doc()}, params)
 
 
 def _build_symmetric_gm1(params):
     spec = _spec_from_params(params)
     if not spec.is_nonincreasing():
         raise ValidationError("SymmetricGM1 needs exponents sorted nonincreasing")
-    return _gm_builder("SymmetricGM1", spec, "variables", False, {"spec": spec.to_doc()}, params)
+    return _orbit_gm("SymmetricGM1", spec, "variables", False, {"spec": spec.to_doc()}, params)
 
 
 def _build_littlewood43(params):
     axes = _default_axes(2, params.get("axes"))
     spec = NormSpec(((Fraction(2), axes[0]), (Fraction(1), axes[1])))
-    inst = _gm_builder("Littlewood43", spec, "variables", False, {"axes": list(axes)}, params)
-    return inst
+    return _orbit_gm("Littlewood43", spec, "variables", False, {"axes": list(axes)}, params)
 
 
-def _subset_specs(axes, subsets, inner_exp, outer_exps):
-    """One spec per subset: inner_exp over the complement, outer over the subset."""
+def _subset_specs(axes, subsets, inner_exps, outer_exps):
+    """One spec per subset: its inner exponent over the complement, its outer
+    exponent over the subset."""
     specs = []
-    for s, outer_e in zip(subsets, outer_exps):
-        inner = [(inner_exp, axes[j - 1]) for j in range(1, len(axes) + 1) if j not in s]
+    for s, inner_e, outer_e in zip(subsets, inner_exps, outer_exps):
+        inner = [(inner_e, axes[j - 1]) for j in range(1, len(axes) + 1) if j not in s]
         outer = [(outer_e, axes[j - 1]) for j in s]
         specs.append(NormSpec(tuple(inner + outer)))
     return specs
 
 
-def _build_subset_gm(kind, J, K, q, p, axes, params_norm, params):
+def _build_subset_gm(kind, J, K, q, p, params_norm, params):
     """Blei21 / BleiQP: single function, orbit indexed by the K-subsets."""
     if not (isinstance(J, int) and isinstance(K, int)):
         raise ValidationError("J and K must be integers")
@@ -414,62 +420,30 @@ def _build_subset_gm(kind, J, K, q, p, axes, params_norm, params):
         raise ValidationError(f"need p < q, got p={exponent_str(p)}, q={exponent_str(q)}")
     if isinstance(p, _Infinity):
         raise ValidationError("p must be finite")
-    axes = _default_axes(J, axes)
+    axes = _default_axes(J, params.get("axes"))
+    if params.get("axes") is not None:
+        params_norm["axes"] = list(axes)
     subsets = size_k_subsets(J, K)
-    specs = _subset_specs(axes, subsets, q, [p] * len(subsets))
-    row = [q] * (J - K) + [p] * K
-    info = orbit_info(NormSpec(tuple(zip(row, axes))))
-    pbar = info.harmonic_mean
-    if info.size != len(subsets):
-        raise ValidationError("internal: orbit size disagrees with subset count")
     m = len(subsets)
-    pbar_s, pbar_f = _exp_pair(pbar)
-    override = params.get("lhs_exponent")
-    lhs_e = as_exponent(override) if override is not None else pbar
-    derived = {
-        "pbar": pbar_s,
-        "pbar_float": pbar_f,
-        "m": m,
-        "subsets": [list(s) for s in subsets],
-        "orbit": [s.to_doc() for s in specs],
-    }
-    if lhs_e != pbar:
-        derived["perturbed"] = True
-        params_norm["lhs_exponent"] = exponent_str(lhs_e)
-    return InequalityInstance(
-        kind=kind,
-        axis_ids=axes,
-        arity=1,
-        lhs_form="gm_lp_norm",
-        lhs_exponent=lhs_e,
-        lhs_spec=None,
-        rhs=tuple(RhsFactor(s, Fraction(1, m), 0) for s in specs),
-        sandwich_lower=None,
-        params=params_norm,
-        derived=derived,
+    specs = _subset_specs(axes, subsets, [q] * m, [p] * m)
+    pbar = harmonic_mean([q] * (J - K) + [p] * K)
+    return _gm_builder(
+        kind, axes, specs, pbar, False, params_norm, params,
+        subsets=[list(s) for s in subsets],
     )
 
 
 def _build_blei21(params):
     J, K = params.get("J"), params.get("K")
-    axes = params.get("axes")
-    params_norm = {"J": J, "K": K}
-    if axes is not None:
-        params_norm["axes"] = [str(a) for a in axes]
-    return _build_subset_gm(
-        "Blei21", J, K, Fraction(2), Fraction(1), axes, params_norm, params
-    )
+    return _build_subset_gm("Blei21", J, K, Fraction(2), Fraction(1), {"J": J, "K": K}, params)
 
 
 def _build_blei_qp(params):
     J, K = params.get("J"), params.get("K")
     q = as_exponent(params.get("q"))
     p = as_exponent(params.get("p"))
-    axes = params.get("axes")
     params_norm = {"J": J, "K": K, "q": exponent_to_doc(q), "p": exponent_to_doc(p)}
-    if axes is not None:
-        params_norm["axes"] = [str(a) for a in axes]
-    return _build_subset_gm("BleiQP", J, K, q, p, axes, params_norm, params)
+    return _build_subset_gm("BleiQP", J, K, q, p, params_norm, params)
 
 
 def _build_holder_mixed(params):
@@ -492,11 +466,8 @@ def _build_holder_mixed(params):
         kind="HolderMixed",
         axis_ids=specs[0].axis_ids,
         arity=len(specs),
-        lhs_form="product_integral",
-        lhs_exponent=None,
-        lhs_spec=None,
+        lhs=ProductIntegral(),
         rhs=tuple(RhsFactor(s, Fraction(1), i) for i, s in enumerate(specs)),
-        sandwich_lower=None,
         params={"specs": [s.to_doc() for s in specs]},
         derived={"m": len(specs), "residuals": {a: str(r) for a, r in residuals.items()}},
     )
@@ -521,11 +492,8 @@ def _build_minkowski_raise(params):
         kind="MinkowskiRaise",
         axis_ids=spec.axis_ids,
         arity=1,
-        lhs_form="mixed_norm",
-        lhs_exponent=None,
-        lhs_spec=lhs_spec,
+        lhs=MixedNorm(lhs_spec),
         rhs=(RhsFactor(rhs_spec, Fraction(1), 0),),
-        sandwich_lower=None,
         params={"spec": spec.to_doc(), "perm": perm.to_doc(), "direction": direction},
         derived={
             "inversions": inversion_count(perm),
@@ -543,11 +511,8 @@ def _build_sorted_sandwich(params):
         kind="SortedSandwich",
         axis_ids=spec.axis_ids,
         arity=1,
-        lhs_form="mixed_norm",
-        lhs_exponent=None,
-        lhs_spec=spec,
+        lhs=MixedNorm(spec),
         rhs=(RhsFactor(upper, Fraction(1), 0),),
-        sandwich_lower=lower,
         params={"spec": spec.to_doc()},
         derived={
             "raising": desc.to_doc(),
@@ -555,6 +520,7 @@ def _build_sorted_sandwich(params):
             "upper": upper.to_doc(),
             "lower": lower.to_doc(),
         },
+        lower=lower,
     )
 
 
@@ -599,7 +565,7 @@ def _build_popa_sinnamon(kind, params):
         params_norm["axes"] = list(axes)
     derived = {
         derived_key: [exponent_str(e) for e in outer_exps],
-        derived_key + "_float": [to_float(e) for e in outer_exps],
+        derived_key + "_float": [json_float(to_float(e)) for e in outer_exps],
         "sum_recip_q": str(total),
         "gap": str(gap),
     }
@@ -609,11 +575,8 @@ def _build_popa_sinnamon(kind, params):
         kind=kind,
         axis_ids=axes,
         arity=n,
-        lhs_form="product_integral",
-        lhs_exponent=None,
-        lhs_spec=None,
+        lhs=ProductIntegral(),
         rhs=tuple(RhsFactor(s, Fraction(1), i) for i, s in enumerate(specs)),
-        sandwich_lower=None,
         params=params_norm,
         derived=derived,
     )
@@ -652,12 +615,7 @@ def _build_blei_ps(params, kind="BleiPS"):
                 f"derived exponent {exponent_str(e)} violates 1 <= p_i <= q_i = {exponent_str(q_i)}"
             )
         outer.append(e)
-    # the inner exponent differs per factor here, so build the specs explicitly
-    specs = []
-    for s, q_i, p_i in zip(subsets, qs, outer):
-        inner = [(q_i, axes[j - 1]) for j in range(1, n + 1) if j not in s]
-        cols = inner + [(p_i, axes[j - 1]) for j in s]
-        specs.append(NormSpec(tuple(cols)))
+    specs = _subset_specs(axes, subsets, qs, outer)
     params_norm = {"n": n, "k": k, "q": [exponent_to_doc(e) for e in qs], **c_params}
     if params.get("axes") is not None:
         params_norm["axes"] = list(axes)
@@ -669,17 +627,14 @@ def _build_blei_ps(params, kind="BleiPS"):
         "c": [_rational_doc(c) for c in coeffs],
         "c_float": [float(c) for c in coeffs],
         "p": [exponent_str(e) for e in outer],
-        "p_float": [to_float(e) for e in outer],
+        "p_float": [json_float(to_float(e)) for e in outer],
     }
     return InequalityInstance(
         kind=kind,
         axis_ids=axes,
         arity=m,
-        lhs_form="product_integral",
-        lhs_exponent=None,
-        lhs_spec=None,
+        lhs=ProductIntegral(),
         rhs=tuple(RhsFactor(s, Fraction(1), i) for i, s in enumerate(specs)),
-        sandwich_lower=None,
         params=params_norm,
         derived=derived,
     )
@@ -694,21 +649,8 @@ def _build_quad6(params):
         "axes": params.get("axes"),
     }
     inst = _build_blei_ps(fixed, kind="Quad6")
-    params_norm = {}
-    if params.get("axes") is not None:
-        params_norm["axes"] = list(inst.axis_ids)
-    return InequalityInstance(
-        kind="Quad6",
-        axis_ids=inst.axis_ids,
-        arity=inst.arity,
-        lhs_form=inst.lhs_form,
-        lhs_exponent=inst.lhs_exponent,
-        lhs_spec=inst.lhs_spec,
-        rhs=inst.rhs,
-        sandwich_lower=None,
-        params=params_norm,
-        derived=inst.derived,
-    )
+    params_norm = {"axes": list(inst.axis_ids)} if params.get("axes") is not None else {}
+    return replace(inst, params=params_norm)
 
 
 _BUILDERS = {
@@ -730,8 +672,10 @@ _BUILDERS = {
 
 def build_instance(kind: str, params: dict | None = None) -> InequalityInstance:
     """Construct a catalog instance, deriving every dependent exponent exactly."""
-    if kind not in _BUILDERS:
+    if not isinstance(kind, str) or kind not in _BUILDERS:
         raise ValidationError(f"unknown instance kind {kind!r}; known: {list(KINDS)}")
+    if params is not None and not isinstance(params, dict):
+        raise ValidationError(f"{kind} params must be an object, got {params!r}")
     return _BUILDERS[kind](dict(params or {}))
 
 
@@ -751,6 +695,8 @@ def instance_from_doc(doc) -> InequalityInstance:
     if "derived" in doc and doc["derived"] is not None:
         if doc["derived"] != inst.derived:
             stored, fresh = doc["derived"], inst.derived
+            if not isinstance(stored, dict):
+                raise ValidationError("instance document 'derived' must be an object")
             bad = sorted(
                 key
                 for key in set(stored) | set(fresh)
@@ -789,26 +735,25 @@ def _log_sides(inst: InequalityInstance, fs: list[Tensor]) -> tuple[float, float
     """(log lhs, log rhs, log lower or None) in one pass over the inputs.
 
     Each distinct input tensor is logged once, when its first slot comes up;
-    every norm of it (right-side factors, a mixed-norm left side, the sandwich
-    lower spec) then goes through one mixed_norm_logs call, and its log array
+    every norm of it (right-side factors, a mixed-norm left side, the lower
+    spec) then goes through one mixed_norm_logs call, and its log array
     is dropped after its last slot is folded into the left side's
     accumulator.  The accumulator is the slots' logs summed in slot order,
     bit for bit the plain slot-by-slot sum, built in place where it can be.
     """
-    if inst.lhs_form not in ("product_integral", "gm_lp_norm", "mixed_norm"):
-        raise ValidationError(f"unknown lhs form {inst.lhs_form!r}")
+    lhs = inst.lhs
     space = fs[0].space
     requests = [(f.input_index, f.spec) for f in inst.rhs]
-    if inst.lhs_form == "mixed_norm":
-        requests.append((0, inst.lhs_spec))
-    if inst.sandwich_lower is not None:
-        requests.append((0, inst.sandwich_lower))
+    if isinstance(lhs, MixedNorm):
+        requests.append((0, lhs.spec))
+    if inst.lower is not None:
+        requests.append((0, inst.lower))
     keys = [id(t) for t in fs]  # broadcast slots hold the same Tensor object
     last_slot = {key: slot for slot, key in enumerate(keys)}
     by_key: dict = {}
     for r, (i, _) in enumerate(requests):
         by_key.setdefault(keys[i], []).append(r)
-    folds = inst.lhs_form != "mixed_norm"
+    folds = not isinstance(lhs, MixedNorm)
     logw = log_weights(space)
     values = [0.0] * len(requests)
     logs: dict = {}
@@ -837,15 +782,15 @@ def _log_sides(inst: InequalityInstance, fs: list[Tensor]) -> tuple[float, float
     for factor, v in zip(inst.rhs, values):
         log_rhs += float(factor.weight) * v
     extra = values[len(inst.rhs) :]
-    if inst.lhs_form == "product_integral":
+    if isinstance(lhs, ProductIntegral):
         log_lhs = integral_log_inplace(acc, space, logw)
-    elif inst.lhs_form == "gm_lp_norm":
+    elif isinstance(lhs, GmLpNorm):
         acc /= len(fs)
-        uniform = NormSpec.uniform(inst.lhs_exponent, space.ids)
+        uniform = NormSpec.uniform(lhs.exponent, space.ids)
         log_lhs = mixed_norm_logs(acc, space, (uniform,), logw)[0]
     else:
         log_lhs = extra[0]
-    log_lower = extra[-1] if inst.sandwich_lower is not None else None
+    log_lower = extra[-1] if inst.lower is not None else None
     return log_lhs, log_rhs, log_lower
 
 

@@ -26,7 +26,7 @@ from .catalog import (
     size_k_subsets,
     solve_subset_coefficients,
 )
-from .documents import space_from_doc, tensor_from_doc
+from .documents import json_float, space_from_doc, tensor_from_doc
 from .errors import ValidationError
 from .exponents import as_exponent, exponent_to_doc, to_float
 from .perms import Permutation, decompose, orbit, orbit_info
@@ -76,10 +76,6 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _num(x: float):
-    return float(x) if math.isfinite(x) else str(x)
-
-
 def _resolve_kind(name: str) -> str:
     for kind in KINDS:
         if kind.lower() == name.lower():
@@ -123,8 +119,8 @@ def _cmd_eval(args) -> int:
         {
             "spec": spec.to_doc(),
             "method": args.method,
-            "norm": _num(value),
-            "log_norm": _num(mixed_norm_log(tensor, spec)),
+            "norm": json_float(value),
+            "log_norm": json_float(mixed_norm_log(tensor, spec)),
         }
     )
     return 0
@@ -139,7 +135,7 @@ def _cmd_orbit(args) -> int:
             "mode": args.mode,
             "m": info.size,
             "pbar": exponent_to_doc(info.harmonic_mean),
-            "pbar_float": to_float(info.harmonic_mean),
+            "pbar_float": json_float(to_float(info.harmonic_mean)),
             "values": [exponent_to_doc(v) for v in info.values],
             "multiplicities": list(info.multiplicities),
             "orbit": [s.to_doc() for s in specs],
@@ -195,7 +191,7 @@ def _cmd_verify(args) -> int:
             "instance": instance_to_doc(inst),
             "trials": len(reports),
             "pass": all_pass,
-            "max_ratio": _num(reports[worst].ratio),
+            "max_ratio": json_float(reports[worst].ratio),
             "max_ratio_trial": worst,
             "reports": [r.to_doc() for r in reports],
         }
@@ -219,7 +215,10 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_probe(args) -> int:
     spec = NormSpec.from_doc(_load_doc(args.spec))
-    t_grid = [float(x) for x in re.split(r"[,\s]+", args.t_grid.strip()) if x]
+    try:
+        t_grid = [float(x) for x in re.split(r"[,\s]+", args.t_grid.strip()) if x]
+    except ValueError as exc:
+        raise ValidationError(f"bad t grid {args.t_grid!r}: {exc}") from None
     if not t_grid:
         raise ValidationError("empty t grid")
     result = scaling_probe(spec, as_exponent(args.p), t_grid)

@@ -17,6 +17,12 @@ from .errors import ValidationError
 from .spaces import Axis, ProductSpace, Tensor
 
 
+def json_float(x: float):
+    """x for a strict-JSON document: the float itself, or its name ("inf",
+    "-inf") when it is not finite."""
+    return float(x) if math.isfinite(x) else str(x)
+
+
 def space_to_doc(space: ProductSpace) -> dict:
     return {"axes": [{"id": a.id, "weights": list(a.weights)} for a in space.axes]}
 

@@ -93,6 +93,7 @@ def as_exponent(value) -> Exponent:
         raise ValidationError(f"not an exponent: {value!r}")
     if frac <= 0:
         raise ValidationError(f"exponent must be positive, got {value!r}")
+    to_float(frac)  # a finite exponent must have a float value to evaluate with
     return frac
 
 
@@ -104,9 +105,17 @@ def reciprocal(e: Exponent) -> Fraction:
 
 
 def to_float(e: Exponent) -> float:
+    """The float value of an exponent; a finite one beyond the float range is
+    rejected rather than rounded to inf."""
     if isinstance(e, _Infinity):
         return math.inf
-    return float(e)
+    try:
+        return float(e)
+    except OverflowError:
+        magnitude = math.log10(e.numerator) - math.log10(e.denominator)
+        raise ValidationError(
+            f"exponent of about 1e{magnitude:.0f} is beyond the float range"
+        ) from None
 
 
 def exponent_str(e: Exponent) -> str:
@@ -122,7 +131,7 @@ def exponent_to_doc(e: Exponent):
         return "inf"
     if e.denominator == 1:
         return int(e)
-    f = float(e)
+    f = to_float(e)
     if Fraction(f) == e:
         return f
     return str(e)

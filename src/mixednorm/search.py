@@ -24,7 +24,7 @@ from .catalog import (
     evaluate_instance,
     instance_to_doc,
 )
-from .documents import space_to_doc, tensor_to_doc
+from .documents import json_float, space_to_doc, tensor_to_doc
 from .errors import ValidationError
 from .exponents import _Infinity, as_exponent, exponent_str, reciprocal
 from .perms import all_permutations, lowers, orbit, orbit_info, raises
@@ -50,6 +50,10 @@ class TrialConfig:
         lo, hi = self.axis_size_range
         if not (1 <= lo <= hi):
             raise ValidationError(f"bad axis size range {self.axis_size_range}")
+        if self.max_axes < 4:
+            raise ValidationError(
+                f"max_axes must be at least 4 (Quad6 has 4 axes), got {self.max_axes}"
+            )
         for name in ("weight_range", "value_range"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi) or not math.isfinite(hi):
@@ -93,8 +97,10 @@ class TrialConfig:
         return cls(**kwargs)
 
 
-def _rng(*key) -> np.random.Generator:
-    return np.random.default_rng([int(k) for k in key])
+def _rng(seed, *key) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng([int(k) for k in (seed, *key)])
 
 
 def _log_uniform(rng, lo, hi, shape):
@@ -173,8 +179,8 @@ class ScalingProbe:
 
 def _indicator_space(axis_ids, t: float) -> ProductSpace:
     """Each axis gets ceil(t) unit atoms, the last weighing t - floor(t) if fractional."""
-    if t <= 0:
-        raise ValidationError(f"scale parameter must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValidationError(f"scale parameter must be positive and finite, got {t}")
     count = math.ceil(t)
     weights = [1.0] * count
     frac = t - math.floor(t)
@@ -226,7 +232,7 @@ class SearchResult:
 
     def to_doc(self) -> dict:
         return {
-            "best_ratio": self.best_ratio if math.isfinite(self.best_ratio) else str(self.best_ratio),
+            "best_ratio": json_float(self.best_ratio),
             "evaluations": self.evaluations,
             "starts": self.starts,
             "best_start": self.best_start,
@@ -367,12 +373,13 @@ def _random_q_list(rng, count, denom=12):
     return out
 
 
-def random_params(kind: str, rng: np.random.Generator) -> dict:
-    """A valid random parameterization for the given catalog kind."""
+def random_params(kind: str, rng: np.random.Generator, max_axes: int = 5) -> dict:
+    """A valid random parameterization for the given catalog kind, with at
+    most max_axes axes."""
     if kind in ("Littlewood43", "Quad6"):
         return {}
     if kind == "HolderMixed":
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(1, max_axes + 1))
         m = int(rng.integers(2, 5))
         axes = [f"x{i}" for i in range(1, n + 1)]
         recips = np.zeros((m, n), dtype=object)
@@ -393,7 +400,7 @@ def random_params(kind: str, rng: np.random.Generator) -> dict:
             specs.append({"columns": cols})
         return {"specs": specs}
     if kind == "MinkowskiRaise":
-        n = int(rng.integers(2, 6))
+        n = int(rng.integers(2, max_axes + 1))
         exps = _pick_exponents(rng, n)
         spec = NormSpec(tuple(zip(exps, (f"x{i}" for i in range(1, n + 1)))))
         direction = "raise" if rng.integers(2) else "lower"
@@ -402,21 +409,21 @@ def random_params(kind: str, rng: np.random.Generator) -> dict:
         perm = candidates[int(rng.integers(len(candidates)))]
         return {"spec": spec.to_doc(), "perm": perm.to_doc(), "direction": direction}
     if kind == "SortedSandwich":
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(1, max_axes + 1))
         return {"spec": _spec_doc(_pick_exponents(rng, n), n)}
     if kind == "SymmetricHolder":
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(1, max_axes + 1))
         return {"spec": _spec_doc(_pick_exponents(rng, n, distinct_cap=3), n)}
     if kind in ("SymmetricGM", "SymmetricGM1"):
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(1, max_axes + 1))
         exps = _sorted_desc(_pick_exponents(rng, n, distinct_cap=3))
         return {"spec": _spec_doc(exps, n)}
     if kind == "Blei21":
-        J = int(rng.integers(2, 6))
+        J = int(rng.integers(2, max_axes + 1))
         K = int(rng.integers(1, J))
         return {"J": J, "K": K}
     if kind == "BleiQP":
-        J = int(rng.integers(2, 6))
+        J = int(rng.integers(2, max_axes + 1))
         K = int(rng.integers(1, J))
         while True:
             p = _FINITE_POOL[int(rng.integers(len(_FINITE_POOL)))]
@@ -424,10 +431,10 @@ def random_params(kind: str, rng: np.random.Generator) -> dict:
             if as_exponent(p) < as_exponent(q):
                 return {"J": J, "K": K, "q": q, "p": p}
     if kind in ("PopaSinnamonFirst", "PopaSinnamonSecond"):
-        n = int(rng.integers(2, 6))
+        n = int(rng.integers(2, max_axes + 1))
         return {"q": _random_q_list(rng, n)}
     if kind == "BleiPS":
-        n = int(rng.integers(2, 6))
+        n = int(rng.integers(2, max_axes + 1))
         k = int(rng.integers(1, n))
         m = math.comb(n, k)
         params = {"n": n, "k": k, "q": _random_q_list(rng, m, denom=24)}
@@ -443,7 +450,7 @@ def random_params(kind: str, rng: np.random.Generator) -> dict:
 
 def _run_trial(cfg: TrialConfig, kind: str, kind_index: int, t: int) -> dict:
     rng = _rng(cfg.seed, kind_index, t)
-    params = random_params(kind, rng)
+    params = random_params(kind, rng, cfg.max_axes)
     inst = build_instance(kind, params)
     space = _draw_space(rng, cfg, inst.axis_ids)
     if inst.arity > 1 and rng.integers(2):
@@ -484,7 +491,7 @@ def sweep(cfg: TrialConfig, threads: int = 1) -> dict:
         all_pass = not failures
         report["kinds"][kind] = {
             "trials": cfg.trials,
-            "max_ratio": ratios[worst] if math.isfinite(ratios[worst]) else str(ratios[worst]),
+            "max_ratio": json_float(ratios[worst]),
             "max_ratio_trial": worst,
             "failures": failures,
             "pass": all_pass,

@@ -9,8 +9,10 @@ import pytest
 
 from mixednorm import (
     Axis,
+    GmLpNorm,
     INF,
     KINDS,
+    MixedNorm,
     NormSpec,
     ProductSpace,
     SubsetSystem,
@@ -114,14 +116,8 @@ def test_user_coefficients_validated():
 
 def test_subset_system_validation():
     subs = tuple(size_k_subsets(3, 1))
-    sys_ok = SubsetSystem(3, 1, subs, (Fraction(1),) * 3, q=(Fraction(4),) * 3,
-                          epsilon=Fraction(1, 4))
-    doc = sys_ok.to_doc()
-    assert doc["epsilon"] == "1/4"
+    doc = SubsetSystem(3, 1, subs, (Fraction(1),) * 3).to_doc()
     assert doc["c_float"] == [1.0, 1.0, 1.0]
-    with pytest.raises(ValidationError, match="plus epsilon"):
-        SubsetSystem(3, 1, subs, (Fraction(1),) * 3, q=(Fraction(4),) * 3,
-                     epsilon=Fraction(1, 2))
     with pytest.raises(ValidationError, match="lex order"):
         SubsetSystem(3, 1, tuple(reversed(subs)), (Fraction(1),) * 3)
 
@@ -133,7 +129,7 @@ def test_littlewood_exponent():
     inst = build_instance("Littlewood43")
     assert inst.kind == "Littlewood43"
     assert inst.derived["pbar"] == "4/3"
-    assert inst.lhs_exponent == Fraction(4, 3)
+    assert inst.lhs == GmLpNorm(Fraction(4, 3))
     assert inst.arity == 1
     assert len(inst.rhs) == 2
     # both right-hand specs use exponents (2, 1) in the two variable orders
@@ -296,14 +292,14 @@ def test_minkowski_raise_builder():
     inst = build_instance(
         "MinkowskiRaise", {"spec": spec.to_doc(), "perm": [2, 1], "direction": "raise"}
     )
-    assert inst.lhs_spec == spec
+    assert inst.lhs == MixedNorm(spec)
     assert inst.rhs[0].spec.exponents == (Fraction(2), Fraction(1))
     assert inst.derived["inversions"] == 1
     low = build_instance(
         "MinkowskiRaise",
         {"spec": spec.to_doc(), "perm": [1, 2], "direction": "lower"},
     )
-    assert low.lhs_spec == spec  # identity: both sides the same spec
+    assert low.lhs == MixedNorm(spec)  # identity: both sides the same spec
     with pytest.raises(ValidationError, match="does not raise"):
         build_instance(
             "MinkowskiRaise",
@@ -315,7 +311,7 @@ def test_sorted_sandwich_builder():
     spec = NormSpec(((2, "a"), (3, "b"), (1, "c")))
     inst = build_instance("SortedSandwich", {"spec": spec.to_doc()})
     assert [str(e) for e in inst.rhs[0].spec.exponents] == ["3", "2", "1"]
-    assert [str(e) for e in inst.sandwich_lower.exponents] == ["1", "2", "3"]
+    assert [str(e) for e in inst.lower.exponents] == ["1", "2", "3"]
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +348,7 @@ def test_instance_doc_round_trip_every_kind():
         doc = instance_to_doc(inst)
         back = instance_from_doc(doc)
         assert instance_to_doc(back) == doc, kind
+        assert back == inst, kind
 
 
 def test_instance_from_doc_rejects_stale_derived():
@@ -505,14 +502,14 @@ def _reference_sides(inst, fs):
     log_rhs = 0.0
     for factor in inst.rhs:
         log_rhs += float(factor.weight) * mixed_norm_log(fs[factor.input_index], factor.spec)
-    if inst.lhs_form == "mixed_norm":
-        log_lhs = mixed_norm_log(fs[0], inst.lhs_spec)
+    if isinstance(inst.lhs, MixedNorm):
+        log_lhs = mixed_norm_log(fs[0], inst.lhs.spec)
     else:
         acc = log_values(fs[0])
         for t in fs[1:]:
             acc = acc + log_values(t)
-        if inst.lhs_form == "gm_lp_norm":
-            uniform = NormSpec.uniform(inst.lhs_exponent, space.ids)
+        if isinstance(inst.lhs, GmLpNorm):
+            uniform = NormSpec.uniform(inst.lhs.exponent, space.ids)
             log_lhs = mixed_norm_log_values(acc / len(fs), space, uniform)
         else:
             for i, axis in enumerate(space.axes):
@@ -525,8 +522,8 @@ def _reference_sides(inst, fs):
             with np.errstate(divide="ignore"):
                 log_lhs = float(np.log(np.sum(np.exp(flat - shift))) + shift)
     lower = None
-    if inst.sandwich_lower is not None:
-        lower = mixed_norm_log(fs[0], inst.sandwich_lower)
+    if inst.lower is not None:
+        lower = mixed_norm_log(fs[0], inst.lower)
     return log_lhs, log_rhs, lower
 
 

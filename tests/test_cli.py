@@ -302,3 +302,136 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pbar"] == "4/3"
+
+
+# ---------------------------------------------------------------------------
+# malformed and extreme inputs, every subcommand
+
+def _spec(*ps):
+    return json.dumps({"columns": [{"p": p, "axis": f"x{i}"} for i, p in enumerate(ps, 1)]})
+
+
+def _tensor(values, weights):
+    space = {"axes": [{"id": "x1", "weights": weights}]}
+    return json.dumps({"shape": [len(values)], "values": values, "space": space})
+
+
+T_13 = _tensor([1.0, 3.0], [1.0, 2.0])
+SPACE_2x1 = json.dumps(
+    {"axes": [{"id": "x1", "weights": [1.0, 2.0]}, {"id": "x2", "weights": [1.0]}]}
+)
+INF_GM1 = '{"spec": %s}' % _spec("inf", "inf")
+WIDE_HOLDER = '{"spec": %s}' % _spec("1.5e308", "inf")  # derived pbar is 3e308
+POPA_INF = '{"q": [1, "inf"]}'
+BLEI_PS_3 = '{"n": 3, "k": 1, "q": [4, 4, 4], %s}'
+RANDOM_1 = ["--random", "1", "--seed", "1"]
+USER_COEFFS = ["coeffs", "--n", "3", "--k", "1", "--strategy", "user", "--coefficients"]
+
+# name: (expected exit code, argv)
+HOSTILE_INPUTS = {
+    "eval-invalid-json": (2, ["eval", "--tensor", T_13, "--spec", '{"columns": [']),
+    "eval-wrong-type": (2, ["eval", "--tensor", T_13, "--spec", "[1, 2]"]),
+    "eval-empty-columns": (2, ["eval", "--tensor", T_13, "--spec", '{"columns": []}']),
+    "eval-negative-weight": (
+        2, ["eval", "--tensor", _tensor([1.0, 3.0], [-1.0, 2.0]), "--spec", _spec(2)]
+    ),
+    "eval-exponent-1e400": (2, ["eval", "--tensor", T_13, "--spec", _spec("1e400")]),
+    "eval-exponent-1e5000": (2, ["eval", "--tensor", T_13, "--spec", _spec("1e5000")]),
+    "eval-all-inf": (0, ["eval", "--tensor", T_13, "--spec", _spec("inf")]),
+    "orbit-all-inf": (0, ["orbit", "--spec", _spec("inf", "inf")]),
+    "orbit-exponent-1e400": (2, ["orbit", "--spec", _spec("1e400", 1)]),
+    "decompose-exponent-1e5000": (
+        2, ["decompose", "--spec", _spec("1e5000", 1), "--perm", "[2, 1]"]
+    ),
+    "decompose-wrong-type": (2, ["decompose", "--spec", SPEC_21, "--perm", '{"a": 1}']),
+    "plan-gm1-exponent-1e400": (
+        2, ["plan", "--kind", "SymmetricGM1", "--params", '{"spec": %s}' % _spec("1e400")]
+    ),
+    "plan-holder-pbar-beyond-float": (
+        2, ["plan", "--kind", "SymmetricHolder", "--params", WIDE_HOLDER]
+    ),
+    "plan-gm1-all-inf": (0, ["plan", "--kind", "SymmetricGM1", "--params", INF_GM1]),
+    "plan-popa-sinnamon-inf": (0, ["plan", "--kind", "PopaSinnamonFirst", "--params", POPA_INF]),
+    "plan-wrong-type": (2, ["plan", "--kind", "Littlewood43", "--params", "[1]"]),
+    "plan-axes-not-a-list": (
+        2, ["plan", "--kind", "Blei21", "--params", '{"J": 3, "K": 1, "axes": 5}']
+    ),
+    "plan-bad-coefficient": (
+        2, ["plan", "--kind", "BleiPS", "--params", BLEI_PS_3 % '"c": ["x", 1, 1]']
+    ),
+    "plan-strategy-not-a-string": (
+        2, ["plan", "--kind", "BleiPS", "--params", BLEI_PS_3 % '"strategy": []']
+    ),
+    "plan-negative-coefficient-seed": (
+        2,
+        ["plan", "--kind", "BleiPS", "--params",
+         '{"n": 4, "k": 2, "q": [12, 12, 12, 12, 12, 12], "strategy": "random", "seed": -1}'],
+    ),
+    "verify-gm1-all-inf": (
+        0, ["verify", "--kind", "SymmetricGM1", "--params", INF_GM1, *RANDOM_1]
+    ),
+    "verify-popa-sinnamon-inf": (
+        0, ["verify", "--kind", "PopaSinnamonFirst", "--params", POPA_INF, *RANDOM_1]
+    ),
+    "verify-holder-pbar-beyond-float": (
+        2, ["verify", "--kind", "SymmetricHolder", "--params", WIDE_HOLDER, *RANDOM_1]
+    ),
+    "verify-kind-not-a-string": (2, ["verify", "--instance", '{"kind": []}']),
+    "verify-params-wrong-type": (
+        2, ["verify", "--instance", '{"kind": "Littlewood43", "params": 5}']
+    ),
+    "verify-derived-wrong-type": (
+        2, ["verify", "--instance", '{"kind": "Littlewood43", "derived": 5}', *RANDOM_1]
+    ),
+    "verify-negative-seed": (
+        2, ["verify", "--kind", "Littlewood43", "--random", "1", "--seed", "-1"]
+    ),
+    "verify-wrong-shape": (2, ["verify", "--kind", "Littlewood43", "--tensors", T_13]),
+    "coeffs-k-too-large": (2, ["coeffs", "--n", "3", "--k", "5"]),
+    "coeffs-wrong-type": (2, [*USER_COEFFS, '{"a": 1}']),
+    "coeffs-nan": (2, [*USER_COEFFS, "[NaN, 1, 1]"]),
+    "coeffs-nested": (2, [*USER_COEFFS, "[[1], 1, 1]"]),
+    "coeffs-not-an-int": (2, ["coeffs", "--n", "x", "--k", "1"]),
+    "probe-inf-exponent": (2, ["probe", "--spec", SPEC_21, "--p", "inf"]),
+    "probe-exponent-1e400": (2, ["probe", "--spec", SPEC_21, "--p", "1e400"]),
+    "probe-t-grid-not-numbers": (
+        2, ["probe", "--spec", SPEC_21, "--p", "4/3", "--t-grid", "abc"]
+    ),
+    "probe-t-grid-nan": (2, ["probe", "--spec", SPEC_21, "--p", "4/3", "--t-grid", "nan"]),
+    "search-wrong-type": (
+        2, ["search", "--kind", "Littlewood43", "--space", "[1]", "--seed", "1"]
+    ),
+    "search-negative-seed": (
+        2, ["search", "--kind", "Littlewood43", "--space", SPACE_2x1, "--seed", "-1"]
+    ),
+    "search-all-inf": (
+        0,
+        ["search", "--kind", "SymmetricGM1", "--params", INF_GM1, "--space", SPACE_2x1,
+         "--seed", "1", "--max-evals", "20"],
+    ),
+    "sweep-no-trials": (2, ["sweep", "--seed", "1", "--trials", "0"]),
+    "sweep-negative-seed": (
+        2, ["sweep", "--seed", "-1", "--trials", "1", "--kinds", "Quad6"]
+    ),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("expected, argv", HOSTILE_INPUTS.values(), ids=HOSTILE_INPUTS.keys())
+def test_hostile_inputs_exit_cleanly_with_strict_json(capsys, expected, argv):
+    # main() turns a ValidationError into exit 2; any other exception escapes
+    # it and fails the test.  argparse exits 2 on its own.
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    assert rc in (0, 1, 2)
+    assert rc == expected, out.err
+    if rc == 2:
+        assert "error:" in out.err and out.out == ""
+    if out.out:
+        json.loads(out.out, parse_constant=_reject_constant)

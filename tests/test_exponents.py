@@ -76,6 +76,15 @@ def test_to_float():
     assert to_float(INF) == math.inf
 
 
+def test_exponents_beyond_the_float_range_are_rejected():
+    with pytest.raises(ValidationError, match="beyond the float range"):
+        to_float(Fraction(3 * 10**308))
+    for text in ("1e400", "1e5000", f"{10**400}/3"):
+        with pytest.raises(ValidationError, match="beyond the float range"):
+            as_exponent(text)
+    assert to_float(as_exponent("1.5e308")) == 1.5e308
+
+
 def test_harmonic_mean_known_values():
     assert harmonic_mean([2, 1]) == Fraction(4, 3)
     assert harmonic_mean([2, 1, 1]) == Fraction(6, 5)

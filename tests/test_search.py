@@ -22,6 +22,7 @@ from mixednorm import (
     scaling_probe,
     sweep,
 )
+from mixednorm import search
 from mixednorm.search import random_params
 
 
@@ -37,6 +38,8 @@ def test_trial_config_validation_and_round_trip():
         TrialConfig(weight_range=(0.0, 1.0))
     with pytest.raises(ValidationError):
         TrialConfig(kinds=("NoSuchKind",))
+    with pytest.raises(ValidationError, match="max_axes"):
+        TrialConfig(max_axes=3)
 
 
 def test_random_inputs_are_deterministic_and_in_range():
@@ -170,6 +173,30 @@ def test_random_params_build_for_every_kind():
             inst = build_instance(kind, random_params(kind, rng))
             assert inst.kind == kind
             assert inst.arity >= 1
+
+
+def test_random_params_honour_max_axes():
+    widest = 0
+    for kind in KINDS:
+        for seed in range(8):
+            rng = np.random.default_rng([seed, KINDS.index(kind)])
+            inst = build_instance(kind, random_params(kind, rng, max_axes=7))
+            assert len(inst.axis_ids) <= 7
+            widest = max(widest, len(inst.axis_ids))
+    assert widest > 5
+
+
+def test_sweep_draws_params_with_its_max_axes(monkeypatch):
+    seen = []
+    real = search.random_params
+
+    def recording(kind, rng, max_axes=5):
+        seen.append(max_axes)
+        return real(kind, rng, max_axes)
+
+    monkeypatch.setattr(search, "random_params", recording)
+    sweep(TrialConfig(seed=1, trials=2, kinds=("Blei21",), max_axes=7))
+    assert seen == [7, 7]
 
 
 def test_sweep_small_run_passes_and_reports():
