@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,13 +66,14 @@ from .perms import (
     sorting_permutations,
 )
 from .spaces import (
+    _BATCH_BYTES,
     NormSpec,
     Tensor,
+    compile_plan,
     exp_or_inf,
     integral_log_inplace,
-    log_values,
     log_weights,
-    mixed_norm_logs,
+    run_plan,
 )
 
 KINDS = (
@@ -280,6 +282,8 @@ class InequalityInstance:
     params: dict
     derived: dict
     lower: NormSpec | None = None
+    # compiled reduction plans, keyed by (space axis ids, slot -> row, batched)
+    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -731,66 +735,117 @@ def _pair_ratio(log_lhs: float, log_rhs: float, tolerance: float):
     return exp_or_inf(log_lhs - log_rhs), False
 
 
+class _Plan(NamedTuple):
+    """How one evaluation reduces its inputs, compiled once per space axis
+    order and pattern of repeated inputs."""
+
+    batched: bool
+    rows: int  # stack rows: one per distinct input, plus the accumulator
+    acc_row: int | None  # the left side's slot sum, when it has two or more slots
+    width: int  # most rows a batched array holds, the stack included
+    weights: tuple[float, ...]  # the right-side factors' weights
+    outputs: int
+    trees: tuple  # batched, one plan over the stack; else one plan per row
+
+
+def _compile_instance(inst: InequalityInstance, space, slot_rows, batched: bool) -> _Plan:
+    """The norms one evaluation takes, in output order: the right-side
+    factors, a MixedNorm or GmLpNorm left side, then `lower`.  A GmLpNorm of
+    two or more slots reads the accumulator row, one past the inputs."""
+    lhs = inst.lhs
+    inputs = max(slot_rows) + 1
+    acc_row = inputs if len(slot_rows) > 1 and not isinstance(lhs, MixedNorm) else None
+    rows = inputs + (acc_row is not None)
+    requests = [(slot_rows[f.input_index], f.spec) for f in inst.rhs]
+    if isinstance(lhs, MixedNorm):
+        requests.append((0, lhs.spec))
+    elif isinstance(lhs, GmLpNorm):
+        uniform = NormSpec.uniform(lhs.exponent, space.ids)
+        requests.append((0 if acc_row is None else acc_row, uniform))
+    if inst.lower is not None:
+        requests.append((0, inst.lower))
+    if batched:
+        tree, width = compile_plan(
+            space, [(i, row, spec) for i, (row, spec) in enumerate(requests)]
+        )
+        trees, width = (tree,), max(width, rows)
+    else:
+        width = 1
+        trees = tuple(
+            compile_plan(
+                space, [(i, 0, spec) for i, (row, spec) in enumerate(requests) if row == r], False
+            )[0]
+            for r in range(rows)
+        )
+    weights = tuple(float(f.weight) for f in inst.rhs)
+    return _Plan(batched, rows, acc_row, width, weights, len(requests), trees)
+
+
+def _plan(inst: InequalityInstance, space, slot_rows, batched: bool) -> _Plan:
+    key = (space.ids, slot_rows, batched)
+    plan = inst._plans.get(key)
+    if plan is None:
+        plan = inst._plans[key] = _compile_instance(inst, space, slot_rows, batched)
+    return plan
+
+
 def _log_sides(inst: InequalityInstance, fs: list[Tensor]) -> tuple[float, float, float | None]:
     """(log lhs, log rhs, log lower or None) in one pass over the inputs.
 
-    Each distinct input tensor is logged once, when its first slot comes up;
-    every norm of it (right-side factors, a mixed-norm left side, the lower
-    spec) then goes through one mixed_norm_logs call, and its log array
-    is dropped after its last slot is folded into the left side's
-    accumulator.  The accumulator is the slots' logs summed in slot order,
-    bit for bit the plain slot-by-slot sum, built in place where it can be.
+    Each distinct input tensor is logged once into a row of one stack, and
+    the left side's accumulator, the slots' logs summed in slot order, takes
+    one more row; the instance's cached plan then reduces every norm of every
+    row at once.  When a batched array would exceed _BATCH_BYTES, each
+    distinct input is instead logged and reduced on its own when its first
+    slot comes up, and dropped after its last slot is folded in.
     """
     lhs = inst.lhs
     space = fs[0].space
-    requests = [(f.input_index, f.spec) for f in inst.rhs]
-    if isinstance(lhs, MixedNorm):
-        requests.append((0, lhs.spec))
-    if inst.lower is not None:
-        requests.append((0, inst.lower))
-    keys = [id(t) for t in fs]  # broadcast slots hold the same Tensor object
-    last_slot = {key: slot for slot, key in enumerate(keys)}
-    by_key: dict = {}
-    for r, (i, _) in enumerate(requests):
-        by_key.setdefault(keys[i], []).append(r)
+    row_of: dict = {}  # broadcast slots hold the same Tensor object
+    slot_rows = tuple(row_of.setdefault(id(t), len(row_of)) for t in fs)
+    plan = _plan(inst, space, slot_rows, True)
+    if plan.width * fs[0].values.nbytes > _BATCH_BYTES:
+        plan = _plan(inst, space, slot_rows, False)
+    stack = np.empty((plan.rows, *fs[0].values.shape)) if plan.batched else None
+    last_slot = {row: slot for slot, row in enumerate(slot_rows)}
     folds = not isinstance(lhs, MixedNorm)
     logw = log_weights(space)
-    values = [0.0] * len(requests)
+    values = [0.0] * plan.outputs
     logs: dict = {}
     acc = None
-    for slot, key in enumerate(keys):
-        if key not in logs:
-            logs[key] = log_values(fs[slot])
-            mine = by_key.get(key, [])
-            found = mixed_norm_logs(logs[key], space, [requests[r][1] for r in mine], logw)
-            for r, v in zip(mine, found):
-                values[r] = v
-        if folds:
-            log = logs[key]
-            if slot == 0:
-                acc = log
-            elif slot == 1 or acc.strides != log.strides:
-                # a new array, laid out as numpy lays out a sum; the gm norm's
-                # reductions below sum in that memory order
-                acc = acc + log
-            else:
-                acc += log
-        if last_slot[key] == slot:
-            del logs[key]  # no later slot needs it; acc may still be this buffer
+    with np.errstate(divide="ignore"):
+        for slot, row in enumerate(slot_rows):
+            log = logs.get(row)
+            if log is None:
+                if stack is None:
+                    log = logs[row] = np.log(fs[slot].values)
+                    run_plan(plan.trees[row], log[np.newaxis], logw, values)
+                else:
+                    log = logs[row] = np.log(fs[slot].values, out=stack[row])
+            if folds:
+                if slot == 0:
+                    acc = log
+                elif slot == 1:
+                    acc = np.add(acc, log, out=None if stack is None else stack[plan.acc_row])
+                else:
+                    acc += log
+            if last_slot[row] == slot:
+                del logs[row]  # no later slot needs it; acc may still be this buffer
+        if isinstance(lhs, GmLpNorm) and len(fs) > 1:
+            acc /= len(fs)
+        if stack is not None:
+            run_plan(plan.trees[0], stack, logw, values)
+        elif plan.acc_row is not None:
+            run_plan(plan.trees[plan.acc_row], acc[np.newaxis], logw, values)
 
     log_rhs = 0.0
-    for factor, v in zip(inst.rhs, values):
-        log_rhs += float(factor.weight) * v
-    extra = values[len(inst.rhs) :]
+    for weight, v in zip(plan.weights, values):
+        log_rhs += weight * v
     if isinstance(lhs, ProductIntegral):
         log_lhs = integral_log_inplace(acc, space, logw)
-    elif isinstance(lhs, GmLpNorm):
-        acc /= len(fs)
-        uniform = NormSpec.uniform(lhs.exponent, space.ids)
-        log_lhs = mixed_norm_logs(acc, space, (uniform,), logw)[0]
     else:
-        log_lhs = extra[0]
-    log_lower = extra[-1] if inst.lower is not None else None
+        log_lhs = values[len(inst.rhs)]
+    log_lower = values[-1] if inst.lower is not None else None
     return log_lhs, log_rhs, log_lower
 
 

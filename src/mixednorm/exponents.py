@@ -75,6 +75,7 @@ def as_exponent(value) -> Exponent:
         text = value.strip().lower()
         if text in ("inf", "+inf", "infinity", "oo", "∞"):
             return INF
+        _check_decimal_exponent(text, value)
         try:
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -97,6 +98,27 @@ def as_exponent(value) -> Exponent:
     return frac
 
 
+def _check_decimal_exponent(text: str, value) -> None:
+    """Reject a decimal string whose exponent part puts it outside the float
+    range, before Fraction spends time growing its power of ten.
+
+    A float lies between about 1e-324 and 1.8e308, and a string of n
+    characters has at most n significant digits, so a nonzero decimal whose
+    exponent part exceeds n + 330 in size is certainly outside that range.
+    """
+    mantissa, e, exponent = text.rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "")
+    if not (e and digits.isdigit()):
+        return  # no exponent part; Fraction judges the rest
+    size = digits.lstrip("0")
+    if len(size) <= 7 and int(size or "0") <= len(text) + 330:
+        return
+    if mantissa.startswith("-") or not any(c in "123456789" for c in mantissa):
+        raise ValidationError(f"exponent must be positive, got {value!r}")
+    where = "below" if exponent.startswith("-") else "beyond"
+    raise ValidationError(f"exponent {value!r} is {where} the float range")
+
+
 def reciprocal(e: Exponent) -> Fraction:
     """1/e with the exact convention 1/inf = 0."""
     if e is INF or isinstance(e, _Infinity):
@@ -106,16 +128,19 @@ def reciprocal(e: Exponent) -> Fraction:
 
 def to_float(e: Exponent) -> float:
     """The float value of an exponent; a finite one beyond the float range is
-    rejected rather than rounded to inf."""
+    rejected rather than rounded to inf, and a positive one too small for a
+    float rather than rounded to 0."""
     if isinstance(e, _Infinity):
         return math.inf
     try:
-        return float(e)
+        f = float(e)
     except OverflowError:
+        f = math.inf
+    if f == math.inf or (f == 0.0 and e > 0):
         magnitude = math.log10(e.numerator) - math.log10(e.denominator)
-        raise ValidationError(
-            f"exponent of about 1e{magnitude:.0f} is beyond the float range"
-        ) from None
+        where = "beyond" if f else "below"
+        raise ValidationError(f"exponent of about 1e{magnitude:.0f} is {where} the float range")
+    return f
 
 
 def exponent_str(e: Exponent) -> str:

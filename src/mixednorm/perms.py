@@ -32,7 +32,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        imgs = tuple(int(v) for v in self.images)
+        imgs = tuple(self.images)
+        for v in imgs:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValidationError(f"permutation image {v!r} is not an integer")
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValidationError(f"not a permutation of 1..{n}: {list(imgs)}")

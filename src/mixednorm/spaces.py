@@ -12,14 +12,22 @@ log-domain path that masks zeros as -inf and uses shifted log-sum-exp so
 large exponents (12th powers and the like) cannot overflow.  The log path
 is the default and the oracle the catalog's verdicts rest on.
 
-Every log-domain result comes from one kernel.  `mixed_norm_logs` takes one
-log array and several specs, logs each axis's weights once, walks the specs
-as a trie so that each distinct column prefix is reduced once, and runs each
-finite-exponent column as a shifted log-sum-exp done in place on one work
-array.  Its input is never written, and besides it at most one full-size
-work array is alive.  `mixed_norm_log_values`, `mixed_norm_log` and
-`integrate_product_log` are thin wrappers over it and its log-sum-exp step,
-so a shared pass returns bit for bit what one-spec-at-a-time calls return.
+Every log-domain result comes from one kernel, a compiled reduction plan.
+`compile_plan` turns (output, row, spec) requests into a tuple tree by a
+trie walk over the specs' columns, so each distinct (row, column prefix) is
+reduced once; `run_plan` evaluates it on a stack of log arrays, one row per
+input, and never writes the stack.  Each child of a node collapses one axis
+for every (row, exponent) pair that reduces it at that depth, in one shifted
+log-sum-exp done in place on one work array (a maximum for an infinite
+exponent), with the exponents as a per-row column.  A request that shares no
+further prefix drops the row axis and is reduced alone.  Stacking rows saves
+numpy's per-call overhead only while the arrays stay cache-sized: above
+`_BATCH_BYTES` a plan takes one (row, exponent) pair per child, so no work
+array holds more than one row.  `Tensor` stores its values in C order, so a
+stacked row sums in the same order as a lone array, and
+`mixed_norm_log_values`, `mixed_norm_log` and `integrate_product_log`, thin
+wrappers over the plan and its log-sum-exp step, return bit for bit what a
+shared pass returns.
 """
 
 from __future__ import annotations
@@ -107,7 +115,7 @@ class Tensor:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float, order="C")
         if arr.shape != self.space.shape:
             raise ValidationError(
                 f"tensor shape {arr.shape} does not match space shape {self.space.shape}"
@@ -184,7 +192,7 @@ class NormSpec:
         return all(exps[i] >= exps[i + 1] for i in range(len(exps) - 1))
 
     def validate_for(self, space: ProductSpace) -> None:
-        if set(self.axis_ids) != set(space.ids):
+        if {a for _, a in self.columns} != set(space.ids):
             raise ValidationError(
                 f"norm spec axes {sorted(self.axis_ids)} do not match "
                 f"space axes {sorted(space.ids)}"
@@ -259,53 +267,137 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _reduce_column(arr: np.ndarray, pf: float, ax: int, logw: np.ndarray) -> np.ndarray:
-    """Collapse axis ax of a log array under exponent pf; arr is not written."""
-    if pf == math.inf:
-        return np.maximum.reduce(arr, axis=ax)
-    a = np.multiply(arr, pf)
-    a += logw.reshape((-1,) + (1,) * (arr.ndim - ax - 1))
+# A batched work array holds one row per (input, exponent) pair that a plan
+# node reduces.  Stacking rows saves numpy's per-call overhead, which
+# dominates on small arrays; once a reduction's input and work array no
+# longer fit in a core's L2 cache together, rows reduced one at a time are
+# faster.  Measured on a 2-vCPU Xeon (2 MiB L2 per core), SymmetricHolder
+# with 12 distinct inputs on four axes ran 0.69x the row-at-a-time time with
+# 0.43 MB batched arrays, 0.81x at 0.68 MB, 1.07x at 1.0 MB and 1.25x at
+# 1.5 MB; Quad6 broke even near 0.4-0.6 MB.
+_BATCH_BYTES = 1 << 19
+
+
+def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray) -> np.ndarray:
+    """Collapse axis ax of a log array, or of a stack of them with rows on
+    axis 0.  pf is None for an infinite exponent, else a float or the rows'
+    float exponents as a (k, 1, ..., 1) column.  logw is the axis's log
+    weights shaped to broadcast along ax.  rows is not written.
+    """
+    if pf is None:
+        return np.maximum.reduce(rows, axis=ax)
+    a = np.multiply(rows, pf)
+    a += logw
     out = _logsumexp_inplace(a, ax)
     out /= pf
-    return out.reshape(arr.shape[:ax] + arr.shape[ax + 1 :])
+    return out.reshape(a.shape[:ax] + a.shape[ax + 1 :])
 
 
-def _reduce_trie(arr, remaining, group, logw, out) -> None:
-    """Reduce arr, whose axes are `remaining`, for every (index, columns) in
-    group, where columns are (axis id, float exponent) pairs and the group
-    shares the columns already reduced.  Depth first, so only the arrays on
-    the current path are alive."""
-    if not remaining:
-        value = float(arr)
-        for i, _ in group:
-            out[i] = value
-        return
-    depth = len(group[0][1]) - len(remaining)
-    children: dict = {}
-    for member in group:
-        children.setdefault(member[1][depth], []).append(member)
-    for (aid, pf), members in children.items():
-        ax = remaining.index(aid)
-        reduced = _reduce_column(arr, pf, ax, logw[aid])
-        _reduce_trie(reduced, remaining[:ax] + remaining[ax + 1 :], members, logw, out)
+def compile_plan(space: ProductSpace, requests, batched: bool = True):
+    """Compile norm requests into a reduction plan over a stack of log arrays.
 
-
-def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs, logw=None) -> list[float]:
-    """Logs of the mixed norms of one log-domain array under several specs.
-
-    logv holds log values with zeros as -inf; it is not modified.  logw, from
-    log_weights(space), may be passed to share it between calls.
+    requests holds (output index, stack row, spec) triples.  The plan is a
+    tuple tree built by a trie walk over the specs' columns, so each distinct
+    (row, column prefix) is reduced once.  A node is (children, chains,
+    outputs).  Each child collapses one axis for a set of (row, exponent)
+    pairs in one _reduce_column call: batched, every pair that collapses the
+    axis with a finite exponent, or every one with an infinite exponent;
+    otherwise one pair, so no work array holds more than one row.  A request
+    that shares no further column prefix becomes a chain: its row, reduced
+    alone one column at a time.  Returns (plan, width): width is the most
+    rows a work array holds.
     """
     group = []
-    for i, spec in enumerate(specs):
+    for i, row, spec in requests:
         spec.validate_for(space)
-        group.append((i, tuple((aid, to_float(p)) for p, aid in spec.columns)))
-    if logw is None:
-        logw = log_weights(space)
-    out = [0.0] * len(group)
-    if group:
-        with np.errstate(divide="ignore"):
-            _reduce_trie(logv, space.ids, group, logw, out)
+        group.append((i, row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
+    return _compile(group, space.ids, 0, batched)
+
+
+def _compile(group, remaining, depth, batched):
+    """Plan for group, (output index, row, float columns) triples sharing
+    their first `depth` columns; the node's array has a row axis first."""
+    if not remaining:
+        return ((), (), tuple((i, pos) for i, pos, _ in group)), 0
+    children: dict = {}
+    for member in group:
+        aid, pf = member[2][depth]
+        children.setdefault((aid, pf == math.inf if batched else pf), []).append(member)
+    nodes, chains, width = [], [], 1
+    for (aid, _), members in children.items():
+        if len(members) == 1:
+            i, pos, cols = members[0]
+            chains.append((i, pos, _chain(cols, remaining, depth)))
+            continue
+        ax = remaining.index(aid)
+        where: dict = {}  # (row, exponent) -> row of the child's array
+        for _, pos, cols in members:
+            where.setdefault((pos, cols[depth][1]), len(where))
+        rows = [pos for pos, _ in where]
+        infinite = cols[depth][1] == math.inf
+        if len(rows) == 1:
+            sel, pf = slice(rows[0], rows[0] + 1), None if infinite else cols[depth][1]
+        else:
+            if rows.count(rows[0]) == len(rows):  # one row, several exponents: broadcast it
+                sel = slice(rows[0], rows[0] + 1)
+            elif rows == list(range(rows[0], rows[0] + len(rows))):
+                sel = slice(rows[0], rows[0] + len(rows))
+            else:
+                sel = np.array(rows)
+            pf = None
+            if not infinite:
+                pf = np.array([p for _, p in where]).reshape((-1,) + (1,) * len(remaining))
+        sub, sub_width = _compile(
+            [(i, where[pos, cols[depth][1]], cols) for i, pos, cols in members],
+            remaining[:ax] + remaining[ax + 1 :],
+            depth + 1,
+            batched,
+        )
+        lead = (-1,) + (1,) * (len(remaining) - ax - 1)
+        nodes.append((ax + 1, sel, pf, aid, lead, sub))
+        width = max(width, len(rows), sub_width)
+    return (tuple(nodes), tuple(chains), ()), width
+
+
+def _chain(cols, remaining, depth):
+    """(axis, exponent or None, axis id, log weight shape) for each column
+    from `depth` on, for an array without the row axis."""
+    steps = []
+    for aid, p in cols[depth:]:
+        ax = remaining.index(aid)
+        steps.append((ax, None if p == math.inf else p, aid, (-1,) + (1,) * (len(remaining) - ax - 1)))
+        remaining = remaining[:ax] + remaining[ax + 1 :]
+    return tuple(steps)
+
+
+def run_plan(plan, stack: np.ndarray, logw, out) -> None:
+    """Evaluate a compiled plan on a stack of log arrays, writing each
+    request's log norm to out[index].  stack is not written; the caller holds
+    np.errstate(divide="ignore")."""
+    children, chains, outputs = plan
+    for i, pos in outputs:
+        out[i] = float(stack[pos])
+    for i, row, steps in chains:
+        arr = stack[row]
+        for ax, pf, aid, lead in steps:
+            arr = _reduce_column(arr, pf, ax, logw[aid].reshape(lead))
+        out[i] = float(arr)
+    for ax, sel, pf, aid, lead, sub in children:
+        run_plan(sub, _reduce_column(stack[sel], pf, ax, logw[aid].reshape(lead)), logw, out)
+
+
+def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]:
+    """Logs of the mixed norms of one log-domain array under several specs.
+
+    logv holds log values with zeros as -inf; it is not modified.
+    """
+    requests = [(i, 0, spec) for i, spec in enumerate(specs)]
+    plan, width = compile_plan(space, requests)
+    if width * logv.size * 8 > _BATCH_BYTES:
+        plan, _ = compile_plan(space, requests, batched=False)
+    out = [0.0] * len(requests)
+    with np.errstate(divide="ignore"):
+        run_plan(plan, logv[np.newaxis], log_weights(space), out)
     return out
 
 

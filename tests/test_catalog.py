@@ -1,19 +1,24 @@
 """The inequality catalog: exact derived exponents, documents, evaluation."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixednorm import (
     Axis,
     GmLpNorm,
     INF,
     KINDS,
+    InequalityInstance,
     MixedNorm,
     NormSpec,
+    ProductIntegral,
     ProductSpace,
     SubsetSystem,
     Tensor,
@@ -26,9 +31,9 @@ from mixednorm import (
     size_k_subsets,
     solve_subset_coefficients,
 )
-from mixednorm.catalog import _pair_ratio
+from mixednorm.catalog import RhsFactor, _pair_ratio
 from mixednorm.search import maximize_ratio, random_params
-from mixednorm.spaces import log_values, mixed_norm_log, mixed_norm_log_values
+from mixednorm.spaces import _BATCH_BYTES, log_values, mixed_norm_log, mixed_norm_log_values
 
 
 def unit_space(ids, sizes):
@@ -603,6 +608,125 @@ def test_shared_pass_peak_memory(kind, params):
         tracemalloc.stop()
     assert rep.passed
     assert peak <= 2.5 * f.values.nbytes
+
+
+def test_distinct_inputs_above_the_batch_budget_keep_the_row_at_a_time_peak():
+    # three distinct inputs plus the accumulator would stack to 4x an input's
+    # bytes, far above _BATCH_BYTES; they are logged and reduced one at a
+    # time instead.  The per-input pass before row-batched plans peaked at 4.02x.
+    spec = NormSpec(((2, "x1"), (2, "x2"), (1, "x3")))
+    inst = build_instance("SymmetricHolder", {"spec": spec.to_doc()})
+    assert inst.arity == 3
+    space = unit_space(("x1", "x2", "x3"), (100, 100, 100))
+    rng = np.random.default_rng(40)
+    fs = [Tensor(space, np.exp(rng.uniform(-1, 1, space.shape))) for _ in range(3)]
+    assert 4 * fs[0].values.nbytes > _BATCH_BYTES
+    tracemalloc.start()
+    try:
+        rep = evaluate_instance(inst, fs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 4.25 * fs[0].values.nbytes
+
+
+# ---------------------------------------------------------------------------
+# compiled plans against the one-spec-at-a-time reference
+
+_PLAN_POOL = ("1/2", "1", "2", "3", "inf")
+
+
+def _plan_instance(rng, ids, arity):
+    """An instance with arbitrary right-side factors over a few axis orders
+    and a small exponent pool, so that specs share column prefixes."""
+    orders = [list(rng.permutation(ids)) for _ in range(int(rng.integers(1, 3)))]
+
+    def spec():
+        order = orders[int(rng.integers(len(orders)))]
+        return NormSpec(tuple((str(rng.choice(_PLAN_POOL)), a) for a in order))
+
+    rhs = tuple(
+        RhsFactor(spec(), Fraction(1, arity), int(rng.integers(arity)))
+        for _ in range(int(rng.integers(1, 2 * arity + 2)))
+    )
+    lhs = [ProductIntegral(), GmLpNorm(Fraction(str(rng.choice(_PLAN_POOL[:4])))), MixedNorm(spec())]
+    return InequalityInstance(
+        kind="plan-check",
+        axis_ids=tuple(ids),
+        arity=arity,
+        lhs=lhs[int(rng.integers(3))],
+        rhs=rhs,
+        params={},
+        derived={},
+        lower=spec() if rng.integers(2) else None,
+    )
+
+
+def _plan_inputs(rng, space, arity, pattern):
+    def tensor():
+        vals = np.exp(rng.uniform(-4, 4, space.shape))
+        vals[rng.random(space.shape) < 0.25] = 0.0
+        return Tensor(space, vals)
+
+    if pattern == "broadcast":
+        return [tensor()]
+    if pattern == "distinct":
+        return [tensor() for _ in range(arity)]
+    pool = [tensor() for _ in range(2)]
+    return [pool[int(rng.integers(2))] for _ in range(arity)]
+
+
+def _log_fields(rep):
+    return {k: v for k, v in rep.trial.items() if k.startswith("log_")}
+
+
+def _check_plan_case(seed, sizes, arity):
+    rng = np.random.default_rng(seed)
+    ids = [f"x{i + 1}" for i in range(len(sizes))]
+    inst = _plan_instance(rng, ids, arity)
+    for pattern in ("broadcast", "distinct", "partial"):
+        # the space lists its axes in another order than inst.axis_ids
+        order = list(rng.permutation(len(ids)))
+        space = ProductSpace(
+            tuple(
+                Axis(ids[k], tuple(np.exp(rng.uniform(-2, 2, sizes[k])))) for k in order
+            )
+        )
+        fs = _plan_inputs(rng, space, arity, pattern)
+        rep = evaluate_instance(inst, fs)
+        full = fs * arity if len(fs) == 1 else fs
+        lhs, rhs, lower = _reference_sides(inst, full)
+        want = {"log_lhs": lhs, "log_rhs": rhs}
+        if lower is not None:
+            want = {"log_lower": lower, "log_middle": lhs, "log_upper": rhs}
+        assert _log_fields(rep) == want, (pattern, order)
+        # the instance's cached plans serve every pattern seen so far
+        fresh = dataclasses.replace(inst)
+        assert rep == evaluate_instance(fresh, fs)
+    return inst
+
+
+@st.composite
+def _plan_shapes(draw):
+    """1-5 axes of 1-12 atoms, at most 3000 cells."""
+    sizes = []
+    for _ in range(draw(st.integers(1, 5))):
+        sizes.append(draw(st.integers(1, min(12, 3000 // math.prod(sizes)))))
+    return sizes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), sizes=_plan_shapes(), arity=st.integers(1, 5))
+def test_compiled_plans_equal_one_spec_at_a_time(seed, sizes, arity):
+    _check_plan_case(seed, sizes, arity)
+
+
+def test_compiled_plans_above_the_batch_budget_equal_one_spec_at_a_time():
+    sizes = (12, 12, 12, 12, 4)
+    assert 8 * math.prod(sizes) > _BATCH_BYTES
+    inst = _check_plan_case(7, sizes, 3)
+    assert {key[-1] for key in inst._plans} == {False, True}  # rows reduced one at a time
 
 
 def test_sides_beyond_the_float_range_report_inf():

@@ -337,6 +337,9 @@ HOSTILE_INPUTS = {
     ),
     "eval-exponent-1e400": (2, ["eval", "--tensor", T_13, "--spec", _spec("1e400")]),
     "eval-exponent-1e5000": (2, ["eval", "--tensor", T_13, "--spec", _spec("1e5000")]),
+    "eval-exponent-1e-400": (
+        2, ["eval", "--tensor", _tensor([0.0, 3.0], [0.25, 0.5]), "--spec", _spec("1e-400")]
+    ),
     "eval-all-inf": (0, ["eval", "--tensor", T_13, "--spec", _spec("inf")]),
     "orbit-all-inf": (0, ["orbit", "--spec", _spec("inf", "inf")]),
     "orbit-exponent-1e400": (2, ["orbit", "--spec", _spec("1e400", 1)]),
@@ -344,6 +347,9 @@ HOSTILE_INPUTS = {
         2, ["decompose", "--spec", _spec("1e5000", 1), "--perm", "[2, 1]"]
     ),
     "decompose-wrong-type": (2, ["decompose", "--spec", SPEC_21, "--perm", '{"a": 1}']),
+    "decompose-float-image": (2, ["decompose", "--spec", SPEC_21, "--perm", "[1.9, 2]"]),
+    "decompose-bool-image": (2, ["decompose", "--spec", SPEC_21, "--perm", "[true, 2]"]),
+    "decompose-string-image": (2, ["decompose", "--spec", SPEC_21, "--perm", '["a", 2]']),
     "plan-gm1-exponent-1e400": (
         2, ["plan", "--kind", "SymmetricGM1", "--params", '{"spec": %s}' % _spec("1e400")]
     ),

@@ -1,6 +1,7 @@
 """Exact exponent arithmetic: parsing, ordering, reciprocals, harmonic means."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,29 @@ def test_exponents_beyond_the_float_range_are_rejected():
         with pytest.raises(ValidationError, match="beyond the float range"):
             as_exponent(text)
     assert to_float(as_exponent("1.5e308")) == 1.5e308
+
+
+def test_exponents_below_the_float_range_are_rejected():
+    # 1e-400 is a positive Fraction whose float is 0.0, which gave NaN norms
+    with pytest.raises(ValidationError, match="below the float range"):
+        to_float(Fraction(1, 10**400))
+    for text in ("1e-400", "12345e-330"):
+        with pytest.raises(ValidationError, match="below the float range"):
+            as_exponent(text)
+    assert to_float(as_exponent("5e-324")) == 5e-324
+
+
+def test_huge_decimal_exponents_are_rejected_before_fraction():
+    # Fraction("1e10000000") alone takes seconds; these must not reach it
+    start = time.perf_counter()
+    for text in ("1e10000000", "1E-99999999", "2.5e+1_000_000"):
+        with pytest.raises(ValidationError, match="float range"):
+            as_exponent(text)
+    for text in ("0e10000000", "-1e10000000"):
+        with pytest.raises(ValidationError, match="positive"):
+            as_exponent(text)
+    assert time.perf_counter() - start < 1.0
+    assert as_exponent("1e-0000000000000000000000000005") == Fraction(1, 10**5)
 
 
 def test_harmonic_mean_known_values():

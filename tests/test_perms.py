@@ -42,6 +42,9 @@ def test_permutation_basics():
     assert Permutation.transposition(4, 2).images == (1, 3, 2, 4)
     with pytest.raises(ValidationError):
         Permutation((1, 1, 3))
+    for images in ((1.9, 2), (1.0, 2), (True, 2), ("a", 2)):
+        with pytest.raises(ValidationError, match="not an integer"):
+            Permutation(images)
     with pytest.raises(ValidationError):
         Permutation.transposition(3, 3)
 
