@@ -254,8 +254,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.threads < 1:
-        raise ValidationError(f"--threads must be positive, got {args.threads}")
     kinds = None
     if args.kinds is not None:
         kinds = tuple(_resolve_kind(k) for k in args.kinds.split(",") if k)
@@ -351,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--kinds", help="comma-separated kind names (default: all)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="positive; has no effect on output")
     p.add_argument("--tol", type=float, default=tol)
     p.set_defaults(func=_cmd_sweep)
 

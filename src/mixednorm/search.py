@@ -1,17 +1,16 @@
 """Randomized soundness sweeps, sharpness probes, and violation search.
 
 Everything here is deterministic given a master seed: per-trial generators
-are derived from (seed, kind index, trial index), so a sweep gives the same
-report whether it runs on one thread or eight.  Hill climbing perturbs
-tensors multiplicatively (exponents may be infinite, so there is no gradient
-to follow) and always seeds from the indicator family that makes the
+are derived from (seed, kind index, trial index), so a sweep's report is a
+pure function of its config.  Hill climbing perturbs tensors
+multiplicatively (exponents may be infinite, so there is no gradient to
+follow) and always seeds from the indicator family that makes the
 geometric-mean inequalities tight.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,9 +25,17 @@ from .catalog import (
 )
 from .documents import json_float, space_to_doc, tensor_to_doc
 from .errors import ValidationError
-from .exponents import _Infinity, as_exponent, exponent_str, reciprocal
-from .perms import all_permutations, lowers, orbit, orbit_info, raises
-from .spaces import Axis, NormSpec, ProductSpace, Tensor, mixed_norm_log
+from .exponents import _Infinity, as_exponent, exponent_str, harmonic_mean, reciprocal
+from .perms import all_permutations, lowers, orbit, raises
+from .spaces import Axis, NormSpec, ProductSpace, Tensor, log_values, mixed_norm_logs
+
+# Values of random tensors, in sweeps and as hill-climb starts.
+_VALUE_RANGE = (1e-2, 1e2)
+# Hill climb: first log-step, its shrink factor on a failed step, and the
+# step below which a start stops.
+_INIT_STEP = 0.5
+_STEP_DECAY = 0.7
+_MIN_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,7 @@ class TrialConfig:
     trials: int = 500
     axis_size_range: tuple[int, int] = (1, 5)
     weight_range: tuple[float, float] = (1e-3, 1e3)
-    value_range: tuple[float, float] = (1e-2, 1e2)
+    value_range: tuple[float, float] = _VALUE_RANGE
     tolerance: float = 1e-8
     kinds: tuple[str, ...] | None = None
     max_axes: int = 5
@@ -75,26 +82,6 @@ class TrialConfig:
             "kinds": list(self.kinds) if self.kinds is not None else None,
             "max_axes": self.max_axes,
         }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "TrialConfig":
-        if not isinstance(doc, dict):
-            raise ValidationError("trial config must be an object")
-        kwargs = {}
-        for name, conv in (
-            ("seed", int),
-            ("trials", int),
-            ("axis_size_range", lambda v: tuple(int(x) for x in v)),
-            ("weight_range", lambda v: tuple(float(x) for x in v)),
-            ("value_range", lambda v: tuple(float(x) for x in v)),
-            ("tolerance", float),
-            ("max_axes", int),
-        ):
-            if name in doc and doc[name] is not None:
-                kwargs[name] = conv(doc[name])
-        if doc.get("kinds") is not None:
-            kwargs["kinds"] = tuple(doc["kinds"])
-        return cls(**kwargs)
 
 
 def _rng(seed, *key) -> np.random.Generator:
@@ -201,17 +188,17 @@ def scaling_probe(spec: NormSpec, p, t_grid) -> ScalingProbe:
     p = as_exponent(p)
     if isinstance(p, _Infinity):
         raise ValidationError("probe exponent must be finite")
-    info = orbit_info(spec)
     orbit_specs = orbit(spec, "exponents")
-    n = spec.n
-    expo = float(n * (reciprocal(p) - reciprocal(info.harmonic_mean)))
+    specs = [NormSpec.uniform(p, spec.axis_ids), *orbit_specs]
+    expo = float(spec.n * (reciprocal(p) - reciprocal(harmonic_mean(spec.exponents))))
     ts, empirical, analytic = [], [], []
     for t in t_grid:
         t = float(t)
         space = _indicator_space(spec.axis_ids, t)
-        ones = Tensor.constant(space, 1.0)
-        log_lhs = mixed_norm_log(ones, NormSpec.uniform(p, spec.axis_ids))
-        log_rhs = sum(mixed_norm_log(ones, s) for s in orbit_specs) / len(orbit_specs)
+        log_lhs, *log_orbit = mixed_norm_logs(
+            log_values(Tensor.constant(space, 1.0)), space, specs
+        )
+        log_rhs = sum(log_orbit) / len(orbit_specs)
         ts.append(t)
         empirical.append(math.exp(log_lhs - log_rhs))
         analytic.append(t**expo)
@@ -260,7 +247,7 @@ def _indicator_starts(space: ProductSpace, arity: int) -> list[list[np.ndarray]]
             if key in seen:
                 continue
             seen.add(key)
-            starts.append([vals.copy() for _ in range(arity)])
+            starts.append([vals] * arity)
     return starts
 
 
@@ -270,52 +257,51 @@ def maximize_ratio(
     seed: int,
     max_evals: int = 10_000,
     restarts: int = 6,
-    init_step: float = 0.5,
-    decay: float = 0.7,
-    min_step: float = 1e-4,
-    value_range: tuple[float, float] = (1e-2, 1e2),
     tolerance: float = 1e-8,
 ) -> SearchResult:
     """Multi-start hill climbing for the largest lhs/rhs ratio.
 
-    Starts from the box-indicator family plus seeded random tensors, then
-    climbs with multiplicative coordinate perturbations, shrinking the step
-    on failure.  Deterministic in the seed; re-evaluating the returned
-    witnesses reproduces best_ratio exactly.
+    Starts from the box-indicator family plus `restarts` seeded random
+    tensors, then climbs with multiplicative coordinate perturbations,
+    shrinking the step on failure.  A random start is drawn only when the
+    climb reaches it, so a large `restarts` costs nothing beyond the
+    evaluation budget.  Deterministic in the seed; re-evaluating the
+    returned witnesses reproduces best_ratio exactly.
     """
     if set(space.ids) != set(inst.axis_ids):
         raise ValidationError("space axes do not match the instance")
     if max_evals < 1:
         raise ValidationError("max_evals must be positive")
+    if restarts < 0:
+        raise ValidationError(f"restarts must be nonnegative, got {restarts}")
 
     def ratio_of(arrays) -> float:
         tensors = [Tensor(space, a) for a in arrays]
         return evaluate_instance(inst, tensors, tolerance=tolerance).ratio
 
-    starts = _indicator_starts(space, inst.arity)
+    indicators = _indicator_starts(space, inst.arity)
+    n_starts = len(indicators) + restarts
     rng_init = _rng(seed, 1)
-    for _ in range(restarts):
-        starts.append(
-            [
-                _log_uniform(rng_init, *value_range, space.shape)
-                for _ in range(inst.arity)
-            ]
-        )
-    per_start = max(2, max_evals // max(1, len(starts)))
+    per_start = max(2, max_evals // max(1, n_starts))
     evals = 0
     best_ratio = -math.inf
     best_arrays = None
     best_start = 0
-    for si, start in enumerate(starts):
+    for si in range(n_starts):
         if evals >= max_evals:
             break
+        if si < len(indicators):
+            current = indicators[si]
+        else:
+            current = [
+                _log_uniform(rng_init, *_VALUE_RANGE, space.shape) for _ in range(inst.arity)
+            ]
         rng = _rng(seed, 2, si)
-        current = [np.array(a) for a in start]
         current_ratio = ratio_of(current)
         evals += 1
         used = 1
-        step = init_step
-        while evals < max_evals and used < per_start and step >= min_step:
+        step = _INIT_STEP
+        while evals < max_evals and used < per_start and step >= _MIN_STEP:
             candidate = [
                 a * np.exp(step * rng.standard_normal(a.shape)) for a in current
             ]
@@ -325,7 +311,7 @@ def maximize_ratio(
             if cand_ratio > current_ratio:
                 current, current_ratio = candidate, cand_ratio
             else:
-                step *= decay
+                step *= _STEP_DECAY
         if current_ratio > best_ratio:
             best_ratio, best_arrays, best_start = current_ratio, current, si
     witnesses = tuple(Tensor(space, a) for a in best_arrays)
@@ -333,7 +319,7 @@ def maximize_ratio(
         best_ratio=best_ratio,
         witnesses=witnesses,
         evaluations=evals,
-        starts=len(starts),
+        starts=n_starts,
         best_start=best_start,
         seed=seed,
     )
@@ -474,17 +460,16 @@ def _run_trial(cfg: TrialConfig, kind: str, kind_index: int, t: int) -> dict:
 
 def sweep(cfg: TrialConfig, threads: int = 1) -> dict:
     """Run the full randomized soundness suite; the report is a pure function
-    of cfg (thread count never changes a byte)."""
+    of cfg.  Trials run in order on the calling thread: they hold the
+    interpreter lock, and a thread pool measured slower.  `threads` must be
+    a positive integer and has no effect."""
+    if not isinstance(threads, int) or threads < 1:
+        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
     kinds = [k for k in KINDS if cfg.kinds is None or k in cfg.kinds]
     report: dict = {"config": cfg.to_doc(), "kinds": {}, "pass": True}
     for kind in kinds:
         kind_index = KINDS.index(kind)
-        task = lambda t, _k=kind, _ki=kind_index: _run_trial(cfg, _k, _ki, t)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(task, range(cfg.trials)))
-        else:
-            rows = [task(t) for t in range(cfg.trials)]
+        rows = [_run_trial(cfg, kind, kind_index, t) for t in range(cfg.trials)]
         ratios = [r["ratio"] for r in rows]
         worst = max(range(len(rows)), key=lambda i: ratios[i])
         failures = [r["witness"] for r in rows if not r["pass"]]

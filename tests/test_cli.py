@@ -415,6 +415,11 @@ HOSTILE_INPUTS = {
         ["search", "--kind", "SymmetricGM1", "--params", INF_GM1, "--space", SPACE_2x1,
          "--seed", "1", "--max-evals", "20"],
     ),
+    "search-negative-restarts": (
+        2,
+        ["search", "--kind", "Littlewood43", "--space", SPACE_2x1, "--seed", "1",
+         "--restarts", "-1"],
+    ),
     "sweep-no-trials": (2, ["sweep", "--seed", "1", "--trials", "0"]),
     "sweep-negative-seed": (
         2, ["sweep", "--seed", "-1", "--trials", "1", "--kinds", "Quad6"]
