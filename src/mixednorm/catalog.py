@@ -25,8 +25,10 @@ SymmetricGM1        single-function case of SymmetricGM
 Littlewood43        SymmetricGM1 at exponents (2, 1): the 4/3 inequality
 Blei21              exponent rows of 2s and 1s indexed by K-subsets
 BleiQP              exponent rows of qs and ps indexed by K-subsets
-PopaSinnamonFirst   n functions, inner exponent q_j over the other axes
-PopaSinnamonSecond  n functions, inner exponent q_j over the own axis
+PopaSinnamonFirst   BleiPS at k = 1 with uniform coefficients: n functions,
+                    inner exponent q_j over the other axes
+PopaSinnamonSecond  BleiPS at k = n - 1 with uniform coefficients: n
+                    functions, inner exponent q_j over the own axis
 BleiPS              subset-indexed family with coefficients c_i solving
                     sum_{S_i ∋ j} c_i = 1
 Quad6               the fixed n=4, k=2, q=12 instance of BleiPS (six factors)
@@ -67,6 +69,7 @@ from .perms import (
 )
 from .spaces import (
     _BATCH_BYTES,
+    _MAX_COLUMNS,
     NormSpec,
     Tensor,
     compile_plan,
@@ -120,9 +123,16 @@ def check_holder_system(specs) -> tuple[bool, dict[str, Fraction]]:
 
 
 def size_k_subsets(n: int, k: int) -> list[tuple[int, ...]]:
-    """All k-subsets of {1..n} in lexicographic order."""
+    """All k-subsets of {1..n} in lexicographic order; a family whose M
+    specs would hold more than _MAX_COLUMNS columns is rejected before it is
+    enumerated."""
     if not 0 < k < n:
         raise ValidationError(f"need 0 < k < n, got k={k}, n={n}")
+    m = math.comb(n, k)
+    if m * n > _MAX_COLUMNS:
+        raise ValidationError(
+            f"{m} {k}-subsets of {n} axes hold {m * n} columns, over {_MAX_COLUMNS}"
+        )
     return list(combinations(range(1, n + 1), k))
 
 
@@ -383,18 +393,13 @@ def _build_symmetric_holder(params):
     return _orbit_gm("SymmetricHolder", spec, "exponents", True, {"spec": spec.to_doc()}, params)
 
 
-def _build_symmetric_gm(params):
+def _build_symmetric_gm(kind, params):
+    """SymmetricGM (one input per orbit factor) and SymmetricGM1 (one input)."""
     spec = _spec_from_params(params)
     if not spec.is_nonincreasing():
-        raise ValidationError("SymmetricGM needs exponents sorted nonincreasing")
-    return _orbit_gm("SymmetricGM", spec, "variables", True, {"spec": spec.to_doc()}, params)
-
-
-def _build_symmetric_gm1(params):
-    spec = _spec_from_params(params)
-    if not spec.is_nonincreasing():
-        raise ValidationError("SymmetricGM1 needs exponents sorted nonincreasing")
-    return _orbit_gm("SymmetricGM1", spec, "variables", False, {"spec": spec.to_doc()}, params)
+        raise ValidationError(f"{kind} needs exponents sorted nonincreasing")
+    multi_input = kind == "SymmetricGM"
+    return _orbit_gm(kind, spec, "variables", multi_input, {"spec": spec.to_doc()}, params)
 
 
 def _build_littlewood43(params):
@@ -528,14 +533,11 @@ def _build_sorted_sandwich(params):
     )
 
 
-def _popa_sinnamon_exponents(qs):
-    total = sum((reciprocal(e) for e in qs), Fraction(0))
-    if total > 1:
-        raise ValidationError(f"reciprocal q sum {total} exceeds 1")
-    return total, 1 - total
-
-
 def _build_popa_sinnamon(kind, params):
+    """PopaSinnamonFirst and Second: BleiPS with uniform coefficients at
+    k = 1 and k = n - 1, with the gap as epsilon.  BleiPS lists the
+    (n-1)-subsets leaving out axes n, ..., 1, so Second builds on the
+    reversed q row and reverses the factors back."""
     if "q" not in params or not isinstance(params["q"], list):
         raise ValidationError(f"{kind} needs a 'q' list")
     qs = [as_exponent(v) for v in params["q"]]
@@ -543,47 +545,25 @@ def _build_popa_sinnamon(kind, params):
     if n < 2:
         raise ValidationError(f"{kind} needs at least two exponents")
     axes = _default_axes(n, params.get("axes"))
-    total, gap = _popa_sinnamon_exponents(qs)
-    derived_key = "p" if kind == "PopaSinnamonFirst" else "s"
-    outer_exps = []
-    specs = []
-    for j in range(n):
-        if kind == "PopaSinnamonFirst":
-            r = reciprocal(qs[j]) + gap
-        else:
-            r = reciprocal(qs[j]) + gap / (n - 1)
-        e = INF if r == 0 else 1 / r
-        outer_exps.append(e)
-        others = [axes[t] for t in range(n) if t != j]
-        if kind == "PopaSinnamonFirst":
-            cols = [(qs[j], a) for a in others] + [(e, axes[j])]
-        else:
-            cols = [(qs[j], axes[j])] + [(e, a) for a in others]
-        specs.append(NormSpec(tuple(cols)))
-    notes = []
+    first = kind == "PopaSinnamonFirst"
+    order = slice(None, None, 1 if first else -1)
+    blei = _build_blei_ps({"n": n, "k": 1 if first else n - 1, "q": qs[order], "axes": axes}, kind)
+    key = "p" if first else "s"
+    gap = Fraction(blei.derived["epsilon"])
+    derived = {
+        key: blei.derived["p"][order],
+        key + "_float": blei.derived["p_float"][order],
+        "sum_recip_q": str(1 - gap),
+        "gap": str(gap),
+    }
     inf_count = sum(1 for e in qs if isinstance(e, _Infinity))
-    if kind == "PopaSinnamonSecond" and inf_count >= n - 1:
-        notes.append(f"{inf_count} of {n} exponents are infinite")
+    if not first and inf_count >= n - 1:
+        derived["notes"] = [f"{inf_count} of {n} exponents are infinite"]
     params_norm = {"q": [exponent_to_doc(e) for e in qs]}
     if params.get("axes") is not None:
         params_norm["axes"] = list(axes)
-    derived = {
-        derived_key: [exponent_str(e) for e in outer_exps],
-        derived_key + "_float": [json_float(to_float(e)) for e in outer_exps],
-        "sum_recip_q": str(total),
-        "gap": str(gap),
-    }
-    if notes:
-        derived["notes"] = notes
-    return InequalityInstance(
-        kind=kind,
-        axis_ids=axes,
-        arity=n,
-        lhs=ProductIntegral(),
-        rhs=tuple(RhsFactor(s, Fraction(1), i) for i, s in enumerate(specs)),
-        params=params_norm,
-        derived=derived,
-    )
+    rhs = tuple(RhsFactor(f.spec, f.weight, i) for i, f in enumerate(blei.rhs[order]))
+    return replace(blei, rhs=rhs, params=params_norm, derived=derived)
 
 
 def _build_blei_ps(params, kind="BleiPS"):
@@ -662,8 +642,8 @@ _BUILDERS = {
     "MinkowskiRaise": _build_minkowski_raise,
     "SortedSandwich": _build_sorted_sandwich,
     "SymmetricHolder": _build_symmetric_holder,
-    "SymmetricGM": _build_symmetric_gm,
-    "SymmetricGM1": _build_symmetric_gm1,
+    "SymmetricGM": lambda p: _build_symmetric_gm("SymmetricGM", p),
+    "SymmetricGM1": lambda p: _build_symmetric_gm("SymmetricGM1", p),
     "Littlewood43": _build_littlewood43,
     "Blei21": _build_blei21,
     "BleiQP": _build_blei_qp,

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .exponents import Exponent, harmonic_mean
-from .spaces import NormSpec
+from .spaces import _MAX_COLUMNS, NormSpec
 
 
 @dataclass(frozen=True)
@@ -260,6 +261,17 @@ def _multiset_permutations(seq_sorted):
         yield list(seq)
 
 
+def _check_orbit_size(exps) -> None:
+    """Reject an orbit whose specs hold more than _MAX_COLUMNS columns
+    before enumerating it."""
+    size, placed = 1, 0
+    for count in Counter(exps).values():  # the multinomial n!/(n_1!...n_r!)
+        placed += count
+        size *= math.comb(placed, count)
+        if size * len(exps) > _MAX_COLUMNS:
+            raise ValidationError(f"the orbit's specs hold over {_MAX_COLUMNS} columns")
+
+
 def orbit(spec: NormSpec, mode: str = "exponents") -> list[NormSpec]:
     """All distinct specs reachable by permuting one row of spec.
 
@@ -274,7 +286,7 @@ def orbit(spec: NormSpec, mode: str = "exponents") -> list[NormSpec]:
     order of axis-id rows.
     """
     exps = spec.exponents
-    n = spec.n
+    _check_orbit_size(exps)
     if mode == "exponents":
         distinct = sorted(set(exps))
         rank_of = {e: r for r, e in enumerate(distinct)}

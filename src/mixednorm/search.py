@@ -36,6 +36,8 @@ _VALUE_RANGE = (1e-2, 1e2)
 _INIT_STEP = 0.5
 _STEP_DECAY = 0.7
 _MIN_STEP = 1e-4
+# The most cells a probe grid may hold (2^24 float64 cells are 128 MiB).
+_MAX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,6 @@ class ScalingProbe:
 
 def _indicator_space(axis_ids, t: float) -> ProductSpace:
     """Each axis gets ceil(t) unit atoms, the last weighing t - floor(t) if fractional."""
-    if not 0 < t < math.inf:
-        raise ValidationError(f"scale parameter must be positive and finite, got {t}")
     count = math.ceil(t)
     weights = [1.0] * count
     frac = t - math.floor(t)
@@ -188,18 +188,23 @@ def scaling_probe(spec: NormSpec, p, t_grid) -> ScalingProbe:
     p = as_exponent(p)
     if isinstance(p, _Infinity):
         raise ValidationError("probe exponent must be finite")
+    ts = [float(t) for t in t_grid]
+    for t in ts:
+        if not 0 < t < math.inf:
+            raise ValidationError(f"scale parameter must be positive and finite, got {t}")
+    side = math.ceil(max(ts, default=0))  # atoms per axis at the largest t
+    if side**spec.n > _MAX_CELLS:
+        raise ValidationError(f"the t grid needs {side}^{spec.n} cells, over {_MAX_CELLS}")
     orbit_specs = orbit(spec, "exponents")
     specs = [NormSpec.uniform(p, spec.axis_ids), *orbit_specs]
     expo = float(spec.n * (reciprocal(p) - reciprocal(harmonic_mean(spec.exponents))))
-    ts, empirical, analytic = [], [], []
-    for t in t_grid:
-        t = float(t)
+    empirical, analytic = [], []
+    for t in ts:
         space = _indicator_space(spec.axis_ids, t)
         log_lhs, *log_orbit = mixed_norm_logs(
             log_values(Tensor.constant(space, 1.0)), space, specs
         )
         log_rhs = sum(log_orbit) / len(orbit_specs)
-        ts.append(t)
         empirical.append(math.exp(log_lhs - log_rhs))
         analytic.append(t**expo)
     return ScalingProbe(spec, p, tuple(ts), tuple(empirical), tuple(analytic))

@@ -24,10 +24,9 @@ further prefix drops the row axis and is reduced alone.  Stacking rows saves
 numpy's per-call overhead only while the arrays stay cache-sized: above
 `_BATCH_BYTES` a plan takes one (row, exponent) pair per child, so no work
 array holds more than one row.  `Tensor` stores its values in C order, so a
-stacked row sums in the same order as a lone array, and
-`mixed_norm_log_values`, `mixed_norm_log` and `integrate_product_log`, thin
-wrappers over the plan and its log-sum-exp step, return bit for bit what a
-shared pass returns.
+stacked row sums in the same order as a lone array, and `mixed_norm_logs`,
+`mixed_norm_log` and `integrate_product`, thin wrappers over the plan and
+`integral_log_inplace`, return bit for bit what a shared pass returns.
 """
 
 from __future__ import annotations
@@ -277,6 +276,10 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
 # 1.5 MB; Quad6 broke even near 0.4-0.6 MB.
 _BATCH_BYTES = 1 << 19
 
+# The most columns the specs of an orbit or a subset family may hold
+# together (M specs over n axes hold M * n), checked before any is listed.
+_MAX_COLUMNS = 100_000
+
 
 def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray) -> np.ndarray:
     """Collapse axis ax of a log array, or of a stack of them with rows on
@@ -401,13 +404,8 @@ def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]
     return out
 
 
-def mixed_norm_log_values(logv: np.ndarray, space: ProductSpace, spec: NormSpec) -> float:
-    """Log of the mixed norm, from log-domain values (zeros already -inf)."""
-    return mixed_norm_logs(logv, space, (spec,))[0]
-
-
 def mixed_norm_log(f: Tensor, spec: NormSpec) -> float:
-    return mixed_norm_log_values(log_values(f), f.space, spec)
+    return mixed_norm_logs(log_values(f), f.space, (spec,))[0]
 
 
 def integral_log_inplace(acc: np.ndarray, space: ProductSpace, logw) -> float:
@@ -452,22 +450,16 @@ def eval_mixed_norm(f: Tensor, spec: NormSpec, method: str = "log") -> float:
     raise ValidationError(f"unknown evaluation method {method!r}")
 
 
-def integrate_product_log(tensors) -> float:
-    """Log of the integral of the pointwise product against the product weights."""
-    space = _require_shared_space(tensors)
-    acc = log_values(tensors[0])
-    for t in tensors[1:]:
-        acc += log_values(t)
-    return integral_log_inplace(acc, space, log_weights(space))
-
-
 def integrate_product(tensors, method: str = "log") -> float:
     """Integral of the pointwise product f_1 * ... * f_m over the product space."""
-    if method == "log":
-        return exp_or_inf(integrate_product_log(tensors))
-    if method != "direct":
+    if method not in ("log", "direct"):
         raise ValidationError(f"unknown evaluation method {method!r}")
     space = _require_shared_space(tensors)
+    if method == "log":
+        acc = log_values(tensors[0])
+        for t in tensors[1:]:
+            acc += log_values(t)
+        return exp_or_inf(integral_log_inplace(acc, space, log_weights(space)))
     acc = tensors[0].values.copy()
     for t in tensors[1:]:
         acc = acc * t.values
@@ -476,12 +468,3 @@ def integrate_product(tensors, method: str = "log") -> float:
         shape[i] = -1
         acc = acc * np.asarray(axis.weights).reshape(shape)
     return float(acc.sum())
-
-
-def geometric_mean(tensors) -> Tensor:
-    """Pointwise m-th root of the product of m tensors; zero where any factor is zero."""
-    space = _require_shared_space(tensors)
-    acc = log_values(tensors[0])
-    for t in tensors[1:]:
-        acc = acc + log_values(t)
-    return Tensor(space, np.exp(acc / len(tensors)))

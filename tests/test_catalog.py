@@ -1,5 +1,6 @@
 """The inequality catalog: exact derived exponents, documents, evaluation."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -33,7 +34,7 @@ from mixednorm import (
 )
 from mixednorm.catalog import RhsFactor, _pair_ratio
 from mixednorm.search import maximize_ratio, random_params
-from mixednorm.spaces import _BATCH_BYTES, log_values, mixed_norm_log, mixed_norm_log_values
+from mixednorm.spaces import _BATCH_BYTES, log_values, mixed_norm_log, mixed_norm_logs
 
 
 def unit_space(ids, sizes):
@@ -74,6 +75,14 @@ def test_infinite_exponents_in_a_system():
     b = NormSpec((("inf", "x"), (1, "y")))
     ok, _ = check_holder_system([a, b])
     assert ok
+
+
+def test_size_k_subsets_rejects_families_past_the_column_limit():
+    assert len(size_k_subsets(316, 315)) == 316  # 316 specs of 316 columns: 99,856
+    with pytest.raises(ValidationError, match="columns"):
+        size_k_subsets(317, 316)  # 100,489 columns
+    with pytest.raises(ValidationError, match="columns"):
+        size_k_subsets(26, 13)
 
 
 def test_size_k_subsets_lex():
@@ -224,27 +233,108 @@ def test_blei_ps_uniform_small():
 # ---------------------------------------------------------------------------
 # coherence across kinds
 
+def _rhs_rows(inst):
+    return tuple((f.spec, f.weight, f.input_index) for f in inst.rhs)
+
+
+def _reports_hex(inst, tensors):
+    rep = evaluate_instance(inst, tensors)
+    return [v.hex() for v in (rep.lhs, rep.rhs, rep.ratio, rep.margin)]
+
+
 def test_blei_ps_k1_matches_popa_sinnamon_first():
     qs = ["4", "6", "12"]
     ps1 = build_instance("PopaSinnamonFirst", {"q": qs})
     bps = build_instance("BleiPS", {"n": 3, "k": 1, "q": qs})
     assert bps.derived["p"] == ps1.derived["p"]
-    assert {f.spec for f in bps.rhs} == {f.spec for f in ps1.rhs}
+    assert _rhs_rows(bps) == _rhs_rows(ps1)
+    rng = np.random.default_rng(5)
+    space = random_space(rng, ps1.axis_ids)
+    fs = [random_tensor(rng, space) for _ in range(3)]
+    assert _reports_hex(ps1, fs) == _reports_hex(bps, fs)
 
 
 def test_blei_ps_kn1_matches_popa_sinnamon_second():
+    # BleiPS lists the (n-1)-subsets leaving out axes n, ..., 1: its factor i
+    # is Second's factor n-1-i, on the reversed q row
     n = 3
-    qs = [Fraction(4), Fraction(6), Fraction(12)]
-    ps2 = build_instance("PopaSinnamonSecond", {"q": [str(v) for v in qs]})
-    subsets = size_k_subsets(n, n - 1)
-    # q for subset S is the q of the one axis S leaves out
-    q_by_subset = []
-    for s in subsets:
-        (j,) = set(range(1, n + 1)) - set(s)
-        q_by_subset.append(str(qs[j - 1]))
-    bps = build_instance("BleiPS", {"n": n, "k": n - 1, "q": q_by_subset})
-    assert {f.spec for f in bps.rhs} == {f.spec for f in ps2.rhs}
-    assert sorted(bps.derived["p"]) == sorted(ps2.derived["s"])
+    qs = ["4", "6", "12"]
+    ps2 = build_instance("PopaSinnamonSecond", {"q": qs})
+    assert [set(range(1, n + 1)) - set(s) for s in size_k_subsets(n, n - 1)] == [{3}, {2}, {1}]
+    bps = build_instance("BleiPS", {"n": n, "k": n - 1, "q": qs[::-1]})
+    want = tuple((spec, w, n - 1 - i) for spec, w, i in reversed(_rhs_rows(bps)))
+    assert _rhs_rows(ps2) == want
+    assert bps.derived["p"][::-1] == ps2.derived["s"]
+    # distinct inputs pin which input each factor reads
+    rng = np.random.default_rng(6)
+    space = random_space(rng, ps2.axis_ids)
+    fs = [random_tensor(rng, space) for _ in range(n)]
+    assert _reports_hex(ps2, fs) == _reports_hex(bps, fs[::-1])
+
+
+# documents and factors from the kinds' former standalone derivation, pinned literally
+PS_DOCS = {
+    "PopaSinnamonFirst": {
+        "kind": "PopaSinnamonFirst",
+        "params": {"q": [3, 6, "inf"]},
+        "derived": {
+            "p": ["6/5", "3/2", "2"],
+            "p_float": [1.2, 1.5, 2.0],
+            "sum_recip_q": "1/2",
+            "gap": "1/2",
+        },
+    },
+    "PopaSinnamonSecond": {
+        "kind": "PopaSinnamonSecond",
+        "params": {"q": [3, 6, "inf"]},
+        "derived": {
+            "s": ["12/7", "12/5", "4"],
+            "s_float": [1.7142857142857142, 2.4, 4.0],
+            "sum_recip_q": "1/2",
+            "gap": "1/2",
+        },
+    },
+}
+PS_FACTORS = {
+    "PopaSinnamonFirst": [
+        [("3", "v"), ("3", "w"), ("6/5", "u")],
+        [("6", "u"), ("6", "w"), ("3/2", "v")],
+        [("inf", "u"), ("inf", "v"), ("2", "w")],
+    ],
+    "PopaSinnamonSecond": [
+        [("3", "u"), ("12/7", "v"), ("12/7", "w")],
+        [("6", "v"), ("12/5", "u"), ("12/5", "w")],
+        [("inf", "w"), ("4", "u"), ("4", "v")],
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", ["PopaSinnamonFirst", "PopaSinnamonSecond"])
+def test_popa_sinnamon_documents_are_pinned(kind):
+    doc = instance_to_doc(build_instance(kind, {"q": [3, 6, "inf"]}))
+    assert doc == PS_DOCS[kind]
+    with_axes = build_instance(kind, {"q": [3, 6, "inf"], "axes": ["u", "v", "w"]})
+    want = copy.deepcopy(PS_DOCS[kind])
+    want["params"]["axes"] = ["u", "v", "w"]
+    assert instance_to_doc(with_axes) == want
+    factors = [[(str(p), a) for p, a in f.spec.columns] for f in with_axes.rhs]
+    assert factors == PS_FACTORS[kind]
+    assert [(f.weight, f.input_index) for f in with_axes.rhs] == [(1, 0), (1, 1), (1, 2)]
+
+
+def test_popa_sinnamon_second_all_infinite_document_is_pinned():
+    doc = instance_to_doc(build_instance("PopaSinnamonSecond", {"q": ["inf", "inf", "inf"]}))
+    assert doc == {
+        "kind": "PopaSinnamonSecond",
+        "params": {"q": ["inf", "inf", "inf"]},
+        "derived": {
+            "s": ["2", "2", "2"],
+            "s_float": [2.0, 2.0, 2.0],
+            "sum_recip_q": "0",
+            "gap": "1",
+            "notes": ["3 of 3 exponents are infinite"],
+        },
+    }
 
 
 def test_blei_ps_uniform_equal_q_harmonic_mean_is_subset_count():
@@ -515,7 +605,7 @@ def _reference_sides(inst, fs):
             acc = acc + log_values(t)
         if isinstance(inst.lhs, GmLpNorm):
             uniform = NormSpec.uniform(inst.lhs.exponent, space.ids)
-            log_lhs = mixed_norm_log_values(acc / len(fs), space, uniform)
+            log_lhs = mixed_norm_logs(acc / len(fs), space, (uniform,))[0]
         else:
             for i, axis in enumerate(space.axes):
                 shape = [1] * acc.ndim

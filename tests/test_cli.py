@@ -343,6 +343,7 @@ HOSTILE_INPUTS = {
     "eval-all-inf": (0, ["eval", "--tensor", T_13, "--spec", _spec("inf")]),
     "orbit-all-inf": (0, ["orbit", "--spec", _spec("inf", "inf")]),
     "orbit-exponent-1e400": (2, ["orbit", "--spec", _spec("1e400", 1)]),
+    "orbit-beyond-column-limit": (2, ["orbit", "--spec", _spec(*range(1, 13))]),
     "decompose-exponent-1e5000": (
         2, ["decompose", "--spec", _spec("1e5000", 1), "--perm", "[2, 1]"]
     ),
@@ -359,6 +360,15 @@ HOSTILE_INPUTS = {
     "plan-gm1-all-inf": (0, ["plan", "--kind", "SymmetricGM1", "--params", INF_GM1]),
     "plan-popa-sinnamon-inf": (0, ["plan", "--kind", "PopaSinnamonFirst", "--params", POPA_INF]),
     "plan-wrong-type": (2, ["plan", "--kind", "Littlewood43", "--params", "[1]"]),
+    "plan-blei21-beyond-column-limit": (
+        2, ["plan", "--kind", "Blei21", "--params", '{"J": 26, "K": 13}']
+    ),
+    "plan-blei-ps-beyond-column-limit": (
+        2, ["plan", "--kind", "BleiPS", "--params", '{"n": 40, "k": 20, "q": [2]}']
+    ),
+    "plan-symmetric-holder-beyond-column-limit": (
+        2, ["plan", "--kind", "SymmetricHolder", "--params", '{"spec": %s}' % _spec(*range(1, 13))]
+    ),
     "plan-axes-not-a-list": (
         2, ["plan", "--kind", "Blei21", "--params", '{"J": 3, "K": 1, "axes": 5}']
     ),
@@ -398,12 +408,18 @@ HOSTILE_INPUTS = {
     "coeffs-nan": (2, [*USER_COEFFS, "[NaN, 1, 1]"]),
     "coeffs-nested": (2, [*USER_COEFFS, "[[1], 1, 1]"]),
     "coeffs-not-an-int": (2, ["coeffs", "--n", "x", "--k", "1"]),
+    "coeffs-beyond-column-limit": (2, ["coeffs", "--n", "26", "--k", "13"]),
+    "coeffs-k-near-n-beyond-column-limit": (2, ["coeffs", "--n", "100000", "--k", "99999"]),
+    "coeffs-random-beyond-column-limit": (
+        2, ["coeffs", "--n", "16", "--k", "8", "--strategy", "random", "--seed", "1"]
+    ),
     "probe-inf-exponent": (2, ["probe", "--spec", SPEC_21, "--p", "inf"]),
     "probe-exponent-1e400": (2, ["probe", "--spec", SPEC_21, "--p", "1e400"]),
     "probe-t-grid-not-numbers": (
         2, ["probe", "--spec", SPEC_21, "--p", "4/3", "--t-grid", "abc"]
     ),
     "probe-t-grid-nan": (2, ["probe", "--spec", SPEC_21, "--p", "4/3", "--t-grid", "nan"]),
+    "probe-t-grid-beyond-cell-limit": (2, ["probe", "--spec", _spec(3, 2, 1), "--p", "2"]),
     "search-wrong-type": (
         2, ["search", "--kind", "Littlewood43", "--space", "[1]", "--seed", "1"]
     ),

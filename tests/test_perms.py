@@ -283,6 +283,17 @@ def test_orbit_rejects_unknown_mode():
         orbit(NormSpec(((1, "a"),)), "columns")
 
 
+def test_orbit_rejects_past_the_column_limit_before_enumerating():
+    # 12 distinct exponents: 12! specs of 12 columns
+    spec = NormSpec(tuple((p, f"x{p}") for p in range(12, 0, -1)))
+    for mode in ("exponents", "variables"):
+        with pytest.raises(ValidationError, match="columns"):
+            orbit(spec, mode)
+    # two ties among eight exponents: 8!/(2! 2!) specs of 8 columns, 80,640
+    tied = NormSpec(tuple((p, f"x{i}") for i, p in enumerate((6, 5, 4, 3, 2, 2, 1, 1))))
+    assert len(orbit(tied, "variables")) == 10_080
+
+
 def test_orbit_info_values():
     info = orbit_info(NormSpec(((2, "a"), (1, "b"), (1, "c"))))
     assert info.size == 3
