@@ -50,9 +50,7 @@ from .errors import ValidationError
 from .exponents import (
     INF,
     Exponent,
-    _Infinity,
     as_exponent,
-    exponent_str,
     exponent_to_doc,
     harmonic_mean,
     reciprocal,
@@ -357,7 +355,7 @@ def _gm_builder(kind, axes, orbit_specs, pbar, multi_input, params_norm, params,
     override = params.get("lhs_exponent")
     lhs_e = as_exponent(override) if override is not None else pbar
     derived = {
-        "pbar": exponent_str(pbar),
+        "pbar": str(pbar),
         "pbar_float": json_float(to_float(pbar)),
         "m": m,
         **extra_derived,
@@ -365,7 +363,7 @@ def _gm_builder(kind, axes, orbit_specs, pbar, multi_input, params_norm, params,
     }
     if lhs_e != pbar:
         derived["perturbed"] = True
-        params_norm["lhs_exponent"] = exponent_str(lhs_e)
+        params_norm["lhs_exponent"] = str(lhs_e)
     return InequalityInstance(
         kind=kind,
         axis_ids=axes,
@@ -426,8 +424,8 @@ def _build_subset_gm(kind, J, K, q, p, params_norm, params):
     if not 0 < K < J:
         raise ValidationError(f"need 0 < K < J, got K={K}, J={J}")
     if not p < q:
-        raise ValidationError(f"need p < q, got p={exponent_str(p)}, q={exponent_str(q)}")
-    if isinstance(p, _Infinity):
+        raise ValidationError(f"need p < q, got p={p}, q={q}")
+    if p is INF:
         raise ValidationError("p must be finite")
     axes = _default_axes(J, params.get("axes"))
     if params.get("axes") is not None:
@@ -556,7 +554,7 @@ def _build_popa_sinnamon(kind, params):
         "sum_recip_q": str(1 - gap),
         "gap": str(gap),
     }
-    inf_count = sum(1 for e in qs if isinstance(e, _Infinity))
+    inf_count = sum(1 for e in qs if e is INF)
     if not first and inf_count >= n - 1:
         derived["notes"] = [f"{inf_count} of {n} exponents are infinite"]
     params_norm = {"q": [exponent_to_doc(e) for e in qs]}
@@ -595,9 +593,7 @@ def _build_blei_ps(params, kind="BleiPS"):
         r = reciprocal(q_i) + (c_i * epsilon if isinstance(c_i, Fraction) else Fraction(c_i) * epsilon)
         e = INF if r == 0 else 1 / r
         if not (1 <= e and e <= q_i):
-            raise ValidationError(
-                f"derived exponent {exponent_str(e)} violates 1 <= p_i <= q_i = {exponent_str(q_i)}"
-            )
+            raise ValidationError(f"derived exponent {e} violates 1 <= p_i <= q_i = {q_i}")
         outer.append(e)
     specs = _subset_specs(axes, subsets, qs, outer)
     params_norm = {"n": n, "k": k, "q": [exponent_to_doc(e) for e in qs], **c_params}
@@ -610,7 +606,7 @@ def _build_blei_ps(params, kind="BleiPS"):
         "epsilon_float": float(epsilon),
         "c": [_rational_doc(c) for c in coeffs],
         "c_float": [float(c) for c in coeffs],
-        "p": [exponent_str(e) for e in outer],
+        "p": [str(e) for e in outer],
         "p_float": [json_float(to_float(e)) for e in outer],
     }
     return InequalityInstance(

@@ -1,9 +1,12 @@
 """Exponents for mixed norms: exact rationals in (0, inf) plus infinity.
 
 Finite exponents are stored as fractions.Fraction so that harmonic means,
-Holder complements, and derived exponent tables come out exact; INF is a
-singleton that compares greater than every finite value and has reciprocal
-exactly 0.  Floats are converted only at evaluation time.
+Holder complements, and derived exponent tables come out exact.  INF is
+math.inf itself: it compares greater than every Fraction, and reciprocal
+gives it exactly 0.  Every infinite exponent is that one object, since
+as_exponent returns INF for every spelling of infinity and the derivations
+return the constant, so `e is INF` tests for it.  Floats are converted only
+at evaluation time.
 """
 
 from __future__ import annotations
@@ -14,61 +17,14 @@ from fractions import Fraction
 from .errors import ValidationError
 
 
-class _Infinity:
-    """Positive infinity as a distinguished exponent value (not a float)."""
+INF = math.inf
 
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INF"
-
-    def __str__(self):
-        return "inf"
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, float):
-            return math.isinf(other) and other > 0
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(math.inf)
-
-    # INF is strictly greater than every finite number and equal to itself.
-    def __lt__(self, other):
-        return False
-
-    def __gt__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            if isinstance(other, (int, Fraction)):
-                return True
-            return NotImplemented
-        return not eq
-
-    def __le__(self, other):
-        gt = self.__gt__(other)
-        if gt is NotImplemented:
-            return NotImplemented
-        return not gt
-
-    def __ge__(self, other):
-        if other is self or isinstance(other, (int, float, Fraction)):
-            return True
-        return NotImplemented
-
-
-INF = _Infinity()
-
-Exponent = Fraction | _Infinity
+Exponent = Fraction | float
 
 
 def as_exponent(value) -> Exponent:
     """Coerce a number, Fraction, 'inf' (also 'oo' or '∞'), or 'a/b' string to an
     exponent in (0, inf]."""
-    if isinstance(value, _Infinity):
-        return INF
     if isinstance(value, bool):
         raise ValidationError(f"not an exponent: {value!r}")
     if isinstance(value, str):
@@ -121,7 +77,7 @@ def _check_decimal_exponent(text: str, value) -> None:
 
 def reciprocal(e: Exponent) -> Fraction:
     """1/e with the exact convention 1/inf = 0."""
-    if e is INF or isinstance(e, _Infinity):
+    if e is INF:
         return Fraction(0)
     return 1 / e
 
@@ -130,8 +86,8 @@ def to_float(e: Exponent) -> float:
     """The float value of an exponent; a finite one beyond the float range is
     rejected rather than rounded to inf, and a positive one too small for a
     float rather than rounded to 0."""
-    if isinstance(e, _Infinity):
-        return math.inf
+    if e is INF:
+        return INF
     try:
         f = float(e)
     except OverflowError:
@@ -143,16 +99,9 @@ def to_float(e: Exponent) -> float:
     return f
 
 
-def exponent_str(e: Exponent) -> str:
-    """Canonical string form: 'inf', '2', '4/3'."""
-    if isinstance(e, _Infinity):
-        return "inf"
-    return str(e)
-
-
 def exponent_to_doc(e: Exponent):
     """JSON form: 'inf', an int, a float when binary-exact, else 'a/b'."""
-    if isinstance(e, _Infinity):
+    if e is INF:
         return "inf"
     if e.denominator == 1:
         return int(e)

@@ -275,54 +275,42 @@ def _check_orbit_size(exps) -> None:
 def orbit(spec: NormSpec, mode: str = "exponents") -> list[NormSpec]:
     """All distinct specs reachable by permuting one row of spec.
 
-    mode='exponents': every distinct arrangement of the exponent row over the
-    fixed axis row, enumerated in ascending lexicographic order of exponent
-    rows.
+    Both modes are one walk: every distinct arrangement of the exponent row,
+    in ascending lexicographic order of exponent rows.
 
-    mode='variables': requires the exponent row to be nonincreasing; every
-    assignment of the axes to the blocks of equal exponents, with axes inside
-    a block kept in ascending id order (reordering axes within an equal-
-    exponent block does not change the norm), enumerated in lexicographic
-    order of axis-id rows.
+    mode='exponents': each arrangement over the fixed axis row.
+
+    mode='variables': requires the exponent row to be nonincreasing.  Each
+    arrangement is laid over the sorted axis ids, and its columns are then
+    stably sorted by descending exponent, which keeps the exponent row and
+    assigns the axes to its blocks of equal exponents, ascending inside a
+    block (reordering axes within an equal-exponent block does not change
+    the norm).  The specs are listed in lexicographic order of axis-id rows.
     """
     exps = spec.exponents
     _check_orbit_size(exps)
-    if mode == "exponents":
-        distinct = sorted(set(exps))
-        rank_of = {e: r for r, e in enumerate(distinct)}
-        start = sorted((rank_of[e] for e in exps))
-        result = []
-        ids = spec.axis_ids
-        for row in _multiset_permutations(start):
-            result.append(NormSpec(tuple((distinct[r], ids[k]) for k, r in enumerate(row))))
-        return result
     if mode == "variables":
         if not spec.is_nonincreasing():
             raise ValidationError(
                 "variable-row orbits need exponents sorted nonincreasing; "
                 f"got {[str(e) for e in exps]}"
             )
-        # blocks of equal consecutive exponents
-        counts = []
-        for e in exps:
-            if counts and counts[-1][0] == e:
-                counts[-1][1] += 1
-            else:
-                counts.append([e, 1])
-        canonical = sorted(spec.axis_ids)
-        labels = []
-        for b, (_, c) in enumerate(counts):
-            labels.extend([b] * c)
-        result = []
-        for row in _multiset_permutations(sorted(labels)):
-            block_axes = [[] for _ in counts]
-            for aid, lab in zip(canonical, row):
-                block_axes[lab].append(aid)
-            new_ids = [aid for block in block_axes for aid in block]
-            result.append(NormSpec(tuple(zip(exps, new_ids))))
+        ids = sorted(spec.axis_ids)
+    elif mode == "exponents":
+        ids = spec.axis_ids
+    else:
+        raise ValidationError(f"unknown orbit mode {mode!r}")
+    distinct = sorted(set(exps))
+    rank_of = {e: r for r, e in enumerate(distinct)}
+    result = []
+    for row in _multiset_permutations(sorted(rank_of[e] for e in exps)):
+        cols = range(len(row))
+        if mode == "variables":
+            cols = sorted(cols, key=row.__getitem__, reverse=True)  # stable
+        result.append(NormSpec(tuple((distinct[row[k]], ids[k]) for k in cols)))
+    if mode == "variables":
         result.sort(key=lambda s: s.axis_ids)
-        return result
-    raise ValidationError(f"unknown orbit mode {mode!r}")
+    return result
 
 
 @dataclass(frozen=True)
@@ -337,10 +325,10 @@ class OrbitInfo:
 
 
 def orbit_info(spec: NormSpec) -> OrbitInfo:
-    exps = spec.exponents
-    distinct = sorted(set(exps), reverse=True)
-    counts = tuple(sum(1 for e in exps if e == d) for d in distinct)
+    counts = Counter(spec.exponents)
+    distinct = tuple(sorted(counts, reverse=True))
     size = math.factorial(spec.n)
-    for c in counts:
+    for c in counts.values():
         size //= math.factorial(c)
-    return OrbitInfo(tuple(distinct), counts, size, harmonic_mean(exps))
+    multiplicities = tuple(counts[d] for d in distinct)
+    return OrbitInfo(distinct, multiplicities, size, harmonic_mean(spec.exponents))

@@ -25,7 +25,7 @@ from .catalog import (
 )
 from .documents import json_float, space_to_doc, tensor_to_doc
 from .errors import ValidationError
-from .exponents import _Infinity, as_exponent, exponent_str, harmonic_mean, reciprocal
+from .exponents import INF, as_exponent, harmonic_mean, reciprocal
 from .perms import all_permutations, lowers, orbit, raises
 from .spaces import Axis, NormSpec, ProductSpace, Tensor, log_values, mixed_norm_logs
 
@@ -157,7 +157,7 @@ class ScalingProbe:
     def to_doc(self) -> dict:
         return {
             "spec": self.spec.to_doc(),
-            "p": exponent_str(as_exponent(self.p)),
+            "p": str(self.p),
             "rows": [
                 {"t": t, "empirical": e, "analytic": a}
                 for t, e, a in zip(self.ts, self.empirical, self.analytic)
@@ -186,18 +186,23 @@ def scaling_probe(spec: NormSpec, p, t_grid) -> ScalingProbe:
     indicator box, so the exponent-row orbit is used (no sortedness needed).
     """
     p = as_exponent(p)
-    if isinstance(p, _Infinity):
+    if p is INF:
         raise ValidationError("probe exponent must be finite")
     ts = [float(t) for t in t_grid]
     for t in ts:
         if not 0 < t < math.inf:
             raise ValidationError(f"scale parameter must be positive and finite, got {t}")
-    side = math.ceil(max(ts, default=0))  # atoms per axis at the largest t
-    if side**spec.n > _MAX_CELLS:
-        raise ValidationError(f"the t grid needs {side}^{spec.n} cells, over {_MAX_CELLS}")
+    max_t = max(ts, default=0.0)
+    if math.ceil(max_t) ** spec.n > _MAX_CELLS:  # ceil(t) atoms per axis at the largest t
+        raise ValidationError(
+            f"the t grid needs ceil({max_t!r})^{spec.n} cells, over {_MAX_CELLS}"
+        )
     orbit_specs = orbit(spec, "exponents")
     specs = [NormSpec.uniform(p, spec.axis_ids), *orbit_specs]
-    expo = float(spec.n * (reciprocal(p) - reciprocal(harmonic_mean(spec.exponents))))
+    try:
+        expo = float(spec.n * (reciprocal(p) - reciprocal(harmonic_mean(spec.exponents))))
+    except OverflowError:
+        raise ValidationError("the power law's exponent is beyond the float range") from None
     empirical, analytic = [], []
     for t in ts:
         space = _indicator_space(spec.axis_ids, t)
@@ -205,9 +210,21 @@ def scaling_probe(spec: NormSpec, p, t_grid) -> ScalingProbe:
             log_values(Tensor.constant(space, 1.0)), space, specs
         )
         log_rhs = sum(log_orbit) / len(orbit_specs)
-        empirical.append(math.exp(log_lhs - log_rhs))
-        analytic.append(t**expo)
+        empirical.append(_ratio_in_range(t, "empirical", math.exp, log_lhs - log_rhs))
+        analytic.append(_ratio_in_range(t, "analytic", pow, t, expo))
     return ScalingProbe(spec, p, tuple(ts), tuple(empirical), tuple(analytic))
+
+
+def _ratio_in_range(t: float, side: str, fn, *args) -> float:
+    """fn(*args), rejected where it leaves the float range: by overflow, or by
+    underflow to 0, since a row whose analytic ratio is 0 is never checked."""
+    try:
+        ratio = fn(*args)
+    except OverflowError:
+        ratio = math.inf
+    if not 0 < ratio < math.inf:  # NaN too, from inf - inf log norms
+        raise ValidationError(f"at t = {t!r} the {side} ratio is beyond the float range")
+    return ratio
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .exponents import INF, Exponent, _Infinity, as_exponent, exponent_to_doc, to_float
+from .exponents import INF, Exponent, as_exponent, exponent_to_doc, to_float
 
 
 @dataclass(frozen=True)
@@ -424,7 +424,7 @@ def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
     arr = f.values
     for p, aid in spec.columns:
         ax = remaining.index(aid)
-        if isinstance(p, _Infinity):
+        if p is INF:
             arr = np.max(arr, axis=ax)
         else:
             pf = to_float(p)

@@ -622,6 +622,35 @@ def _reference_sides(inst, fs):
     return log_lhs, log_rhs, lower
 
 
+INF_HEAVY = [
+    ("PopaSinnamonSecond", {"q": ["inf", "inf", "inf"]}),
+    ("BleiQP", {"J": 4, "K": 2, "q": "inf", "p": 2}),
+    ("SymmetricHolder", {"spec": {"columns": [{"p": "inf", "axis": "a"}, {"p": 2, "axis": "b"}]}}),
+]
+
+
+def test_every_exponent_is_a_fraction_or_the_inf_object():
+    # The package tests for infinity by identity (`e is INF`), so no infinite
+    # exponent may be a float other than INF itself.
+    rng = np.random.default_rng(4)
+    cases = [(kind, random_params(kind, rng)) for kind in KINDS for _ in range(8)]
+    infinite = set()
+    for kind, params in cases + INF_HEAVY:
+        inst = build_instance(kind, params)
+        specs = [f.spec for f in inst.rhs]
+        if inst.lower is not None:
+            specs.append(inst.lower)
+        if isinstance(inst.lhs, MixedNorm):
+            specs.append(inst.lhs.spec)
+        exps = [e for s in specs for e in s.exponents]
+        if isinstance(inst.lhs, GmLpNorm):
+            exps.append(inst.lhs.exponent)
+        assert all(isinstance(e, Fraction) or e is INF for e in exps), kind
+        if INF in exps:
+            infinite.add(kind)
+    assert len(infinite) >= 10
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_shared_pass_equals_one_spec_at_a_time(kind):
     # random_params draws inf exponents for most kinds; a quarter of the

@@ -420,6 +420,17 @@ HOSTILE_INPUTS = {
     ),
     "probe-t-grid-nan": (2, ["probe", "--spec", SPEC_21, "--p", "4/3", "--t-grid", "nan"]),
     "probe-t-grid-beyond-cell-limit": (2, ["probe", "--spec", _spec(3, 2, 1), "--p", "2"]),
+    "probe-t-grid-1e300": (2, ["probe", "--spec", _spec(2), "--p", "2", "--t-grid", "1e300"]),
+    "probe-ratio-overflow": (
+        2, ["probe", "--spec", _spec("1/3"), "--p", "1000", "--t-grid", "1e-300"]
+    ),
+    "probe-log-ratio-overflow": (2, ["probe", "--spec", SPEC_21, "--p", "1e-300", "--t-grid", "2"]),
+    "probe-ratio-underflow": (
+        2, ["probe", "--spec", _spec(1000), "--p", "1/3", "--t-grid", "1e-300"]
+    ),
+    "probe-power-law-exponent-overflow": (
+        2, ["probe", "--spec", SPEC_21, "--p", "5e-324", "--t-grid", "2"]
+    ),
     "search-wrong-type": (
         2, ["search", "--kind", "Littlewood43", "--space", "[1]", "--seed", "1"]
     ),

@@ -4,10 +4,11 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mixednorm import INF, ValidationError, as_exponent, harmonic_mean, reciprocal, to_float
-from mixednorm.exponents import exponent_str, exponent_to_doc
+from mixednorm.exponents import exponent_to_doc
 
 
 def test_as_exponent_accepts_the_usual_forms():
@@ -34,7 +35,16 @@ def test_as_exponent_rejects_nonpositive_and_garbage(bad):
 def test_infinity_spellings_round_trip_to_inf(text):
     e = as_exponent(text)
     assert e is INF
-    assert exponent_to_doc(e) == "inf" and exponent_str(e) == "inf"
+    assert exponent_to_doc(e) == "inf" and str(e) == "inf"
+
+
+@pytest.mark.parametrize(
+    "value", [float("inf"), np.float64("inf"), math.inf, INF, "+inf", "oo", "∞", "Infinity"]
+)
+def test_every_infinity_is_the_one_inf_object(value):
+    # the package tests for infinity with `e is INF`, which needs this identity
+    assert INF is math.inf
+    assert as_exponent(value) is INF
 
 
 def test_as_exponent_rejects_nan_float():
@@ -121,9 +131,9 @@ def test_harmonic_mean_known_values():
 
 
 def test_string_and_doc_forms():
-    assert exponent_str(Fraction(4, 3)) == "4/3"
-    assert exponent_str(Fraction(2)) == "2"
-    assert exponent_str(INF) == "inf"
+    assert str(Fraction(4, 3)) == "4/3"
+    assert str(Fraction(2)) == "2"
+    assert str(INF) == "inf"
     assert exponent_to_doc(Fraction(2)) == 2
     assert exponent_to_doc(Fraction(1, 4)) == 0.25  # binary-exact
     assert exponent_to_doc(Fraction(4, 3)) == "4/3"  # not binary-exact

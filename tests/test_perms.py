@@ -278,6 +278,15 @@ def test_orbit_variables_canonical_representatives():
         assert ids == sorted(ids)
 
 
+def test_orbit_exponents_are_fractions_or_the_inf_object():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        spec = random_spec(rng, int(rng.integers(1, 6)), pool=["1/2", "1", "2", "inf", math.inf])
+        ordered = NormSpec(tuple(zip(sorted(spec.exponents, reverse=True), spec.axis_ids)))
+        for s in orbit(spec, "exponents") + orbit(ordered, "variables"):
+            assert all(isinstance(e, Fraction) or e is INF for e in s.exponents)
+
+
 def test_orbit_rejects_unknown_mode():
     with pytest.raises(ValidationError):
         orbit(NormSpec(((1, "a"),)), "columns")

@@ -94,6 +94,26 @@ def test_scaling_probe_rejects_bad_input():
         scaling_probe(spec, 2, [0.0])
 
 
+@pytest.mark.parametrize(
+    "exps, p, t",
+    [
+        (["1/3"], 1000, 1e-300),  # ratio about 1e899
+        ([2, 1], "1e-300", 2.0),  # log ratio about 1e300
+        ([1000], "1/3", 1e-300),  # ratio about 1e-900, underflows to 0
+    ],
+)
+def test_scaling_probe_rejects_ratios_beyond_the_float_range(exps, p, t):
+    spec = NormSpec(tuple((e, f"x{i}") for i, e in enumerate(exps, 1)))
+    with pytest.raises(ValidationError, match="beyond the float range"):
+        scaling_probe(spec, p, [1.0, t])
+
+
+def test_scaling_probe_cell_limit_message_is_short():
+    with pytest.raises(ValidationError, match=r"ceil\(1e\+300\)\^1 cells") as exc:
+        scaling_probe(NormSpec(((2, "x1"),)), 2, [1e300])
+    assert len(str(exc.value)) < 80
+
+
 def test_scaling_probe_doc():
     spec = NormSpec(((2, "x1"), (1, "x2")))
     doc = scaling_probe(spec, 2, [1.0, 4.0]).to_doc()
