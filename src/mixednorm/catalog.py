@@ -75,6 +75,7 @@ from .spaces import (
     integral_log_inplace,
     log_weights,
     run_plan,
+    stream_plans,
 )
 
 KINDS = (
@@ -771,48 +772,43 @@ def _log_sides(inst: InequalityInstance, fs: list[Tensor]) -> tuple[float, float
     Each distinct input tensor is logged once into a row of one stack, and
     the left side's accumulator, the slots' logs summed in slot order, takes
     one more row; the instance's cached plan then reduces every norm of every
-    row at once.  When a batched array would exceed _BATCH_BYTES, each
-    distinct input is instead logged and reduced on its own when its first
-    slot comes up, and dropped after its last slot is folded in.
+    row at once.  When a batched array would exceed _BATCH_BYTES, the
+    distinct inputs are instead streamed through their rows' plans in blocks
+    (stream_plans), and the accumulator, where the left side needs one, is
+    summed block by block from the same block logs.
     """
     lhs = inst.lhs
     space = fs[0].space
     row_of: dict = {}  # broadcast slots hold the same Tensor object
     slot_rows = tuple(row_of.setdefault(id(t), len(row_of)) for t in fs)
+    inputs = [fs[slot_rows.index(row)].values for row in range(len(row_of))]
     plan = _plan(inst, space, slot_rows, True)
-    if plan.width * fs[0].values.nbytes > _BATCH_BYTES:
+    if plan.width * inputs[0].nbytes > _BATCH_BYTES:
         plan = _plan(inst, space, slot_rows, False)
-    stack = np.empty((plan.rows, *fs[0].values.shape)) if plan.batched else None
-    last_slot = {row: slot for slot, row in enumerate(slot_rows)}
-    folds = not isinstance(lhs, MixedNorm)
     logw = log_weights(space)
     values = [0.0] * plan.outputs
-    logs: dict = {}
     acc = None
-    with np.errstate(divide="ignore"):
-        for slot, row in enumerate(slot_rows):
-            log = logs.get(row)
-            if log is None:
-                if stack is None:
-                    log = logs[row] = np.log(fs[slot].values)
-                    run_plan(plan.trees[row], log[np.newaxis], logw, values)
-                else:
-                    log = logs[row] = np.log(fs[slot].values, out=stack[row])
-            if folds:
-                if slot == 0:
-                    acc = log
-                elif slot == 1:
-                    acc = np.add(acc, log, out=None if stack is None else stack[plan.acc_row])
-                else:
-                    acc += log
-            if last_slot[row] == slot:
-                del logs[row]  # no later slot needs it; acc may still be this buffer
+    with np.errstate(divide="ignore", over="ignore"):
+        if plan.batched:
+            stack = np.empty((plan.rows, *inputs[0].shape))
+            for row, arr in enumerate(inputs):
+                np.log(arr, out=stack[row])
+            acc = stack[0]
+            if plan.acc_row is not None:
+                acc = _fold(stack[plan.acc_row], stack, slot_rows)
+        else:
+            fold = None
+            if plan.acc_row is not None or isinstance(lhs, ProductIntegral):
+                acc = np.empty(inputs[0].shape)
+                columns = acc.reshape(len(acc), -1)
+                fold = lambda start, stop, logs: _fold(columns[:, start:stop], logs, slot_rows)
+            stream_plans(plan.trees[: len(inputs)], inputs, logw, values, log=True, fold=fold)
         if isinstance(lhs, GmLpNorm) and len(fs) > 1:
             acc /= len(fs)
-        if stack is not None:
+        if plan.batched:
             run_plan(plan.trees[0], stack, logw, values)
         elif plan.acc_row is not None:
-            run_plan(plan.trees[plan.acc_row], acc[np.newaxis], logw, values)
+            stream_plans(plan.trees[plan.acc_row :], (acc,), logw, values)
 
     log_rhs = 0.0
     for weight, v in zip(plan.weights, values):
@@ -823,6 +819,18 @@ def _log_sides(inst: InequalityInstance, fs: list[Tensor]) -> tuple[float, float
         log_lhs = values[len(inst.rhs)]
     log_lower = values[-1] if inst.lower is not None else None
     return log_lhs, log_rhs, log_lower
+
+
+def _fold(out: np.ndarray, logs, slot_rows) -> np.ndarray:
+    """The slots' logs, logs[row] for each slot's row, summed in slot order
+    into out."""
+    if len(slot_rows) == 1:
+        np.copyto(out, logs[slot_rows[0]])
+        return out
+    np.add(logs[slot_rows[0]], logs[slot_rows[1]], out=out)
+    for row in slot_rows[2:]:
+        out += logs[row]
+    return out
 
 
 def evaluate_instance(

@@ -10,6 +10,7 @@ geometric-mean inequalities tight.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .catalog import (
 from .documents import json_float, space_to_doc, tensor_to_doc
 from .errors import ValidationError
 from .exponents import INF, as_exponent, harmonic_mean, reciprocal
-from .perms import all_permutations, lowers, orbit, raises
+from .perms import orbit
 from .spaces import Axis, NormSpec, ProductSpace, Tensor, log_values, mixed_norm_logs
 
 # Values of random tensors, in sweeps and as hill-climb starts.
@@ -381,6 +382,25 @@ def _random_q_list(rng, count, denom=12):
     return out
 
 
+def _monotone_images(spec: NormSpec, direction: str) -> list[tuple[int, ...]]:
+    """The images of the permutations that perms.raises (direction "raise")
+    or perms.lowers accepts for spec, in lexicographic order: those that keep
+    i before j for every column pair i < j whose exponents the direction
+    forbids reversing."""
+    p, n = spec.exponents, spec.n
+    kept = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if (p[i - 1] > p[j - 1] if direction == "raise" else p[j - 1] > p[i - 1])
+    ]
+    return [
+        images
+        for images in itertools.permutations(range(1, n + 1))
+        if all(images.index(i) < images.index(j) for i, j in kept)
+    ]
+
+
 def random_params(kind: str, rng: np.random.Generator, max_axes: int = 5) -> dict:
     """A valid random parameterization for the given catalog kind, with at
     most max_axes axes."""
@@ -412,10 +432,9 @@ def random_params(kind: str, rng: np.random.Generator, max_axes: int = 5) -> dic
         exps = _pick_exponents(rng, n)
         spec = NormSpec(tuple(zip(exps, (f"x{i}" for i in range(1, n + 1)))))
         direction = "raise" if rng.integers(2) else "lower"
-        predicate = raises if direction == "raise" else lowers
-        candidates = [p for p in all_permutations(n) if predicate(p, spec)]
+        candidates = _monotone_images(spec, direction)
         perm = candidates[int(rng.integers(len(candidates)))]
-        return {"spec": spec.to_doc(), "perm": perm.to_doc(), "direction": direction}
+        return {"spec": spec.to_doc(), "perm": list(perm), "direction": direction}
     if kind == "SortedSandwich":
         n = int(rng.integers(1, max_axes + 1))
         return {"spec": _spec_doc(_pick_exponents(rng, n), n)}

@@ -22,11 +22,16 @@ log-sum-exp done in place on one work array (a maximum for an infinite
 exponent), with the exponents as a per-row column.  A request that shares no
 further prefix drops the row axis and is reduced alone.  Stacking rows saves
 numpy's per-call overhead only while the arrays stay cache-sized: above
-`_BATCH_BYTES` a plan takes one (row, exponent) pair per child, so no work
-array holds more than one row.  `Tensor` stores its values in C order, so a
-stacked row sums in the same order as a lone array, and `mixed_norm_logs`,
-`mixed_norm_log` and `integrate_product`, thin wrappers over the plan and
-`integral_log_inplace`, return bit for bit what a shared pass returns.
+`_BATCH_BYTES` a plan takes one (row, exponent) pair per child, and
+`stream_plans` runs the plans of all inputs in blocks of at most
+`_BATCH_BYTES`: ranges of columns of each input seen as an (n0, rest)
+matrix, or of rows along the leading axes a step does not reduce.  A block
+is logged once for every step that shares it, so no full-size log or work
+array is made; only a 1-D array is reduced whole.  `Tensor` stores its values
+in C order, so a stacked row or a block sums each cell in the same order as a
+lone array, and `mixed_norm_logs`, `mixed_norm_log` and `integrate_product`,
+thin wrappers over the plan and `integral_log_inplace`, return bit for bit
+what a shared pass returns.
 """
 
 from __future__ import annotations
@@ -273,7 +278,13 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
 # faster.  Measured on a 2-vCPU Xeon (2 MiB L2 per core), SymmetricHolder
 # with 12 distinct inputs on four axes ran 0.69x the row-at-a-time time with
 # 0.43 MB batched arrays, 0.81x at 0.68 MB, 1.07x at 1.0 MB and 1.25x at
-# 1.5 MB; Quad6 broke even near 0.4-0.6 MB.
+# 1.5 MB; Quad6 broke even near 0.4-0.6 MB.  It is also the block size of
+# the row-at-a-time path (stream_plans), so that a block's log and work
+# arrays stay cache-sized and the allocator reuses their memory (with blocks
+# of one 13 MB slice, a call page-faulted about 1 GB).  On a 96x96x96x178
+# input (1.26 GB) the grid's MinkowskiRaise, SymmetricGM1 and HolderMixed
+# took about 2.0, 3.7 and 3.7 s in blocks, against 3.8, 7.0 and 4.5 s on
+# whole arrays.
 _BATCH_BYTES = 1 << 19
 
 # The most columns the specs of an orbit or a subset family may hold
@@ -376,7 +387,7 @@ def _chain(cols, remaining, depth):
 def run_plan(plan, stack: np.ndarray, logw, out) -> None:
     """Evaluate a compiled plan on a stack of log arrays, writing each
     request's log norm to out[index].  stack is not written; the caller holds
-    np.errstate(divide="ignore")."""
+    np.errstate(divide="ignore", over="ignore")."""
     children, chains, outputs = plan
     for i, pos in outputs:
         out[i] = float(stack[pos])
@@ -389,6 +400,114 @@ def run_plan(plan, stack: np.ndarray, logw, out) -> None:
         run_plan(sub, _reduce_column(stack[sel], pf, ax, logw[aid].reshape(lead)), logw, out)
 
 
+def stream_plans(plans, arrays, logw, out, log: bool = False, fold=None) -> None:
+    """Evaluate row-at-a-time plans (compile_plan with batched=False),
+    plans[r] on arrays[r], writing each request's log norm to out[index].
+
+    The arrays share one shape and have no row axis.  They hold log values,
+    or raw values when log is set: each block of an array is then logged
+    once for every step it serves.  _reduce_blocks takes each node's steps
+    in blocks, and fold(start, stop, logs), where given, receives the logs
+    of each block of columns of the arrays seen as (n0, rest) matrices.  The
+    arrays are not written; the caller holds
+    np.errstate(divide="ignore", over="ignore").
+    """
+    heads, rests = [], []
+    for r, (children, chains, outputs) in enumerate(plans):
+        for i, _ in outputs:
+            out[i] = float(arrays[r])
+        for ax, _, pf, aid, lead, sub in children:
+            heads.append((r, ax - 1, pf, aid, lead))  # the plan counts the row axis
+            rests.append(sub)
+        for i, _, steps in chains:
+            heads.append((r, *steps[0]))
+            # the rest of a chain is a plan of one chain, or of one output
+            rests.append(((), ((i, 0, steps[1:]),), ()) if steps[1:] else ((), (), ((i, 0),)))
+    if heads or fold:
+        for rest, arr in zip(rests, _reduce_blocks(arrays, heads, logw, log, fold)):
+            stream_plans((rest,), (arr,), logw, out)
+
+
+def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
+    """Each (array index, axis, exponent or None, axis id, log weight shape)
+    head's reduction of its array, logged first when log is set.
+
+    A 1-D array, or one within _BATCH_BYTES, is reduced whole.  A larger one
+    is reduced in blocks of at most _BATCH_BYTES where the shape allows, and
+    each block's reduction is written into its part of the head's output.
+    Blocks are ranges of columns of the arrays seen as (n0, rest) matrices,
+    whole runs of every axis a head reduces, so one log of a block serves
+    every head.  A head whose run of columns over all n0 rows would pass
+    _BATCH_BYTES takes blocks of rows of its array seen as a matrix instead,
+    along the axes before the first axis such heads reduce.  Either way
+    numpy sums each output cell in the same order as for the whole array,
+    provided a block of columns is never one column wide while the matrix
+    has more: axis 0 would then be its only axis, which numpy sums pairwise
+    rather than row by row.
+    """
+    shape = arrays[0].shape
+    n0, size = shape[0], math.prod(shape)
+    if len(shape) == 1 or 8 * size <= _BATCH_BYTES:
+        used = range(len(arrays)) if fold else {h[0] for h in heads}
+        logs = {r: _logged(arrays[r], log) for r in used}
+        if fold:
+            fold(0, size // n0, [logs[r].reshape(n0, -1) for r in used])
+        return [_reduce_column(logs[r], pf, ax, logw[aid].reshape(lead)) for r, ax, pf, aid, lead in heads]
+    reduced = [np.empty(shape[:ax] + shape[ax + 1 :]) for _, ax, *_ in heads]
+    columns, rows = [], []
+    for k, (_, ax, *_) in enumerate(heads):
+        (columns if 8 * n0 * math.prod(shape[ax:]) <= _BATCH_BYTES or ax == 0 else rows).append(k)
+    if columns or fold:
+        run = max((math.prod(shape[heads[k][1] :]) for k in columns if heads[k][1]), default=1)
+        width = max(2, _BATCH_BYTES // (8 * n0 * run) * run)
+        matrices = [a.reshape(n0, -1) for a in arrays]
+        used = range(len(arrays)) if fold else {heads[k][0] for k in columns}
+        for start, stop in _bounds(size // n0, width):
+            logs = {r: _logged(matrices[r][:, start:stop], log) for r in used}
+            if fold:
+                fold(start, stop, [logs[r] for r in range(len(arrays))])
+            for k in columns:
+                r, ax, pf, aid, _ = heads[k]
+                if ax == 0:
+                    reduced[k].reshape(-1)[start:stop] = _reduce_column(logs[r], pf, 0, logw[aid][:, None])
+                else:
+                    n = shape[ax]
+                    cells = _reduce_run(logs[r], pf, n, shape[ax + 1 :], logw[aid])
+                    reduced[k].reshape(n0, -1)[:, start // n : stop // n] = cells
+    if rows:
+        first = min(heads[k][1] for k in rows)
+        outer = math.prod(shape[:first])
+        matrices = [a.reshape(outer, -1) for a in arrays]
+        used = {heads[k][0] for k in rows}
+        for start, stop in _bounds(outer, max(1, _BATCH_BYTES * outer // (8 * size))):
+            logs = {r: _logged(matrices[r][start:stop], log) for r in used}
+            for k in rows:
+                r, ax, pf, aid, _ = heads[k]
+                cells = _reduce_run(logs[r], pf, shape[ax], shape[ax + 1 :], logw[aid])
+                reduced[k].reshape(outer, -1)[start:stop] = cells
+    return reduced
+
+
+def _logged(block: np.ndarray, log: bool) -> np.ndarray:
+    return np.log(block) if log else block
+
+
+def _reduce_run(block: np.ndarray, pf, n: int, tail, logw: np.ndarray) -> np.ndarray:
+    """Collapse an axis of n atoms in a 2-D block whose columns hold whole
+    runs of that axis and the `tail` axes after it; returns a 2-D block."""
+    runs = block.reshape(block.shape[0], -1, n, math.prod(tail))
+    return _reduce_column(runs, pf, 2, logw[:, None]).reshape(block.shape[0], -1)
+
+
+def _bounds(n: int, width: int):
+    """(start, stop) of blocks of `width` slices along an axis of n; a lone
+    last slice joins the block before it."""
+    starts = list(range(0, n, width))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
 def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]:
     """Logs of the mixed norms of one log-domain array under several specs.
 
@@ -396,11 +515,13 @@ def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]
     """
     requests = [(i, 0, spec) for i, spec in enumerate(specs)]
     plan, width = compile_plan(space, requests)
-    if width * logv.size * 8 > _BATCH_BYTES:
-        plan, _ = compile_plan(space, requests, batched=False)
     out = [0.0] * len(requests)
-    with np.errstate(divide="ignore"):
-        run_plan(plan, logv[np.newaxis], log_weights(space), out)
+    with np.errstate(divide="ignore", over="ignore"):
+        if width * logv.size * 8 > _BATCH_BYTES:
+            plan, _ = compile_plan(space, requests, batched=False)
+            stream_plans((plan,), (logv,), log_weights(space), out)
+        else:
+            run_plan(plan, logv[np.newaxis], log_weights(space), out)
     return out
 
 
@@ -414,7 +535,7 @@ def integral_log_inplace(acc: np.ndarray, space: ProductSpace, logw) -> float:
         shape = [1] * acc.ndim
         shape[i] = -1
         acc += logw[axis].reshape(shape)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return float(_logsumexp_inplace(acc.reshape(-1), 0)[0])
 
 
@@ -431,7 +552,9 @@ def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
             w = f.space.weight_array(aid)
             shape = [1] * arr.ndim
             shape[ax] = -1
-            arr = np.sum(np.power(arr, pf) * w.reshape(shape), axis=ax) ** (1.0 / pf)
+            powered = np.power(arr, pf)
+            powered *= w.reshape(shape)
+            arr = np.sum(powered, axis=ax) ** (1.0 / pf)
         remaining.pop(ax)
     return float(arr)
 
@@ -462,9 +585,9 @@ def integrate_product(tensors, method: str = "log") -> float:
         return exp_or_inf(integral_log_inplace(acc, space, log_weights(space)))
     acc = tensors[0].values.copy()
     for t in tensors[1:]:
-        acc = acc * t.values
+        acc *= t.values
     for i, axis in enumerate(space.axes):
         shape = [1] * acc.ndim
         shape[i] = -1
-        acc = acc * np.asarray(axis.weights).reshape(shape)
+        acc *= np.asarray(axis.weights).reshape(shape)
     return float(acc.sum())

@@ -1,5 +1,6 @@
 """The inequality catalog: exact derived exponents, documents, evaluation."""
 
+import contextlib
 import copy
 import dataclasses
 import math
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixednorm import (
@@ -32,6 +33,7 @@ from mixednorm import (
     size_k_subsets,
     solve_subset_coefficients,
 )
+from mixednorm import catalog, spaces
 from mixednorm.catalog import RhsFactor, _pair_ratio
 from mixednorm.search import maximize_ratio, random_params
 from mixednorm.spaces import _BATCH_BYTES, log_values, mixed_norm_log, mixed_norm_logs
@@ -729,6 +731,34 @@ def test_shared_pass_peak_memory(kind, params):
     assert peak <= 2.5 * f.values.nbytes
 
 
+_MINKOWSKI_48 = {
+    "spec": NormSpec(((1, "x1"), ("3/2", "x2"), (3, "x3"), (4, "x4"))).to_doc(),
+    "perm": [4, 3, 2, 1],
+    "direction": "raise",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, params, bound",
+    [("SymmetricGM1", _GM1_48, 0.5), ("MinkowskiRaise", _MINKOWSKI_48, 0.5), ("HolderMixed", _HOLDER_48, 1.25)],
+)
+def test_streamed_pass_peak_memory(kind, params, bound):
+    # Above the batch budget no full-size log or work array is made: a norm
+    # needs only blocks and reduced arrays, and a product integral adds the
+    # one full-size accumulator its flat pass reads.
+    inst = build_instance(kind, params)
+    space = unit_space(("x1", "x2", "x3", "x4"), (48,) * 4)
+    f = Tensor(space, np.exp(np.random.default_rng(48).uniform(-1, 1, space.shape)))
+    tracemalloc.start()
+    try:
+        rep = evaluate_instance(inst, [f])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= bound * f.values.nbytes
+
+
 def test_distinct_inputs_above_the_batch_budget_keep_the_row_at_a_time_peak():
     # three distinct inputs plus the accumulator would stack to 4x an input's
     # bytes, far above _BATCH_BYTES; they are logged and reduced one at a
@@ -846,6 +876,56 @@ def test_compiled_plans_above_the_batch_budget_equal_one_spec_at_a_time():
     assert 8 * math.prod(sizes) > _BATCH_BYTES
     inst = _check_plan_case(7, sizes, 3)
     assert {key[-1] for key in inst._plans} == {False, True}  # rows reduced one at a time
+
+
+@contextlib.contextmanager
+def _batch_budget(nbytes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_BATCH_BYTES", nbytes)
+        mp.setattr(catalog, "_BATCH_BYTES", nbytes)
+        yield
+
+
+@st.composite
+def _streamed_shapes(draw):
+    """A 1-D shape of 33-300 atoms, or 0-2 size-1 axes followed by 2-4 axes
+    of 1-60 atoms, at most 3000 cells and above 32: every input is above a
+    256-byte budget, and a long axis 0 tells pairwise from row-by-row sums."""
+    if draw(st.booleans()):
+        return (draw(st.integers(33, 300)),)
+    sizes = [1] * draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(2, 4))):
+        sizes.append(draw(st.integers(1, min(60, 3000 // math.prod(sizes)))))
+    assume(math.prod(sizes) > 32)
+    return tuple(sizes)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), shape=_streamed_shapes(), arity=st.integers(1, 4))
+def test_streamed_plans_equal_one_spec_at_a_time(seed, shape, arity):
+    # With a 256-byte budget every array is reduced in blocks of a few
+    # slices, and the sides must still come out bit for bit as the
+    # one-spec-at-a-time reference computes them on whole arrays.
+    rng = np.random.default_rng(seed)
+    ids = [f"x{i + 1}" for i in range(len(shape))]
+    inst = _plan_instance(rng, ids, arity)
+    order = [ids[k] for k in rng.permutation(len(ids))]
+    space = ProductSpace(
+        tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, n)))) for a, n in zip(order, shape))
+    )
+    for pattern in ("broadcast", "distinct", "partial"):
+        fs = _plan_inputs(rng, space, arity, pattern)
+        if rng.integers(2):  # the same inputs, from Fortran-ordered arrays
+            fortran = {id(f): Tensor(space, np.asfortranarray(f.values)) for f in fs}
+            fs = [fortran[id(f)] for f in fs]
+        lhs, rhs, lower = _reference_sides(inst, fs * arity if len(fs) == 1 else fs)
+        with _batch_budget(256):
+            rep = evaluate_instance(inst, fs)
+        want = {"log_lhs": lhs, "log_rhs": rhs}
+        if lower is not None:
+            want = {"log_lower": lower, "log_middle": lhs, "log_upper": rhs}
+        assert _log_fields(rep) == want, pattern
+    assert False in {key[-1] for key in inst._plans}  # the row-at-a-time plans ran
 
 
 def test_sides_beyond_the_float_range_report_inf():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -165,6 +166,19 @@ def test_coeffs_random_requires_seed(capsys):
     )
     assert rc == 0
     assert doc["seed"] == 3
+
+
+def test_probe_overflow_raises_only_the_validation_error(capsys):
+    # the log norms overflow to inf, which the kernel expects: numpy must not
+    # warn about it on the way to the error line
+    tiny = json.dumps(
+        {"columns": [{"p": "5e-324", "axis": "x1"}, {"p": "5e-324", "axis": "x2"}]}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "probe", "--spec", tiny, "--p", "5e-324", "--t-grid", "2")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_probe_json_and_csv(capsys):

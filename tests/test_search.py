@@ -1,5 +1,6 @@
 """The randomized harness: trial configs, probes, hill climbing, sweeps."""
 
+import itertools
 import json
 import math
 import time
@@ -24,7 +25,8 @@ from mixednorm import (
     sweep,
 )
 from mixednorm import search
-from mixednorm.search import random_params
+from mixednorm.perms import all_permutations, lowers, raises
+from mixednorm.search import _monotone_images, random_params
 
 
 def test_trial_config_validation_and_round_trip():
@@ -214,6 +216,18 @@ def test_random_params_honour_max_axes():
             assert len(inst.axis_ids) <= 7
             widest = max(widest, len(inst.axis_ids))
     assert widest > 5
+
+
+def test_minkowski_candidates_are_the_raising_permutations_in_order():
+    # random_params draws its MinkowskiRaise permutation by index from this
+    # list, so it must be the raises/lowers filter over S_n, in order.
+    pool = ("1/2", "1", "3", "inf")
+    for n in range(1, 5):
+        for row in itertools.product(pool, repeat=n):
+            spec = NormSpec(tuple((p, f"x{i}") for i, p in enumerate(row)))
+            for direction, accepts in (("raise", raises), ("lower", lowers)):
+                want = [s.images for s in all_permutations(n) if accepts(s, spec)]
+                assert _monotone_images(spec, direction) == want, (row, direction)
 
 
 def test_sweep_draws_params_with_its_max_axes(monkeypatch):

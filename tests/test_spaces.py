@@ -1,6 +1,7 @@
 """Spaces, tensors, and mixed-norm evaluation against hand-computed values."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from mixednorm import (
     integrate_product,
     mixed_norm_log,
 )
+from mixednorm import spaces
 from mixednorm.spaces import integral_log_inplace, log_values, log_weights, mixed_norm_logs
 
 
@@ -245,6 +247,61 @@ def test_integrate_product_requires_shared_space():
         integrate_product([f, g])
 
 
+def _old_direct(f: Tensor, spec: NormSpec) -> float:
+    """The direct path as first written, with two full-size temporaries."""
+    remaining = list(f.space.ids)
+    arr = f.values
+    for p, aid in spec.columns:
+        ax = remaining.index(aid)
+        if p is INF:
+            arr = np.max(arr, axis=ax)
+        else:
+            pf = float(p)
+            shape = [1] * arr.ndim
+            shape[ax] = -1
+            w = f.space.weight_array(aid).reshape(shape)
+            arr = np.sum(np.power(arr, pf) * w, axis=ax) ** (1.0 / pf)
+        remaining.pop(ax)
+    return float(arr)
+
+
+def _old_direct_integral(tensors) -> float:
+    acc = tensors[0].values.copy()
+    for t in tensors[1:]:
+        acc = acc * t.values
+    for i, axis in enumerate(tensors[0].space.axes):
+        shape = [1] * acc.ndim
+        shape[i] = -1
+        acc = acc * np.asarray(axis.weights).reshape(shape)
+    return float(acc.sum())
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_direct_path_holds_one_temporary_and_keeps_its_bits():
+    rng = np.random.default_rng(31)
+    shape = (60, 50, 40)
+    space = ProductSpace(
+        tuple(Axis(f"x{i + 1}", tuple(rng.uniform(0.5, 2, n))) for i, n in enumerate(shape))
+    )
+    f, g = (Tensor(space, np.exp(rng.uniform(-2, 2, shape))) for _ in range(2))
+    spec = NormSpec((("3/2", "x2"), ("inf", "x3"), (3, "x1")))
+    norm, peak = _traced_peak(eval_mixed_norm, f, spec, "direct")
+    assert norm == _old_direct(f, spec)
+    assert peak <= 1.25 * f.values.nbytes
+    integral, peak = _traced_peak(integrate_product, [f, g, f], "direct")
+    assert integral == _old_direct_integral([f, g, f])
+    assert peak <= 1.25 * f.values.nbytes
+
+
 # ---------------------------------------------------------------------------
 # the shared reduction kernel
 
@@ -304,6 +361,24 @@ def test_shared_pass_is_bit_identical_to_the_one_spec_loop():
         assert got == [_reference_log_norm(f, s) for s in specs]
         assert got == [mixed_norm_log(f, s) for s in specs]
         assert np.array_equal(logv, before)  # the kernel never writes its input
+
+
+def test_streamed_pass_is_bit_identical_to_the_one_spec_loop(monkeypatch):
+    # with a 64-byte budget every array above 8 cells is reduced in blocks
+    monkeypatch.setattr(spaces, "_BATCH_BYTES", 64)
+    rng = np.random.default_rng(2025)
+    for _ in range(60):
+        ndim = int(rng.integers(1, 5))
+        space, f = _random_case(rng, ndim)
+        specs = []
+        for _ in range(8):
+            order = rng.permutation(ndim)
+            exps = rng.choice(["1/2", "2", "inf"], size=ndim)
+            specs.append(NormSpec(tuple((exps[i], f"x{order[i] + 1}") for i in range(ndim))))
+        logv = log_values(f)
+        before = logv.copy()
+        assert mixed_norm_logs(logv, space, specs) == [_reference_log_norm(f, s) for s in specs]
+        assert np.array_equal(logv, before)
 
 
 def test_kernel_agrees_with_scipy_logsumexp():
