@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,16 +65,14 @@ from .perms import (
     sorting_permutations,
 )
 from .spaces import (
-    _BATCH_BYTES,
     _MAX_COLUMNS,
     NormSpec,
+    Pass,
     Tensor,
-    compile_plan,
+    distinct_inputs,
     exp_or_inf,
     integral_log_inplace,
     log_weights,
-    run_plan,
-    stream_plans,
 )
 
 KINDS = (
@@ -291,8 +288,8 @@ class InequalityInstance:
     params: dict
     derived: dict
     lower: NormSpec | None = None
-    # compiled reduction plans, keyed by (space axis ids, slot -> row, batched)
-    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # evaluation passes with the factor weights, keyed by (space axis ids, slot -> row)
+    _passes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -712,125 +709,49 @@ def _pair_ratio(log_lhs: float, log_rhs: float, tolerance: float):
     return exp_or_inf(log_lhs - log_rhs), False
 
 
-class _Plan(NamedTuple):
-    """How one evaluation reduces its inputs, compiled once per space axis
-    order and pattern of repeated inputs."""
-
-    batched: bool
-    rows: int  # stack rows: one per distinct input, plus the accumulator
-    acc_row: int | None  # the left side's slot sum, when it has two or more slots
-    width: int  # most rows a batched array holds, the stack included
-    weights: tuple[float, ...]  # the right-side factors' weights
-    outputs: int
-    trees: tuple  # batched, one plan over the stack; else one plan per row
-
-
-def _compile_instance(inst: InequalityInstance, space, slot_rows, batched: bool) -> _Plan:
-    """The norms one evaluation takes, in output order: the right-side
-    factors, a MixedNorm or GmLpNorm left side, then `lower`.  A GmLpNorm of
-    two or more slots reads the accumulator row, one past the inputs."""
+def _compile_pass(inst: InequalityInstance, space, slot_rows) -> tuple[Pass, tuple[float, ...]]:
+    """The instance's pass for one space axis order and pattern of repeated
+    inputs, with the right-side factors' weights.  Its norms, in output
+    order: the right-side factors, a MixedNorm or GmLpNorm left side, then
+    `lower`.  A GmLpNorm of two or more slots reads the slots' mean, one row
+    past the inputs; a ProductIntegral takes the slot sum."""
     lhs = inst.lhs
     inputs = max(slot_rows) + 1
-    acc_row = inputs if len(slot_rows) > 1 and not isinstance(lhs, MixedNorm) else None
-    rows = inputs + (acc_row is not None)
+    mean = isinstance(lhs, GmLpNorm) and len(slot_rows) > 1
+    slots = slot_rows if mean or isinstance(lhs, ProductIntegral) else None
     requests = [(slot_rows[f.input_index], f.spec) for f in inst.rhs]
     if isinstance(lhs, MixedNorm):
         requests.append((0, lhs.spec))
     elif isinstance(lhs, GmLpNorm):
-        uniform = NormSpec.uniform(lhs.exponent, space.ids)
-        requests.append((0 if acc_row is None else acc_row, uniform))
+        requests.append((inputs if mean else 0, NormSpec.uniform(lhs.exponent, space.ids)))
     if inst.lower is not None:
         requests.append((0, inst.lower))
-    if batched:
-        tree, width = compile_plan(
-            space, [(i, row, spec) for i, (row, spec) in enumerate(requests)]
-        )
-        trees, width = (tree,), max(width, rows)
-    else:
-        width = 1
-        trees = tuple(
-            compile_plan(
-                space, [(i, 0, spec) for i, (row, spec) in enumerate(requests) if row == r], False
-            )[0]
-            for r in range(rows)
-        )
     weights = tuple(float(f.weight) for f in inst.rhs)
-    return _Plan(batched, rows, acc_row, width, weights, len(requests), trees)
-
-
-def _plan(inst: InequalityInstance, space, slot_rows, batched: bool) -> _Plan:
-    key = (space.ids, slot_rows, batched)
-    plan = inst._plans.get(key)
-    if plan is None:
-        plan = inst._plans[key] = _compile_instance(inst, space, slot_rows, batched)
-    return plan
+    return Pass(space, requests, inputs, slots, mean), weights
 
 
 def _log_sides(inst: InequalityInstance, fs: list[Tensor]) -> tuple[float, float, float | None]:
-    """(log lhs, log rhs, log lower or None) in one pass over the inputs.
-
-    Each distinct input tensor is logged once into a row of one stack, and
-    the left side's accumulator, the slots' logs summed in slot order, takes
-    one more row; the instance's cached plan then reduces every norm of every
-    row at once.  When a batched array would exceed _BATCH_BYTES, the
-    distinct inputs are instead streamed through their rows' plans in blocks
-    (stream_plans), and the accumulator, where the left side needs one, is
-    summed block by block from the same block logs.
-    """
-    lhs = inst.lhs
+    """(log lhs, log rhs, log lower or None) in one pass over the inputs,
+    cached on the instance for the space's axis order and the pattern of
+    repeated inputs."""
     space = fs[0].space
-    row_of: dict = {}  # broadcast slots hold the same Tensor object
-    slot_rows = tuple(row_of.setdefault(id(t), len(row_of)) for t in fs)
-    inputs = [fs[slot_rows.index(row)].values for row in range(len(row_of))]
-    plan = _plan(inst, space, slot_rows, True)
-    if plan.width * inputs[0].nbytes > _BATCH_BYTES:
-        plan = _plan(inst, space, slot_rows, False)
+    slot_rows, inputs = distinct_inputs(fs)
+    key = (space.ids, slot_rows)
+    cached = inst._passes.get(key)
+    if cached is None:
+        cached = inst._passes[key] = _compile_pass(inst, space, slot_rows)
+    evaluation, weights = cached
     logw = log_weights(space)
-    values = [0.0] * plan.outputs
-    acc = None
-    with np.errstate(divide="ignore", over="ignore"):
-        if plan.batched:
-            stack = np.empty((plan.rows, *inputs[0].shape))
-            for row, arr in enumerate(inputs):
-                np.log(arr, out=stack[row])
-            acc = stack[0]
-            if plan.acc_row is not None:
-                acc = _fold(stack[plan.acc_row], stack, slot_rows)
-        else:
-            fold = None
-            if plan.acc_row is not None or isinstance(lhs, ProductIntegral):
-                acc = np.empty(inputs[0].shape)
-                columns = acc.reshape(len(acc), -1)
-                fold = lambda start, stop, logs: _fold(columns[:, start:stop], logs, slot_rows)
-            stream_plans(plan.trees[: len(inputs)], inputs, logw, values, log=True, fold=fold)
-        if isinstance(lhs, GmLpNorm) and len(fs) > 1:
-            acc /= len(fs)
-        if plan.batched:
-            run_plan(plan.trees[0], stack, logw, values)
-        elif plan.acc_row is not None:
-            stream_plans(plan.trees[plan.acc_row :], (acc,), logw, values)
-
+    values, acc = evaluation.run(inputs, logw)
     log_rhs = 0.0
-    for weight, v in zip(plan.weights, values):
+    for weight, v in zip(weights, values):
         log_rhs += weight * v
-    if isinstance(lhs, ProductIntegral):
+    if isinstance(inst.lhs, ProductIntegral):
         log_lhs = integral_log_inplace(acc, space, logw)
     else:
         log_lhs = values[len(inst.rhs)]
     log_lower = values[-1] if inst.lower is not None else None
     return log_lhs, log_rhs, log_lower
-
-
-def _fold(out: np.ndarray, logs, slot_rows) -> np.ndarray:
-    """The slots' logs, logs[row] for each slot's row, summed in slot order
-    into out."""
-    if len(slot_rows) == 1:
-        np.copyto(out, logs[slot_rows[0]])
-        return out
-    np.add(logs[slot_rows[0]], logs[slot_rows[1]], out=out)
-    for row in slot_rows[2:]:
-        out += logs[row]
-    return out
 
 
 def evaluate_instance(

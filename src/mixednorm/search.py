@@ -28,7 +28,7 @@ from .documents import json_float, space_to_doc, tensor_to_doc
 from .errors import ValidationError
 from .exponents import INF, as_exponent, harmonic_mean, reciprocal
 from .perms import orbit
-from .spaces import Axis, NormSpec, ProductSpace, Tensor, log_values, mixed_norm_logs
+from .spaces import Axis, NormSpec, ProductSpace, Tensor, mixed_norm_logs
 
 # Values of random tensors, in sweeps and as hill-climb starts.
 _VALUE_RANGE = (1e-2, 1e2)
@@ -207,9 +207,7 @@ def scaling_probe(spec: NormSpec, p, t_grid) -> ScalingProbe:
     empirical, analytic = [], []
     for t in ts:
         space = _indicator_space(spec.axis_ids, t)
-        log_lhs, *log_orbit = mixed_norm_logs(
-            log_values(Tensor.constant(space, 1.0)), space, specs
-        )
+        log_lhs, *log_orbit = mixed_norm_logs(np.zeros(space.shape), space, specs)
         log_rhs = sum(log_orbit) / len(orbit_specs)
         empirical.append(_ratio_in_range(t, "empirical", math.exp, log_lhs - log_rhs))
         analytic.append(_ratio_in_range(t, "analytic", pow, t, expo))

@@ -12,26 +12,22 @@ log-domain path that masks zeros as -inf and uses shifted log-sum-exp so
 large exponents (12th powers and the like) cannot overflow.  The log path
 is the default and the oracle the catalog's verdicts rest on.
 
-Every log-domain result comes from one kernel, a compiled reduction plan.
-`compile_plan` turns (output, row, spec) requests into a tuple tree by a
-trie walk over the specs' columns, so each distinct (row, column prefix) is
-reduced once; `run_plan` evaluates it on a stack of log arrays, one row per
-input, and never writes the stack.  Each child of a node collapses one axis
-for every (row, exponent) pair that reduces it at that depth, in one shifted
-log-sum-exp done in place on one work array (a maximum for an infinite
-exponent), with the exponents as a per-row column.  A request that shares no
-further prefix drops the row axis and is reduced alone.  Stacking rows saves
-numpy's per-call overhead only while the arrays stay cache-sized: above
-`_BATCH_BYTES` a plan takes one (row, exponent) pair per child, and
-`stream_plans` runs the plans of all inputs in blocks of at most
-`_BATCH_BYTES`: ranges of columns of each input seen as an (n0, rest)
-matrix, or of rows along the leading axes a step does not reduce.  A block
-is logged once for every step that shares it, so no full-size log or work
-array is made; only a 1-D array is reduced whole.  `Tensor` stores its values
-in C order, so a stacked row or a block sums each cell in the same order as a
-lone array, and `mixed_norm_logs`, `mixed_norm_log` and `integrate_product`,
-thin wrappers over the plan and `integral_log_inplace`, return bit for bit
-what a shared pass returns.
+Every log-domain result comes from one `Pass`: the norm requests of a few
+distinct inputs and of their slot sum (their logs added slot by slot, for a
+product integral or a geometric mean), compiled by a trie walk over the
+specs' columns so each distinct (input, column prefix) is reduced once.
+Each `run` chooses how to reduce.  Within `_BATCH_BYTES` the logs stack into
+one C-ordered array with a row per input (and one for the slot sum), and
+each plan node collapses one axis for every (row, exponent) pair reducing it
+at that depth, by one in-place shifted log-sum-exp (a maximum for an
+infinite exponent).  Above it the raw inputs stream through per-row plans in
+blocks of at most `_BATCH_BYTES`, each block logged once for every step that
+shares it, so only the slot sum is full-size.  `mixed_norm_logs`,
+`mixed_norm_log`, `integrate_product` and the catalog's `evaluate_instance`
+all run a `Pass`.  `Tensor` stores its values in C order, so a stacked row or
+a block sums each cell in the same order as a lone array, and each entry
+point returns bit for bit what a one-spec loop over whole arrays returns.
+The direct path shares none of this code, so it stays an independent check.
 """
 
 from __future__ import annotations
@@ -279,7 +275,7 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
 # with 12 distinct inputs on four axes ran 0.69x the row-at-a-time time with
 # 0.43 MB batched arrays, 0.81x at 0.68 MB, 1.07x at 1.0 MB and 1.25x at
 # 1.5 MB; Quad6 broke even near 0.4-0.6 MB.  It is also the block size of
-# the row-at-a-time path (stream_plans), so that a block's log and work
+# the row-at-a-time path (_stream_plans), so that a block's log and work
 # arrays stay cache-sized and the allocator reuses their memory (with blocks
 # of one 13 MB slice, a call page-faulted about 1 GB).  On a 96x96x96x178
 # input (1.26 GB) the grid's MinkowskiRaise, SymmetricGM1 and HolderMixed
@@ -307,30 +303,94 @@ def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray) -> np.ndarra
     return out.reshape(a.shape[:ax] + a.shape[ax + 1 :])
 
 
-def compile_plan(space: ProductSpace, requests, batched: bool = True):
-    """Compile norm requests into a reduction plan over a stack of log arrays.
+class Pass:
+    """One log-domain evaluation: the mixed norms of a few inputs and of
+    their slot sum, compiled once for a space's axis order.
 
-    requests holds (output index, stack row, spec) triples.  The plan is a
-    tuple tree built by a trie walk over the specs' columns, so each distinct
-    (row, column prefix) is reduced once.  A node is (children, chains,
-    outputs).  Each child collapses one axis for a set of (row, exponent)
-    pairs in one _reduce_column call: batched, every pair that collapses the
-    axis with a finite exponent, or every one with an infinite exponent;
-    otherwise one pair, so no work array holds more than one row.  A request
-    that shares no further column prefix becomes a chain: its row, reduced
-    alone one column at a time.  Returns (plan, width): width is the most
-    rows a work array holds.
+    requests holds (row, spec) pairs.  Row r < inputs reads input r; row
+    `inputs` reads the slot sum of two or more slots.  slots, where given,
+    lists the input row of each slot.  The slot sum adds the slots' logs in
+    slot order, and mean divides it by the slot count.  With one slot, the
+    slot sum is that input's log.
     """
-    group = []
-    for i, row, spec in requests:
-        spec.validate_for(space)
-        group.append((i, row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
-    return _compile(group, space.ids, 0, batched)
+
+    def __init__(self, space: ProductSpace, requests, inputs: int, slots=None, mean: bool = False):
+        self.ids, self.inputs, self.slots, self.mean = space.ids, inputs, slots, mean
+        self.rows = inputs + (slots is not None and len(slots) > 1)
+        self.group = []  # (output index, row, float columns)
+        for i, (row, spec) in enumerate(requests):
+            spec.validate_for(space)
+            self.group.append((i, row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
+        self.plan, width = _compile(self.group, self.ids, 0, True)
+        self.width = max(width, self.rows)  # the most rows a stacked array holds
+        self.streamed = None  # one row-at-a-time plan per row, compiled on first use
+
+    def run(self, arrays, logw, log: bool = True):
+        """(log norms in request order, slot sum or None) of the distinct
+        inputs' arrays, raw values when log is set, else logs with zeros as
+        -inf; logw is the space's log_weights.  The arrays are not written,
+        and the slot sum is the caller's to overwrite."""
+        out = [0.0] * len(self.group)
+        acc = None
+        with np.errstate(divide="ignore", over="ignore"):
+            if self.width * arrays[0].nbytes <= _BATCH_BYTES:
+                stack = np.empty((self.rows, *arrays[0].shape))
+                for row, arr in enumerate(arrays):
+                    if log:
+                        np.log(arr, out=stack[row])
+                    else:
+                        stack[row] = arr
+                if self.rows > self.inputs:
+                    acc = _fold(stack[self.inputs], stack, self.slots)
+                elif self.slots is not None:
+                    acc = stack[self.slots[0]]
+                if self.mean:
+                    acc /= len(self.slots)
+                _run_plan(self.plan, stack, logw, out)
+                return out, acc
+            if self.streamed is None:
+                rows = [[(i, 0, cols) for i, row, cols in self.group if row == r] for r in range(self.rows)]
+                self.streamed = tuple(_compile(group, self.ids, 0, False)[0] for group in rows)
+            fold = None
+            if self.slots is not None:
+                acc = np.empty(arrays[0].shape)
+                columns = acc.reshape(len(acc), -1)
+                fold = lambda start, stop, logs: _fold(columns[:, start:stop], logs, self.slots)
+            _stream_plans(self.streamed[: self.inputs], arrays, logw, out, log, fold)
+            if self.mean:
+                acc /= len(self.slots)
+            if self.rows > self.inputs:
+                _stream_plans(self.streamed[self.inputs :], (acc,), logw, out)
+        return out, acc
+
+
+def _fold(out: np.ndarray, logs, slots) -> np.ndarray:
+    """The slots' logs, logs[row] for each slot's row, summed in slot order
+    into out."""
+    if len(slots) == 1:
+        np.copyto(out, logs[slots[0]])
+        return out
+    np.add(logs[slots[0]], logs[slots[1]], out=out)
+    for row in slots[2:]:
+        out += logs[row]
+    return out
 
 
 def _compile(group, remaining, depth, batched):
-    """Plan for group, (output index, row, float columns) triples sharing
-    their first `depth` columns; the node's array has a row axis first."""
+    """The reduction plan of group, (output index, row, float columns)
+    triples sharing their first `depth` columns, over an array with a row
+    axis first and the `remaining` axes after it.
+
+    The plan is a tuple tree built by a trie walk over the columns, so each
+    distinct (row, column prefix) is reduced once.  A node is (children,
+    chains, outputs).  Each child collapses one axis for a set of (row,
+    exponent) pairs in one _reduce_column call: batched, every pair that
+    collapses the axis with a finite exponent, or every one with an infinite
+    exponent; otherwise one pair, so no work array holds more than one row.
+    A request that shares no further column prefix becomes a chain: its row,
+    reduced alone one column at a time.  Returns (plan, width): width is the
+    most rows a work array holds.
+    """
     if not remaining:
         return ((), (), tuple((i, pos) for i, pos, _ in group)), 0
     children: dict = {}
@@ -384,7 +444,7 @@ def _chain(cols, remaining, depth):
     return tuple(steps)
 
 
-def run_plan(plan, stack: np.ndarray, logw, out) -> None:
+def _run_plan(plan, stack: np.ndarray, logw, out) -> None:
     """Evaluate a compiled plan on a stack of log arrays, writing each
     request's log norm to out[index].  stack is not written; the caller holds
     np.errstate(divide="ignore", over="ignore")."""
@@ -397,12 +457,12 @@ def run_plan(plan, stack: np.ndarray, logw, out) -> None:
             arr = _reduce_column(arr, pf, ax, logw[aid].reshape(lead))
         out[i] = float(arr)
     for ax, sel, pf, aid, lead, sub in children:
-        run_plan(sub, _reduce_column(stack[sel], pf, ax, logw[aid].reshape(lead)), logw, out)
+        _run_plan(sub, _reduce_column(stack[sel], pf, ax, logw[aid].reshape(lead)), logw, out)
 
 
-def stream_plans(plans, arrays, logw, out, log: bool = False, fold=None) -> None:
-    """Evaluate row-at-a-time plans (compile_plan with batched=False),
-    plans[r] on arrays[r], writing each request's log norm to out[index].
+def _stream_plans(plans, arrays, logw, out, log: bool = False, fold=None) -> None:
+    """Evaluate row-at-a-time plans (Pass.streamed), plans[r] on arrays[r],
+    writing each request's log norm to out[index].
 
     The arrays share one shape and have no row axis.  They hold log values,
     or raw values when log is set: each block of an array is then logged
@@ -425,7 +485,7 @@ def stream_plans(plans, arrays, logw, out, log: bool = False, fold=None) -> None
             rests.append(((), ((i, 0, steps[1:]),), ()) if steps[1:] else ((), (), ((i, 0),)))
     if heads or fold:
         for rest, arr in zip(rests, _reduce_blocks(arrays, heads, logw, log, fold)):
-            stream_plans((rest,), (arr,), logw, out)
+            _stream_plans((rest,), (arr,), logw, out)
 
 
 def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
@@ -508,25 +568,25 @@ def _bounds(n: int, width: int):
     return zip(starts, starts[1:] + [n])
 
 
+def distinct_inputs(tensors) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """Each tensor's row among the distinct ones, numbered in order of first
+    use (a repeated slot holds the same Tensor object), and the distinct
+    tensors' values by row."""
+    row_of: dict = {}
+    slots = tuple(row_of.setdefault(id(t), len(row_of)) for t in tensors)
+    return slots, [tensors[slots.index(row)].values for row in range(len(row_of))]
+
+
 def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]:
     """Logs of the mixed norms of one log-domain array under several specs.
 
     logv holds log values with zeros as -inf; it is not modified.
     """
-    requests = [(i, 0, spec) for i, spec in enumerate(specs)]
-    plan, width = compile_plan(space, requests)
-    out = [0.0] * len(requests)
-    with np.errstate(divide="ignore", over="ignore"):
-        if width * logv.size * 8 > _BATCH_BYTES:
-            plan, _ = compile_plan(space, requests, batched=False)
-            stream_plans((plan,), (logv,), log_weights(space), out)
-        else:
-            run_plan(plan, logv[np.newaxis], log_weights(space), out)
-    return out
+    return Pass(space, [(0, s) for s in specs], 1).run((logv,), log_weights(space), log=False)[0]
 
 
 def mixed_norm_log(f: Tensor, spec: NormSpec) -> float:
-    return mixed_norm_logs(log_values(f), f.space, (spec,))[0]
+    return Pass(f.space, [(0, spec)], 1).run((f.values,), log_weights(f.space))[0][0]
 
 
 def integral_log_inplace(acc: np.ndarray, space: ProductSpace, logw) -> float:
@@ -579,10 +639,10 @@ def integrate_product(tensors, method: str = "log") -> float:
         raise ValidationError(f"unknown evaluation method {method!r}")
     space = _require_shared_space(tensors)
     if method == "log":
-        acc = log_values(tensors[0])
-        for t in tensors[1:]:
-            acc += log_values(t)
-        return exp_or_inf(integral_log_inplace(acc, space, log_weights(space)))
+        slots, arrays = distinct_inputs(tensors)
+        logw = log_weights(space)
+        acc = Pass(space, (), len(arrays), slots).run(arrays, logw)[1]
+        return exp_or_inf(integral_log_inplace(acc, space, logw))
     acc = tensors[0].values.copy()
     for t in tensors[1:]:
         acc *= t.values

@@ -33,7 +33,7 @@ from mixednorm import (
     size_k_subsets,
     solve_subset_coefficients,
 )
-from mixednorm import catalog, spaces
+from mixednorm import spaces
 from mixednorm.catalog import RhsFactor, _pair_ratio
 from mixednorm.search import maximize_ratio, random_params
 from mixednorm.spaces import _BATCH_BYTES, log_values, mixed_norm_log, mixed_norm_logs
@@ -875,14 +875,31 @@ def test_compiled_plans_above_the_batch_budget_equal_one_spec_at_a_time():
     sizes = (12, 12, 12, 12, 4)
     assert 8 * math.prod(sizes) > _BATCH_BYTES
     inst = _check_plan_case(7, sizes, 3)
-    assert {key[-1] for key in inst._plans} == {False, True}  # rows reduced one at a time
+    # every cached pass reduced its rows one at a time
+    assert all(ev.streamed is not None for ev, _ in inst._passes.values())
+
+
+def test_one_cached_pass_serves_every_size_of_a_space():
+    # The cache is keyed on the axis order, not the shape: the batched or
+    # streamed choice is made per call from the inputs' bytes, so spaces of
+    # every size with one axis order share one pass.
+    spec = NormSpec(((2, "x1"), (1, "x2"), ("inf", "x3")))
+    inst = build_instance("SymmetricHolder", {"spec": spec.to_doc()})
+    rng = np.random.default_rng(3)
+    for sizes in ((1, 2, 3), (4, 4, 4), (3, 1, 2), (90, 80, 20), (5, 6, 7)):
+        space = unit_space(("x1", "x2", "x3"), sizes)
+        fs = [random_tensor(rng, space)]
+        lhs, rhs, _ = _reference_sides(inst, fs * inst.arity)
+        assert _log_fields(evaluate_instance(inst, fs)) == {"log_lhs": lhs, "log_rhs": rhs}
+    assert 8 * 90 * 80 * 20 > _BATCH_BYTES
+    assert len(inst._passes) == 1
+    assert next(iter(inst._passes.values()))[0].streamed is not None
 
 
 @contextlib.contextmanager
 def _batch_budget(nbytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "_BATCH_BYTES", nbytes)
-        mp.setattr(catalog, "_BATCH_BYTES", nbytes)
         yield
 
 
@@ -925,7 +942,8 @@ def test_streamed_plans_equal_one_spec_at_a_time(seed, shape, arity):
         if lower is not None:
             want = {"log_lower": lower, "log_middle": lhs, "log_upper": rhs}
         assert _log_fields(rep) == want, pattern
-    assert False in {key[-1] for key in inst._plans}  # the row-at-a-time plans ran
+    # the cached passes ran their row-at-a-time plans
+    assert all(ev.streamed is not None for ev, _ in inst._passes.values())
 
 
 def test_sides_beyond_the_float_range_report_inf():

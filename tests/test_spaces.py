@@ -302,6 +302,36 @@ def test_direct_path_holds_one_temporary_and_keeps_its_bits():
     assert peak <= 1.25 * f.values.nbytes
 
 
+def _reference_log_integral(tensors) -> float:
+    """The log of the product integral from one full-size log per input."""
+    acc = log_values(tensors[0])
+    for t in tensors[1:]:
+        acc += log_values(t)
+    return integral_log_inplace(acc, tensors[0].space, log_weights(tensors[0].space))
+
+
+def test_log_path_streams_raw_values_and_keeps_its_bits():
+    # Above the batch budget a norm needs only blocks of the input's log and
+    # reduced arrays, and a product integral adds the one full-size slot sum
+    # its flat pass reads.
+    rng = np.random.default_rng(48)
+    shape = (48, 48, 48, 48)
+    space = ProductSpace(
+        tuple(Axis(f"x{i + 1}", tuple(rng.uniform(0.5, 2, n))) for i, n in enumerate(shape))
+    )
+    f, g = (Tensor(space, np.exp(rng.uniform(-1, 1, shape))) for _ in range(2))
+    spec = NormSpec((("3/2", "x2"), ("inf", "x3"), (3, "x1"), (1, "x4")))
+    log_norm, peak = _traced_peak(mixed_norm_log, f, spec)
+    assert log_norm == _reference_log_norm(f, spec)
+    assert peak <= 0.25 * f.values.nbytes
+    norm, peak = _traced_peak(eval_mixed_norm, f, spec)
+    assert norm == math.exp(log_norm)
+    assert peak <= 0.25 * f.values.nbytes
+    integral, peak = _traced_peak(integrate_product, [f, g, f])
+    assert integral == math.exp(_reference_log_integral([f, g, f]))
+    assert peak <= 1.25 * f.values.nbytes
+
+
 # ---------------------------------------------------------------------------
 # the shared reduction kernel
 
@@ -377,8 +407,12 @@ def test_streamed_pass_is_bit_identical_to_the_one_spec_loop(monkeypatch):
             specs.append(NormSpec(tuple((exps[i], f"x{order[i] + 1}") for i in range(ndim))))
         logv = log_values(f)
         before = logv.copy()
-        assert mixed_norm_logs(logv, space, specs) == [_reference_log_norm(f, s) for s in specs]
+        want = [_reference_log_norm(f, s) for s in specs]
+        assert mixed_norm_logs(logv, space, specs) == want
         assert np.array_equal(logv, before)
+        assert [mixed_norm_log(f, s) for s in specs] == want
+        g = Tensor(space, np.exp(rng.uniform(-4, 4, space.shape)))
+        assert integrate_product([f, g, f]) == math.exp(_reference_log_integral([f, g, f]))
 
 
 def test_kernel_agrees_with_scipy_logsumexp():
