@@ -31,7 +31,7 @@ from .errors import ValidationError
 from .exponents import as_exponent, exponent_to_doc, to_float
 from .perms import Permutation, decompose, orbit, orbit_info
 from .search import TrialConfig, maximize_ratio, random_inputs, scaling_probe, sweep
-from .spaces import NormSpec, eval_mixed_norm, mixed_norm_log
+from .spaces import NormSpec, eval_mixed_norm, exp_or_inf, mixed_norm_log
 
 PROBE_RTOL = 1e-9
 
@@ -114,13 +114,14 @@ def _cmd_eval(args) -> int:
     spec = NormSpec.from_doc(_load_doc(args.spec))
     space = space_from_doc(_load_doc(args.space)) if args.space is not None else None
     tensor = tensor_from_doc(_load_doc(args.tensor), space)
-    value = eval_mixed_norm(tensor, spec, method=args.method)
+    log_norm = mixed_norm_log(tensor, spec)
+    value = exp_or_inf(log_norm) if args.method == "log" else eval_mixed_norm(tensor, spec, "direct")
     _emit(
         {
             "spec": spec.to_doc(),
             "method": args.method,
             "norm": json_float(value),
-            "log_norm": json_float(mixed_norm_log(tensor, spec)),
+            "log_norm": json_float(log_norm),
         }
     )
     return 0

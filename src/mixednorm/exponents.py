@@ -36,7 +36,9 @@ def as_exponent(value) -> Exponent:
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not an exponent: {value!r}") from exc
-    elif isinstance(value, (int, Fraction)):
+    elif isinstance(value, Fraction):
+        frac = value  # immutable, so it needs no copy
+    elif isinstance(value, int):
         frac = Fraction(value)
     elif isinstance(value, float):
         if math.isnan(value):

@@ -16,17 +16,19 @@ Every log-domain result comes from one `Pass`: the norm requests of a few
 distinct inputs and of their slot sum (their logs added slot by slot, for a
 product integral or a geometric mean), compiled by a trie walk over the
 specs' columns so each distinct (input, column prefix) is reduced once.
-Each `run` chooses how to reduce.  Within `_BATCH_BYTES` the logs stack into
-one C-ordered array with a row per input (and one for the slot sum), and
-each plan node collapses one axis for every (row, exponent) pair reducing it
-at that depth, by one in-place shifted log-sum-exp (a maximum for an
-infinite exponent).  Above it the raw inputs stream through per-row plans in
-blocks of at most `_BATCH_BYTES`, each block logged once for every step that
-shares it, so only the slot sum is full-size.  `mixed_norm_logs`,
-`mixed_norm_log`, `integrate_product` and the catalog's `evaluate_instance`
-all run a `Pass`.  `Tensor` stores its values in C order, so a stacked row or
-a block sums each cell in the same order as a lone array, and each entry
-point returns bit for bit what a one-spec loop over whole arrays returns.
+Each `run` chooses how to run its one plan.  Within `_BATCH_BYTES` the logs
+stack into one C-ordered array with a row per input (and one for the slot
+sum), and each plan node collapses one axis for every (row, exponent) pair
+reducing it at that depth, by one in-place shifted log-sum-exp (a maximum
+for an infinite exponent).  Above it the plan streams: each pair is reduced
+from the raw inputs in blocks of at most `_BATCH_BYTES`, each block logged
+once for every pair that shares it and added into the slot sum, until a
+node's outputs fit the budget and stack again.  Only the slot sum is
+full-size.  `mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and the
+catalog's `evaluate_instance` all run a `Pass`.  `Tensor` stores its values
+in C order, so a stacked row or a block sums each cell in the same order as
+a lone array, and each entry point returns bit for bit what a one-spec loop
+over whole arrays returns.
 The direct path shares none of this code, so it stays an independent check.
 """
 
@@ -275,8 +277,8 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
 # with 12 distinct inputs on four axes ran 0.69x the row-at-a-time time with
 # 0.43 MB batched arrays, 0.81x at 0.68 MB, 1.07x at 1.0 MB and 1.25x at
 # 1.5 MB; Quad6 broke even near 0.4-0.6 MB.  It is also the block size of
-# the row-at-a-time path (_stream_plans), so that a block's log and work
-# arrays stay cache-sized and the allocator reuses their memory (with blocks
+# the streamed path (_stream_plan), so that a block's log and work arrays
+# stay cache-sized and the allocator reuses their memory (with blocks
 # of one 13 MB slice, a call page-faulted about 1 GB).  On a 96x96x96x178
 # input (1.26 GB) the grid's MinkowskiRaise, SymmetricGM1 and HolderMixed
 # took about 2.0, 3.7 and 3.7 s in blocks, against 3.8, 7.0 and 4.5 s on
@@ -321,9 +323,8 @@ class Pass:
         for i, (row, spec) in enumerate(requests):
             spec.validate_for(space)
             self.group.append((i, row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
-        self.plan, width = _compile(self.group, self.ids, 0, True)
+        self.plan, width = _compile(self.group, self.ids, 0)
         self.width = max(width, self.rows)  # the most rows a stacked array holds
-        self.streamed = None  # one row-at-a-time plan per row, compiled on first use
 
     def run(self, arrays, logw, log: bool = True):
         """(log norms in request order, slot sum or None) of the distinct
@@ -341,76 +342,66 @@ class Pass:
                     else:
                         stack[row] = arr
                 if self.rows > self.inputs:
-                    acc = _fold(stack[self.inputs], stack, self.slots)
+                    acc = _fold(stack[self.inputs], stack, self.slots, self.mean)
                 elif self.slots is not None:
                     acc = stack[self.slots[0]]
-                if self.mean:
-                    acc /= len(self.slots)
                 _run_plan(self.plan, stack, logw, out)
                 return out, acc
-            if self.streamed is None:
-                rows = [[(i, 0, cols) for i, row, cols in self.group if row == r] for r in range(self.rows)]
-                self.streamed = tuple(_compile(group, self.ids, 0, False)[0] for group in rows)
-            fold = None
+            arrays, fold = list(arrays), None
             if self.slots is not None:
                 acc = np.empty(arrays[0].shape)
                 columns = acc.reshape(len(acc), -1)
-                fold = lambda start, stop, logs: _fold(columns[:, start:stop], logs, self.slots)
-            _stream_plans(self.streamed[: self.inputs], arrays, logw, out, log, fold)
-            if self.mean:
-                acc /= len(self.slots)
-            if self.rows > self.inputs:
-                _stream_plans(self.streamed[self.inputs :], (acc,), logw, out)
+                fold = lambda start, stop, logs: _fold(columns[:, start:stop], logs, self.slots, self.mean)
+                if self.rows > self.inputs:
+                    arrays.append(acc)
+            _stream_plan(self.plan, arrays, logw, out, self.inputs if log else 0, fold)
         return out, acc
 
 
-def _fold(out: np.ndarray, logs, slots) -> np.ndarray:
+def _fold(out: np.ndarray, logs, slots, mean: bool) -> np.ndarray:
     """The slots' logs, logs[row] for each slot's row, summed in slot order
-    into out."""
+    into out, and divided by the slot count when mean is set."""
     if len(slots) == 1:
         np.copyto(out, logs[slots[0]])
         return out
     np.add(logs[slots[0]], logs[slots[1]], out=out)
     for row in slots[2:]:
         out += logs[row]
+    if mean:
+        out /= len(slots)
     return out
 
 
-def _compile(group, remaining, depth, batched):
+def _compile(group, remaining, depth):
     """The reduction plan of group, (output index, row, float columns)
     triples sharing their first `depth` columns, over an array with a row
     axis first and the `remaining` axes after it.
 
     The plan is a tuple tree built by a trie walk over the columns, so each
     distinct (row, column prefix) is reduced once.  A node is (children,
-    chains, outputs).  Each child collapses one axis for a set of (row,
-    exponent) pairs in one _reduce_column call: batched, every pair that
-    collapses the axis with a finite exponent, or every one with an infinite
-    exponent; otherwise one pair, so no work array holds more than one row.
-    A request that shares no further column prefix becomes a chain: its row,
-    reduced alone one column at a time.  Returns (plan, width): width is the
-    most rows a work array holds.
+    outputs).  Each child collapses one axis for a set of (row, exponent)
+    pairs in one _reduce_column call: every pair that collapses the axis
+    with a finite exponent, or every one with an infinite exponent.  It also
+    lists those pairs, with None for an infinite exponent, which a streamed
+    run reduces one at a time.  Returns (plan, width): width is the most
+    rows a work array holds.
     """
     if not remaining:
-        return ((), (), tuple((i, pos) for i, pos, _ in group)), 0
+        return ((), tuple((i, pos) for i, pos, _ in group)), 0
     children: dict = {}
     for member in group:
         aid, pf = member[2][depth]
-        children.setdefault((aid, pf == math.inf if batched else pf), []).append(member)
-    nodes, chains, width = [], [], 1
-    for (aid, _), members in children.items():
-        if len(members) == 1:
-            i, pos, cols = members[0]
-            chains.append((i, pos, _chain(cols, remaining, depth)))
-            continue
+        children.setdefault((aid, pf == math.inf), []).append(member)
+    nodes, width = [], 1
+    for (aid, infinite), members in children.items():
         ax = remaining.index(aid)
         where: dict = {}  # (row, exponent) -> row of the child's array
         for _, pos, cols in members:
             where.setdefault((pos, cols[depth][1]), len(where))
-        rows = [pos for pos, _ in where]
-        infinite = cols[depth][1] == math.inf
+        pairs = tuple((pos, None if infinite else p) for pos, p in where)
+        rows = [pos for pos, _ in pairs]
         if len(rows) == 1:
-            sel, pf = slice(rows[0], rows[0] + 1), None if infinite else cols[depth][1]
+            sel, pf = slice(rows[0], rows[0] + 1), pairs[0][1]
         else:
             if rows.count(rows[0]) == len(rows):  # one row, several exponents: broadcast it
                 sel = slice(rows[0], rows[0] + 1)
@@ -420,96 +411,79 @@ def _compile(group, remaining, depth, batched):
                 sel = np.array(rows)
             pf = None
             if not infinite:
-                pf = np.array([p for _, p in where]).reshape((-1,) + (1,) * len(remaining))
+                pf = np.array([p for _, p in pairs]).reshape((-1,) + (1,) * len(remaining))
         sub, sub_width = _compile(
             [(i, where[pos, cols[depth][1]], cols) for i, pos, cols in members],
             remaining[:ax] + remaining[ax + 1 :],
             depth + 1,
-            batched,
         )
         lead = (-1,) + (1,) * (len(remaining) - ax - 1)
-        nodes.append((ax + 1, sel, pf, aid, lead, sub))
+        nodes.append((ax + 1, sel, pf, aid, lead, pairs, sub))
         width = max(width, len(rows), sub_width)
-    return (tuple(nodes), tuple(chains), ()), width
-
-
-def _chain(cols, remaining, depth):
-    """(axis, exponent or None, axis id, log weight shape) for each column
-    from `depth` on, for an array without the row axis."""
-    steps = []
-    for aid, p in cols[depth:]:
-        ax = remaining.index(aid)
-        steps.append((ax, None if p == math.inf else p, aid, (-1,) + (1,) * (len(remaining) - ax - 1)))
-        remaining = remaining[:ax] + remaining[ax + 1 :]
-    return tuple(steps)
+    return (tuple(nodes), ()), width
 
 
 def _run_plan(plan, stack: np.ndarray, logw, out) -> None:
     """Evaluate a compiled plan on a stack of log arrays, writing each
     request's log norm to out[index].  stack is not written; the caller holds
     np.errstate(divide="ignore", over="ignore")."""
-    children, chains, outputs = plan
+    children, outputs = plan
     for i, pos in outputs:
         out[i] = float(stack[pos])
-    for i, row, steps in chains:
-        arr = stack[row]
-        for ax, pf, aid, lead in steps:
-            arr = _reduce_column(arr, pf, ax, logw[aid].reshape(lead))
-        out[i] = float(arr)
-    for ax, sel, pf, aid, lead, sub in children:
+    for ax, sel, pf, aid, lead, _, sub in children:
         _run_plan(sub, _reduce_column(stack[sel], pf, ax, logw[aid].reshape(lead)), logw, out)
 
 
-def _stream_plans(plans, arrays, logw, out, log: bool = False, fold=None) -> None:
-    """Evaluate row-at-a-time plans (Pass.streamed), plans[r] on arrays[r],
-    writing each request's log norm to out[index].
+def _stream_plan(plan, arrays, logw, out, raw: int = 0, fold=None) -> None:
+    """Evaluate a compiled plan on row arrays, arrays[r] for row r, writing
+    each request's log norm to out[index].
 
-    The arrays share one shape and have no row axis.  They hold log values,
-    or raw values when log is set: each block of an array is then logged
-    once for every step it serves.  _reduce_blocks takes each node's steps
-    in blocks, and fold(start, stop, logs), where given, receives the logs
-    of each block of columns of the arrays seen as (n0, rest) matrices.  The
-    arrays are not written; the caller holds
-    np.errstate(divide="ignore", over="ignore").
+    The arrays share one shape and have no row axis.  The first `raw` hold
+    raw values, the rest log values.  Each (row, exponent) pair of a child
+    is one _reduce_blocks head, and fold is handed on to _reduce_blocks.
+    Once a child's reduced rows fit in _BATCH_BYTES together, they are
+    stacked and the child's plan runs on the stack.  The arrays are not
+    written; the caller holds np.errstate(divide="ignore", over="ignore").
     """
-    heads, rests = [], []
-    for r, (children, chains, outputs) in enumerate(plans):
-        for i, _ in outputs:
-            out[i] = float(arrays[r])
-        for ax, _, pf, aid, lead, sub in children:
-            heads.append((r, ax - 1, pf, aid, lead))  # the plan counts the row axis
-            rests.append(sub)
-        for i, _, steps in chains:
-            heads.append((r, *steps[0]))
-            # the rest of a chain is a plan of one chain, or of one output
-            rests.append(((), ((i, 0, steps[1:]),), ()) if steps[1:] else ((), (), ((i, 0),)))
-    if heads or fold:
-        for rest, arr in zip(rests, _reduce_blocks(arrays, heads, logw, log, fold)):
-            _stream_plans((rest,), (arr,), logw, out)
+    children, outputs = plan
+    for i, pos in outputs:
+        out[i] = float(arrays[pos])
+    heads = [(pos, ax - 1, p, aid, lead) for ax, _, _, aid, lead, pairs, _ in children for pos, p in pairs]
+    if not (heads or fold):
+        return
+    reduced = iter(_reduce_blocks(arrays, heads, logw, raw, fold))
+    for *_, pairs, sub in children:
+        rows = [next(reduced) for _ in pairs]
+        if 8 * len(rows) * rows[0].size <= _BATCH_BYTES:
+            _run_plan(sub, np.stack(rows), logw, out)
+        else:
+            _stream_plan(sub, rows, logw, out)
 
 
-def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
+def _reduce_blocks(arrays, heads, logw, raw: int, fold) -> list[np.ndarray]:
     """Each (array index, axis, exponent or None, axis id, log weight shape)
-    head's reduction of its array, logged first when log is set.
+    head's reduction of its array, logged first for the first `raw` arrays.
 
     A 1-D array, or one within _BATCH_BYTES, is reduced whole.  A larger one
     is reduced in blocks of at most _BATCH_BYTES where the shape allows, and
     each block's reduction is written into its part of the head's output.
     Blocks are ranges of columns of the arrays seen as (n0, rest) matrices,
     whole runs of every axis a head reduces, so one log of a block serves
-    every head.  A head whose run of columns over all n0 rows would pass
-    _BATCH_BYTES takes blocks of rows of its array seen as a matrix instead,
-    along the axes before the first axis such heads reduce.  Either way
-    numpy sums each output cell in the same order as for the whole array,
-    provided a block of columns is never one column wide while the matrix
-    has more: axis 0 would then be its only axis, which numpy sums pairwise
-    rather than row by row.
+    every head, and fold(start, stop, logs), where given, receives them
+    before any head reads the block.  A head whose run of columns over all
+    n0 rows would pass _BATCH_BYTES takes blocks of rows of its array seen
+    as a matrix instead, after the blocks of columns, along the axes before
+    the first axis such heads reduce.  Either way numpy sums each output
+    cell in the same order as for the whole array, provided a block of
+    columns is never one column wide while the matrix has more: axis 0
+    would then be its only axis, which numpy sums pairwise rather than row
+    by row.
     """
     shape = arrays[0].shape
     n0, size = shape[0], math.prod(shape)
     if len(shape) == 1 or 8 * size <= _BATCH_BYTES:
         used = range(len(arrays)) if fold else {h[0] for h in heads}
-        logs = {r: _logged(arrays[r], log) for r in used}
+        logs = {r: _logged(arrays[r], r < raw) for r in used}
         if fold:
             fold(0, size // n0, [logs[r].reshape(n0, -1) for r in used])
         return [_reduce_column(logs[r], pf, ax, logw[aid].reshape(lead)) for r, ax, pf, aid, lead in heads]
@@ -523,7 +497,7 @@ def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
         matrices = [a.reshape(n0, -1) for a in arrays]
         used = range(len(arrays)) if fold else {heads[k][0] for k in columns}
         for start, stop in _bounds(size // n0, width):
-            logs = {r: _logged(matrices[r][:, start:stop], log) for r in used}
+            logs = {r: _logged(matrices[r][:, start:stop], r < raw) for r in used}
             if fold:
                 fold(start, stop, [logs[r] for r in range(len(arrays))])
             for k in columns:
@@ -540,7 +514,7 @@ def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
         matrices = [a.reshape(outer, -1) for a in arrays]
         used = {heads[k][0] for k in rows}
         for start, stop in _bounds(outer, max(1, _BATCH_BYTES * outer // (8 * size))):
-            logs = {r: _logged(matrices[r][start:stop], log) for r in used}
+            logs = {r: _logged(matrices[r][start:stop], r < raw) for r in used}
             for k in rows:
                 r, ax, pf, aid, _ = heads[k]
                 cells = _reduce_run(logs[r], pf, shape[ax], shape[ax + 1 :], logw[aid])

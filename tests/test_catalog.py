@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -874,9 +875,10 @@ def test_compiled_plans_equal_one_spec_at_a_time(seed, sizes, arity):
 def test_compiled_plans_above_the_batch_budget_equal_one_spec_at_a_time():
     sizes = (12, 12, 12, 12, 4)
     assert 8 * math.prod(sizes) > _BATCH_BYTES
-    inst = _check_plan_case(7, sizes, 3)
-    # every cached pass reduced its rows one at a time
-    assert all(ev.streamed is not None for ev, _ in inst._passes.values())
+    with _streamed_plans() as streamed:
+        inst = _check_plan_case(7, sizes, 3)
+    # every cached pass streamed its plan
+    assert all(id(ev.plan) in streamed for ev, _ in inst._passes.values())
 
 
 def test_one_cached_pass_serves_every_size_of_a_space():
@@ -886,14 +888,15 @@ def test_one_cached_pass_serves_every_size_of_a_space():
     spec = NormSpec(((2, "x1"), (1, "x2"), ("inf", "x3")))
     inst = build_instance("SymmetricHolder", {"spec": spec.to_doc()})
     rng = np.random.default_rng(3)
-    for sizes in ((1, 2, 3), (4, 4, 4), (3, 1, 2), (90, 80, 20), (5, 6, 7)):
-        space = unit_space(("x1", "x2", "x3"), sizes)
-        fs = [random_tensor(rng, space)]
-        lhs, rhs, _ = _reference_sides(inst, fs * inst.arity)
-        assert _log_fields(evaluate_instance(inst, fs)) == {"log_lhs": lhs, "log_rhs": rhs}
+    with _streamed_plans() as streamed:
+        for sizes in ((1, 2, 3), (4, 4, 4), (3, 1, 2), (90, 80, 20), (5, 6, 7)):
+            space = unit_space(("x1", "x2", "x3"), sizes)
+            fs = [random_tensor(rng, space)]
+            lhs, rhs, _ = _reference_sides(inst, fs * inst.arity)
+            assert _log_fields(evaluate_instance(inst, fs)) == {"log_lhs": lhs, "log_rhs": rhs}
     assert 8 * 90 * 80 * 20 > _BATCH_BYTES
     assert len(inst._passes) == 1
-    assert next(iter(inst._passes.values()))[0].streamed is not None
+    assert id(next(iter(inst._passes.values()))[0].plan) in streamed
 
 
 @contextlib.contextmanager
@@ -901,6 +904,21 @@ def _batch_budget(nbytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "_BATCH_BYTES", nbytes)
         yield
+
+
+@contextlib.contextmanager
+def _streamed_plans():
+    """The ids of the plans that spaces._stream_plan runs within the block."""
+    seen = set()
+    stream = spaces._stream_plan
+
+    def spy(plan, *args, **kwargs):
+        seen.add(id(plan))
+        return stream(plan, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_stream_plan", spy)
+        yield seen
 
 
 @st.composite
@@ -930,20 +948,22 @@ def test_streamed_plans_equal_one_spec_at_a_time(seed, shape, arity):
     space = ProductSpace(
         tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, n)))) for a, n in zip(order, shape))
     )
+    streamed = set()
     for pattern in ("broadcast", "distinct", "partial"):
         fs = _plan_inputs(rng, space, arity, pattern)
         if rng.integers(2):  # the same inputs, from Fortran-ordered arrays
             fortran = {id(f): Tensor(space, np.asfortranarray(f.values)) for f in fs}
             fs = [fortran[id(f)] for f in fs]
         lhs, rhs, lower = _reference_sides(inst, fs * arity if len(fs) == 1 else fs)
-        with _batch_budget(256):
+        with _batch_budget(256), _streamed_plans() as seen:
             rep = evaluate_instance(inst, fs)
+        streamed |= seen
         want = {"log_lhs": lhs, "log_rhs": rhs}
         if lower is not None:
             want = {"log_lower": lower, "log_middle": lhs, "log_upper": rhs}
         assert _log_fields(rep) == want, pattern
-    # the cached passes ran their row-at-a-time plans
-    assert all(ev.streamed is not None for ev, _ in inst._passes.values())
+    # every cached pass streamed its plan
+    assert all(id(ev.plan) in streamed for ev, _ in inst._passes.values())
 
 
 def test_sides_beyond_the_float_range_report_inf():
@@ -954,7 +974,25 @@ def test_sides_beyond_the_float_range_report_inf():
     assert rep.lhs == math.inf and rep.rhs == math.inf
     assert rep.ratio == 1.0 and rep.passed
     doc = rep.to_doc()
-    assert doc["lhs"] == "inf" and doc["rhs"] == "inf"
+    assert doc["lhs"] == "inf" and doc["rhs"] == "inf" and doc["margin"] == 0.0
+    # exactly one side beyond the float range gives an infinite margin,
+    # which the document writes as strict JSON
+    holder = build_instance(
+        "HolderMixed", {"specs": [NormSpec.uniform(p, ("x1",)).to_doc() for p in (1, "inf")]}
+    )
+    two = ProductSpace((Axis("x1", (1.0, 1.0)),))
+    gm = build_instance(
+        "SymmetricGM1", {"spec": NormSpec(((2, "x1"), (1, "x2"))).to_doc(), "lhs_exponent": "1"}
+    )
+    heavy = ProductSpace((Axis("x1", (1e200,)), Axis("x2", (1e200,))))
+    for inst, fs, margin in (
+        (holder, [Tensor(two, [1e300, 0.0]), Tensor(two, [0.0, 1e300])], "inf"),
+        (gm, [Tensor.constant(heavy, 1.0)], "-inf"),
+    ):
+        doc = evaluate_instance(inst, fs).to_doc()
+        assert "inf" in (doc["lhs"], doc["rhs"]) and doc["lhs"] != doc["rhs"]
+        assert doc["margin"] == margin
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
     # a huge left side over a zero or tiny right side
     assert _pair_ratio(1000.0, -math.inf, 1e-8) == (math.inf, True)
     assert _pair_ratio(800.0, -100.0, 1e-8) == (math.inf, False)

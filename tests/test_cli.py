@@ -1,12 +1,14 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+from mixednorm import spaces
 from mixednorm.cli import main
 
 SPEC_21 = json.dumps({"columns": [{"p": 2, "axis": "x1"}, {"p": 1, "axis": "x2"}]})
@@ -41,6 +43,25 @@ def test_eval_known_value(capsys):
         capsys, "eval", "--tensor", TENSOR_2x2, "--spec", SPEC_21, "--method", "direct"
     )
     assert direct["norm"] == pytest.approx(doc["norm"], rel=1e-12)
+
+
+def test_eval_runs_one_log_domain_pass_per_method(capsys, monkeypatch):
+    # --method log derives its norm from the log norm it prints, so each
+    # method makes one log-domain pass; --method direct adds its power sums
+    runs = []
+    run_pass = spaces.Pass.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(self)
+        return run_pass(self, *args, **kwargs)
+
+    monkeypatch.setattr(spaces.Pass, "run", counted)
+    for method in ("log", "direct"):
+        runs.clear()
+        rc, doc, _ = run_json(capsys, "eval", "--tensor", TENSOR_2x2, "--spec", SPEC_21, "--method", method)
+        assert rc == 0
+        assert doc["norm"] == pytest.approx(math.exp(doc["log_norm"]), rel=1e-12)
+        assert len(runs) == 1, method
 
 
 def test_eval_space_from_file(capsys, tmp_path):

@@ -25,6 +25,14 @@ def test_as_exponent_accepts_the_usual_forms():
     assert as_exponent(0.25) == Fraction(1, 4)
 
 
+def test_as_exponent_returns_a_fraction_as_is_after_its_checks():
+    f = Fraction(7, 5)
+    assert as_exponent(f) is f
+    for bad in (Fraction(10**400), Fraction(1, 10**400), Fraction(-7, 5), Fraction(0)):
+        with pytest.raises(ValidationError):
+            as_exponent(bad)
+
+
 @pytest.mark.parametrize("bad", [0, -1, "-3", "0", "nan", "two", None, True, [], -math.inf])
 def test_as_exponent_rejects_nonpositive_and_garbage(bad):
     with pytest.raises(ValidationError):

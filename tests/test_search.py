@@ -19,10 +19,13 @@ from mixednorm import (
     ValidationError,
     build_instance,
     evaluate_instance,
+    instance_from_doc,
     maximize_ratio,
     random_inputs,
     scaling_probe,
+    space_from_doc,
     sweep,
+    tensor_from_doc,
 )
 from mixednorm import search
 from mixednorm.perms import all_permutations, lowers, raises
@@ -241,6 +244,26 @@ def test_sweep_draws_params_with_its_max_axes(monkeypatch):
     monkeypatch.setattr(search, "random_params", recording)
     sweep(TrialConfig(seed=1, trials=2, kinds=("Blei21",), max_axes=7))
     assert seen == [7, 7]
+
+
+def test_sweep_failure_witnesses_reproduce_their_reports(monkeypatch):
+    # a SymmetricGM1 left side at exponent 1 rather than pbar = 4/3 is false
+    # on these draws, and each failing trial carries a witness that reloads
+    # to the same report
+    params = {"spec": NormSpec(((2, "x1"), (1, "x2"))).to_doc(), "lhs_exponent": "1"}
+    monkeypatch.setattr(search, "random_params", lambda kind, rng, max_axes=5: params)
+    cfg = TrialConfig(seed=1, trials=5, kinds=("SymmetricGM1",))
+    report = sweep(cfg)
+    block = report["kinds"]["SymmetricGM1"]
+    assert report["pass"] is False and block["pass"] is False
+    assert len(block["failures"]) == 5
+    for witness in block["failures"]:
+        inst = instance_from_doc(witness["instance"])
+        space = space_from_doc(witness["space"])
+        tensors = [tensor_from_doc(doc, space) for doc in witness["tensors"]]
+        trial = {"index": witness["report"]["trial"]["index"]}
+        rep = evaluate_instance(inst, tensors, tolerance=cfg.tolerance, seed=cfg.seed, trial=trial)
+        assert rep.to_doc() == witness["report"]
 
 
 def test_sweep_small_run_passes_and_reports():
