@@ -69,9 +69,10 @@ from .spaces import (
     NormSpec,
     Pass,
     Tensor,
+    check_values,
     distinct_inputs,
     exp_or_inf,
-    integral_log_inplace,
+    integral_logs_inplace,
     log_weights,
 )
 
@@ -163,7 +164,11 @@ def solve_subset_coefficients(
     the null space of the incidence constraints, scaled to stay nonnegative;
     'user' (alias 'user-supplied') validates the supplied coefficients.
     """
-    subsets = size_k_subsets(n, k)
+    return _solve_coefficients(n, k, size_k_subsets(n, k), strategy, seed, coefficients)
+
+
+def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
+    """solve_subset_coefficients on the k-subsets of {1..n} already listed."""
     if not isinstance(strategy, str):
         raise ValidationError(f"unknown coefficient strategy {strategy!r}")
     strategy = {"seeded-random-feasible": "random", "user-supplied": "user"}.get(
@@ -577,12 +582,12 @@ def _build_blei_ps(params, kind="BleiPS"):
         raise ValidationError(f"reciprocal q sum {total} exceeds 1")
     axes = _default_axes(n, params.get("axes"))
     if "c" in params and params["c"] is not None:
-        coeffs = solve_subset_coefficients(n, k, "user", coefficients=params["c"])
+        coeffs = _solve_coefficients(n, k, subsets, "user", None, params["c"])
         c_params = {"c": [_rational_doc(c) for c in coeffs]}
     else:
         strategy = params.get("strategy", "uniform")
         seed = params.get("seed")
-        coeffs = solve_subset_coefficients(n, k, strategy, seed=seed)
+        coeffs = _solve_coefficients(n, k, subsets, strategy, seed, None)
         c_params = {"strategy": strategy}
         if seed is not None:
             c_params["seed"] = seed
@@ -709,12 +714,13 @@ def _pair_ratio(log_lhs: float, log_rhs: float, tolerance: float):
     return exp_or_inf(log_lhs - log_rhs), False
 
 
-def _compile_pass(inst: InequalityInstance, space, slot_rows) -> tuple[Pass, tuple[float, ...]]:
-    """The instance's pass for one space axis order and pattern of repeated
-    inputs, with the right-side factors' weights.  Its norms, in output
-    order: the right-side factors, a MixedNorm or GmLpNorm left side, then
-    `lower`.  A GmLpNorm of two or more slots reads the slots' mean, one row
-    past the inputs; a ProductIntegral takes the slot sum."""
+def _compile_pass(inst: InequalityInstance, space, slot_rows, sets: int) -> tuple[Pass, tuple[float, ...]]:
+    """The instance's pass for one space axis order, pattern of repeated
+    inputs and number of input sets, with the right-side factors' weights.
+    Its norms, in output order for each set: the right-side factors, a
+    MixedNorm or GmLpNorm left side, then `lower`.  A GmLpNorm of two or
+    more slots reads the slots' mean, one row past the inputs; a
+    ProductIntegral takes the slot sum."""
     lhs = inst.lhs
     inputs = max(slot_rows) + 1
     mean = isinstance(lhs, GmLpNorm) and len(slot_rows) > 1
@@ -727,31 +733,71 @@ def _compile_pass(inst: InequalityInstance, space, slot_rows) -> tuple[Pass, tup
     if inst.lower is not None:
         requests.append((0, inst.lower))
     weights = tuple(float(f.weight) for f in inst.rhs)
-    return Pass(space, requests, inputs, slots, mean), weights
+    return Pass(space, requests, inputs, slots, mean, sets), weights
 
 
-def _log_sides(inst: InequalityInstance, fs: list[Tensor]) -> tuple[float, float, float | None]:
-    """(log lhs, log rhs, log lower or None) in one pass over the inputs,
-    cached on the instance for the space's axis order and the pattern of
-    repeated inputs."""
-    space = fs[0].space
-    slot_rows, inputs = distinct_inputs(fs)
-    key = (space.ids, slot_rows)
+def _log_sides(inst: InequalityInstance, space, slot_rows, arrays, sets: int = 1) -> list[tuple]:
+    """(log lhs, log rhs, log lower or None) of each of `sets` input sets in
+    one pass over their distinct inputs, arrays[k * inputs + r], with the
+    pass cached on the instance for the space's axis order, the pattern of
+    repeated inputs and the number of sets."""
+    key = (space.ids, slot_rows, sets)
     cached = inst._passes.get(key)
     if cached is None:
-        cached = inst._passes[key] = _compile_pass(inst, space, slot_rows)
+        cached = inst._passes[key] = _compile_pass(inst, space, slot_rows, sets)
     evaluation, weights = cached
     logw = log_weights(space)
-    values, acc = evaluation.run(inputs, logw)
-    log_rhs = 0.0
-    for weight, v in zip(weights, values):
-        log_rhs += weight * v
+    values, acc = evaluation.run(arrays, logw)
+    per = len(values) // sets
     if isinstance(inst.lhs, ProductIntegral):
-        log_lhs = integral_log_inplace(acc, space, logw)
+        lhs = integral_logs_inplace(acc, space, logw)
     else:
-        log_lhs = values[len(inst.rhs)]
-    log_lower = values[-1] if inst.lower is not None else None
-    return log_lhs, log_rhs, log_lower
+        lhs = values[len(inst.rhs) :: per]
+    rhs = []
+    for k in range(sets):
+        log_rhs = 0.0
+        for weight, v in zip(weights, values[k * per :]):
+            log_rhs += weight * v
+        rhs.append(log_rhs)
+    return list(zip(lhs, rhs, values[per - 1 :: per] if inst.lower is not None else [None] * sets))
+
+
+def _check_space(inst: InequalityInstance, space) -> None:
+    if set(space.ids) != set(inst.axis_ids):
+        raise ValidationError(
+            f"instance axes {sorted(inst.axis_ids)} do not match space axes {sorted(space.ids)}"
+        )
+
+
+def _ratio(log_lhs: float, log_rhs: float, log_lo: float | None, tolerance: float) -> tuple:
+    """(ratio, hard_failure, numerator, denominator) of one input set: the
+    worse of lower <= lhs and lhs <= rhs where a lower spec is set."""
+    if log_lo is not None:
+        r1, h1 = _pair_ratio(log_lo, log_lhs, tolerance)  # lower <= middle
+        r2, h2 = _pair_ratio(log_lhs, log_rhs, tolerance)  # middle <= upper
+        if r1 >= r2:
+            return r1, h1, log_lo, log_lhs
+        return r2, h2, log_lhs, log_rhs
+    return (*_pair_ratio(log_lhs, log_rhs, tolerance), log_lhs, log_rhs)
+
+
+def batch_log_sides(inst: InequalityInstance, space, values) -> list[tuple]:
+    """(log lhs, log rhs, log lower or None) of each input set of values, a
+    (K, arity, *space.shape) float array: set k puts values[k, i] in slot
+    i, as evaluate_instance would with one Tensor per slot, and gets the
+    same bits.  The values get Tensor's checks once for the whole array."""
+    _check_space(inst, space)
+    values = np.ascontiguousarray(values, dtype=float)
+    if values.shape[1:2] != (inst.arity,):
+        raise ValidationError(f"{inst.kind} takes {inst.arity} tensors per input set, got shape {values.shape}")
+    check_values(values, space.shape, lead=2)
+    return _log_sides(inst, space, tuple(range(inst.arity)), values.reshape(-1, *space.shape), len(values))
+
+
+def evaluate_batch(inst: InequalityInstance, space, values, tolerance: float = 1e-8) -> list[float]:
+    """The ratio evaluate_instance reports for each input set of values, a
+    (K, arity, *space.shape) float array, from one pass over all of them."""
+    return [_ratio(*sides, tolerance)[0] for sides in batch_log_sides(inst, space, values)]
 
 
 def evaluate_instance(
@@ -772,30 +818,19 @@ def evaluate_instance(
     for t in fs[1:]:
         if t.space != space:
             raise ValidationError("all tensors must live on one space")
-    if set(space.ids) != set(inst.axis_ids):
-        raise ValidationError(
-            f"instance axes {sorted(inst.axis_ids)} do not match space axes {sorted(space.ids)}"
-        )
+    _check_space(inst, space)
     meta = dict(trial or {})
     meta["kind"] = inst.kind
     if inst.derived.get("notes"):
         meta["notes"] = list(inst.derived["notes"])
 
-    log_lhs, log_rhs, log_lo = _log_sides(inst, fs)
-
+    slot_rows, arrays = distinct_inputs(fs)
+    log_lhs, log_rhs, log_lo = _log_sides(inst, space, slot_rows, arrays)[0]
+    ratio, hard, log_num, log_den = _ratio(log_lhs, log_rhs, log_lo, tolerance)
+    lhs_v, rhs_v = exp_or_inf(log_num), exp_or_inf(log_den)
     if log_lo is not None:
-        r1, h1 = _pair_ratio(log_lo, log_lhs, tolerance)  # lower <= middle
-        r2, h2 = _pair_ratio(log_lhs, log_rhs, tolerance)  # middle <= upper
         meta["log_lower"], meta["log_middle"], meta["log_upper"] = log_lo, log_lhs, log_rhs
-        if r1 >= r2:
-            ratio, hard = r1, h1
-            lhs_v, rhs_v = exp_or_inf(log_lo), exp_or_inf(log_lhs)
-        else:
-            ratio, hard = r2, h2
-            lhs_v, rhs_v = exp_or_inf(log_lhs), exp_or_inf(log_rhs)
     else:
-        ratio, hard = _pair_ratio(log_lhs, log_rhs, tolerance)
-        lhs_v, rhs_v = exp_or_inf(log_lhs), exp_or_inf(log_rhs)
         meta["log_lhs"], meta["log_rhs"] = log_lhs, log_rhs
 
     passed = (not hard) and ratio <= 1 + tolerance

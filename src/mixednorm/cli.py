@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("search", help="hill-climb the lhs/rhs ratio of an instance")
+    p = sub.add_parser("search", help="climb the lhs/rhs ratio of an instance by seeded populations")
     p.add_argument("--instance")
     p.add_argument("--kind")
     p.add_argument("--params")

@@ -2,10 +2,10 @@
 
 Everything here is deterministic given a master seed: per-trial generators
 are derived from (seed, kind index, trial index), so a sweep's report is a
-pure function of its config.  Hill climbing perturbs tensors
-multiplicatively (exponents may be infinite, so there is no gradient to
-follow) and always seeds from the indicator family that makes the
-geometric-mean inequalities tight.
+pure function of its config.  The violation search climbs by populations
+of multiplicative perturbations (exponents may be infinite, so there is no
+gradient to follow) and always starts from the indicator family that makes
+the geometric-mean inequalities tight.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .catalog import (
     KINDS,
     InequalityInstance,
     build_instance,
+    evaluate_batch,
     evaluate_instance,
     instance_to_doc,
 )
@@ -30,11 +31,15 @@ from .exponents import INF, as_exponent, harmonic_mean, reciprocal
 from .perms import orbit
 from .spaces import Axis, NormSpec, ProductSpace, Tensor, mixed_norm_logs
 
-# Values of random tensors, in sweeps and as hill-climb starts.
+# Values of random tensors, in sweeps and as climb starts.
 _VALUE_RANGE = (1e-2, 1e2)
-# Hill climb: first log-step, its shrink factor on a failed step, and the
-# step below which a start stops.
+# Population climb: candidates per step, first and largest log-step (a
+# growing step let values drift towards the float range's end), its factors
+# when more than 1/5 of a population beats the current point and otherwise,
+# and the step below which the climb resets it to _INIT_STEP.
+_POPULATION = 8
 _INIT_STEP = 0.5
+_STEP_GROW = 1.5
 _STEP_DECAY = 0.7
 _MIN_STEP = 1e-4
 # The most cells a probe grid may hold (2^24 float64 cells are 128 MiB).
@@ -249,12 +254,13 @@ class SearchResult:
         }
 
 
-def _indicator_starts(space: ProductSpace, arity: int) -> list[list[np.ndarray]]:
+def _indicator_starts(space: ProductSpace, arity: int) -> np.ndarray:
     """Box indicators aligned with the weight order — the scaling family's
     counterpart on a fixed space.  Small boxes of light atoms and large boxes
-    of heavy atoms are where power-law violations live."""
-    starts = []
-    seen = set()
+    of heavy atoms are where power-law violations live.  One input set per
+    distinct box, the box in every slot: a read-only (boxes, arity, *shape)
+    view of one array per box."""
+    boxes: dict = {}  # the distinct boxes in order of first appearance
     max_size = max(a.size for a in space.axes)
     for ascending in (True, False):
         orders = [
@@ -264,12 +270,8 @@ def _indicator_starts(space: ProductSpace, arity: int) -> list[list[np.ndarray]]
             vals = np.zeros(space.shape)
             picks = [order[: min(level, len(order))] for order in orders]
             vals[np.ix_(*picks)] = 1.0
-            key = vals.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            starts.append([vals] * arity)
-    return starts
+            boxes.setdefault(vals.tobytes(), vals)
+    return np.broadcast_to(np.array(list(boxes.values()))[:, None], (len(boxes), arity, *space.shape))
 
 
 def maximize_ratio(
@@ -280,14 +282,19 @@ def maximize_ratio(
     restarts: int = 6,
     tolerance: float = 1e-8,
 ) -> SearchResult:
-    """Multi-start hill climbing for the largest lhs/rhs ratio.
+    """Multi-start population climb for the largest lhs/rhs ratio.
 
-    Starts from the box-indicator family plus `restarts` seeded random
-    tensors, then climbs with multiplicative coordinate perturbations,
-    shrinking the step on failure.  A random start is drawn only when the
-    climb reaches it, so a large `restarts` costs nothing beyond the
-    evaluation budget.  Deterministic in the seed; re-evaluating the
-    returned witnesses reproduces best_ratio exactly.
+    The box-indicator starts are evaluated first, then `restarts` seeded
+    random starts are drawn as the climb reaches them, so a large
+    `restarts` costs nothing beyond the budget.  Each start climbs with an
+    even share of the budget left, so all of it is spent: a (1+λ) step
+    scores _POPULATION log-normal perturbations of the current tensors in
+    one evaluate_batch call and moves to the best if it beats them, and
+    the step size follows the 1/5 success rule, up to _INIT_STEP.  A step
+    below _MIN_STEP is reset to _INIT_STEP at the current point, which is
+    the start's best; fresh random points are the `restarts` starts' job.
+    Deterministic in the seed; re-evaluating the returned witnesses with
+    evaluate_instance reproduces best_ratio exactly.
     """
     if set(space.ids) != set(inst.axis_ids):
         raise ValidationError("space axes do not match the instance")
@@ -296,54 +303,54 @@ def maximize_ratio(
     if restarts < 0:
         raise ValidationError(f"restarts must be nonnegative, got {restarts}")
 
-    def ratio_of(arrays) -> float:
-        tensors = [Tensor(space, a) for a in arrays]
-        return evaluate_instance(inst, tensors, tolerance=tolerance).ratio
+    evals = 0
+
+    def ratios(population: np.ndarray) -> list[float]:
+        nonlocal evals
+        evals += len(population)
+        return evaluate_batch(inst, space, population, tolerance)
 
     indicators = _indicator_starts(space, inst.arity)
     n_starts = len(indicators) + restarts
+    indicators = indicators[:max_evals]
+    indicator_ratios = [
+        r for i in range(0, len(indicators), _POPULATION) for r in ratios(indicators[i : i + _POPULATION])
+    ]
     rng_init = _rng(seed, 1)
-    per_start = max(2, max_evals // max(1, n_starts))
-    evals = 0
-    best_ratio = -math.inf
-    best_arrays = None
-    best_start = 0
+    best_ratio, best_set, best_start = -math.inf, None, 0
     for si in range(n_starts):
-        if evals >= max_evals:
-            break
         if si < len(indicators):
-            current = indicators[si]
+            current, current_ratio = indicators[si], indicator_ratios[si]
+        elif evals < max_evals:
+            current = _log_uniform(rng_init, *_VALUE_RANGE, indicators.shape[1:])
+            current_ratio = ratios(current[None])[0]
         else:
-            current = [
-                _log_uniform(rng_init, *_VALUE_RANGE, space.shape) for _ in range(inst.arity)
-            ]
-        rng = _rng(seed, 2, si)
-        current_ratio = ratio_of(current)
-        evals += 1
-        used = 1
-        step = _INIT_STEP
-        while evals < max_evals and used < per_start and step >= _MIN_STEP:
-            candidate = [
-                a * np.exp(step * rng.standard_normal(a.shape)) for a in current
-            ]
-            cand_ratio = ratio_of(candidate)
-            evals += 1
-            used += 1
-            if cand_ratio > current_ratio:
-                current, current_ratio = candidate, cand_ratio
-            else:
-                step *= _STEP_DECAY
-        if current_ratio > best_ratio:
-            best_ratio, best_arrays, best_start = current_ratio, current, si
-    witnesses = tuple(Tensor(space, a) for a in best_arrays)
-    return SearchResult(
-        best_ratio=best_ratio,
-        witnesses=witnesses,
-        evaluations=evals,
-        starts=n_starts,
-        best_start=best_start,
-        seed=seed,
-    )
+            break
+        budget = (max_evals - evals) // (n_starts - si)
+        current, current_ratio = _climb(ratios, _rng(seed, 2, si), current, current_ratio, budget)
+        if best_set is None or current_ratio > best_ratio:
+            best_ratio, best_set, best_start = current_ratio, current, si
+    witnesses = tuple(Tensor(space, a) for a in best_set)
+    return SearchResult(best_ratio, witnesses, evals, n_starts, best_start, seed)
+
+
+def _climb(ratios, rng, current: np.ndarray, current_ratio: float, budget: int):
+    """The (1+λ) climb from one start with `budget` evaluations: the best
+    input set found and its ratio."""
+    step = _INIT_STEP
+    while budget > 0:
+        size = min(_POPULATION, budget)
+        population = current * np.exp(step * rng.standard_normal((size, *current.shape)))
+        found = ratios(population)
+        budget -= size
+        wins = [j for j, r in enumerate(found) if r > current_ratio]
+        if wins:
+            top = max(wins, key=found.__getitem__)
+            current, current_ratio = population[top], found[top]
+        step = min(_INIT_STEP, step * (_STEP_GROW if len(wins) > size / 5 else _STEP_DECAY))
+        if step < _MIN_STEP:
+            step = _INIT_STEP
+    return current, current_ratio
 
 
 # ---------------------------------------------------------------------------

@@ -12,23 +12,25 @@ log-domain path that masks zeros as -inf and uses shifted log-sum-exp so
 large exponents (12th powers and the like) cannot overflow.  The log path
 is the default and the oracle the catalog's verdicts rest on.
 
-Every log-domain result comes from one `Pass`: the norm requests of a few
-distinct inputs and of their slot sum (their logs added slot by slot, for a
-product integral or a geometric mean), compiled by a trie walk over the
-specs' columns so each distinct (input, column prefix) is reduced once.
-Each `run` chooses how to run its one plan.  Within `_BATCH_BYTES` the logs
-stack into one C-ordered array with a row per input (and one for the slot
-sum), and each plan node collapses one axis for every (row, exponent) pair
-reducing it at that depth, by one in-place shifted log-sum-exp (a maximum
-for an infinite exponent).  Above it the plan streams: each pair is reduced
-from the raw inputs in blocks of at most `_BATCH_BYTES`, each block logged
-once for every pair that shares it and added into the slot sum, until a
-node's outputs fit the budget and stack again.  Only the slot sum is
-full-size.  `mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and the
-catalog's `evaluate_instance` all run a `Pass`.  `Tensor` stores its values
-in C order, so a stacked row or a block sums each cell in the same order as
-a lone array, and each entry point returns bit for bit what a one-spec loop
-over whole arrays returns.
+Every log-domain result comes from one `Pass`: the norm requests of K input
+sets of a few distinct inputs each, and of each set's slot sum (its logs
+added slot by slot, for a product integral or a geometric mean), compiled
+by a trie walk over the specs' columns so each distinct (input, column
+prefix) is reduced once.  Each `run` chooses how to run its one plan.
+Within `_BATCH_BYTES` the logs stack into one C-ordered array with a row
+per input of every set (and one per set for the slot sum), and each plan
+node collapses one axis for every (row, exponent) pair reducing it at that
+depth, by one in-place shifted log-sum-exp (a maximum for an infinite
+exponent).  Above it the plan streams: each pair is reduced from the raw
+inputs in blocks of at most `_BATCH_BYTES`, each block logged once for
+every pair that shares it and added into the slot sums, until a node's
+outputs fit the budget and stack again.  Only the slot sums are full-size.
+`mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and the catalog's
+`evaluate_instance` all run a `Pass` of one set; the catalog's
+`evaluate_batch` runs K sets, one per candidate of a search population.
+`Tensor` stores its values in C order, so a stacked row or a block sums
+each cell in the same order as a lone array, and each entry point returns
+bit for bit what a one-spec loop over whole arrays returns.
 The direct path shares none of this code, so it stays an independent check.
 """
 
@@ -118,18 +120,7 @@ class Tensor:
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float, order="C")
-        if arr.shape != self.space.shape:
-            raise ValidationError(
-                f"tensor shape {arr.shape} does not match space shape {self.space.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            idx = int(np.flatnonzero(~np.isfinite(arr.reshape(-1)))[0])
-            raise ValidationError(f"tensor value at flat index {idx} is not finite")
-        if np.any(arr < 0):
-            idx = int(np.flatnonzero(arr.reshape(-1) < 0)[0])
-            raise ValidationError(
-                f"tensor value at flat index {idx} is negative ({arr.reshape(-1)[idx]})"
-            )
+        check_values(arr, self.space.shape)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -146,6 +137,21 @@ class Tensor:
                 f"expected {expected} values for shape {space.shape}, got {arr.size}"
             )
         return cls(space, arr.reshape(space.shape))
+
+
+def check_values(arr: np.ndarray, shape, lead: int = 0) -> None:
+    """Tensor's checks on a float array of value arrays of one shape, with
+    `lead` axes before it: the shape, then that every value is finite and
+    nonnegative.  An error names the first bad array's flat index."""
+    if arr.shape[lead:] != shape:
+        raise ValidationError(f"tensor shape {arr.shape[lead:]} does not match space shape {shape}")
+    flat = arr.reshape(-1)
+    if not np.isfinite(flat).all():
+        idx = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise ValidationError(f"tensor value at flat index {idx % math.prod(shape)} is not finite")
+    if (flat < 0).any():
+        idx = int(np.flatnonzero(flat < 0)[0])
+        raise ValidationError(f"tensor value at flat index {idx % math.prod(shape)} is negative ({flat[idx]})")
 
 
 @dataclass(frozen=True)
@@ -306,55 +312,70 @@ def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray) -> np.ndarra
 
 
 class Pass:
-    """One log-domain evaluation: the mixed norms of a few inputs and of
-    their slot sum, compiled once for a space's axis order.
+    """One log-domain evaluation: the mixed norms of K = `sets` input sets
+    of a few inputs each, and of each set's slot sum, compiled once for a
+    space's axis order.
 
-    requests holds (row, spec) pairs.  Row r < inputs reads input r; row
-    `inputs` reads the slot sum of two or more slots.  slots, where given,
-    lists the input row of each slot.  The slot sum adds the slots' logs in
-    slot order, and mean divides it by the slot count.  With one slot, the
-    slot sum is that input's log.
+    requests holds (row, spec) pairs of one set.  Row r < inputs reads input
+    r; row `inputs` reads the slot sum of two or more slots.  slots, where
+    given, lists the input row of each slot.  The slot sum adds the slots'
+    logs in slot order, and mean divides it by the slot count.  With one
+    slot, the slot sum is that input's log.  Each set's requests are the
+    same; the stack holds set k's inputs in rows k * inputs + r, then the K
+    slot sums, so set k's norms come out in positions k * len(requests) + i.
     """
 
-    def __init__(self, space: ProductSpace, requests, inputs: int, slots=None, mean: bool = False):
-        self.ids, self.inputs, self.slots, self.mean = space.ids, inputs, slots, mean
-        self.rows = inputs + (slots is not None and len(slots) > 1)
-        self.group = []  # (output index, row, float columns)
-        for i, (row, spec) in enumerate(requests):
+    def __init__(self, space: ProductSpace, requests, inputs: int, slots=None, mean: bool = False, sets: int = 1):
+        self.ids, self.inputs, self.slots, self.mean, self.sets = space.ids, inputs, slots, mean, sets
+        self.rows = sets * inputs  # the input rows; the slot sums, if any, follow them
+        columns = []
+        for row, spec in requests:
             spec.validate_for(space)
-            self.group.append((i, row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
+            columns.append((row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
+        self.group = [  # (output index, row, float columns)
+            (k * len(columns) + i, self.rows + k if row == inputs else k * inputs + row, cols)
+            for k in range(sets)
+            for i, (row, cols) in enumerate(columns)
+        ]
+        self.sums = sets if slots is not None and len(slots) > 1 else 0  # slot-sum rows
         self.plan, width = _compile(self.group, self.ids, 0)
-        self.width = max(width, self.rows)  # the most rows a stacked array holds
+        self.width = max(width, self.rows + self.sums)  # the most rows a stacked array holds
 
     def run(self, arrays, logw, log: bool = True):
-        """(log norms in request order, slot sum or None) of the distinct
-        inputs' arrays, raw values when log is set, else logs with zeros as
-        -inf; logw is the space's log_weights.  The arrays are not written,
-        and the slot sum is the caller's to overwrite."""
+        """(log norms in output order, slot sums or None) of the input rows
+        arrays[k * inputs + r], raw values when log is set, else logs with
+        zeros as -inf; logw is the space's log_weights.  arrays is a list
+        of arrays, or one array with the rows on axis 0.  The arrays are
+        not written.  The slot sums are a (sets, *shape) array, the
+        caller's to overwrite."""
         out = [0.0] * len(self.group)
-        acc = None
+        shape, acc = arrays[0].shape, None
         with np.errstate(divide="ignore", over="ignore"):
             if self.width * arrays[0].nbytes <= _BATCH_BYTES:
-                stack = np.empty((self.rows, *arrays[0].shape))
-                for row, arr in enumerate(arrays):
+                stack = np.empty((self.rows + self.sums, *shape))
+                # one array of rows is logged in one call, a list row by row
+                rows = [(slice(self.rows), arrays)] if isinstance(arrays, np.ndarray) else enumerate(arrays)
+                for row, arr in rows:
                     if log:
                         np.log(arr, out=stack[row])
                     else:
                         stack[row] = arr
-                if self.rows > self.inputs:
-                    acc = _fold(stack[self.inputs], stack, self.slots, self.mean)
-                elif self.slots is not None:
-                    acc = stack[self.slots[0]]
+                if self.slots is not None:
+                    by_slot = stack[: self.rows].reshape(self.sets, self.inputs, *shape).swapaxes(0, 1)
+                    acc = _fold(stack[self.rows :], by_slot, self.slots, self.mean) if self.sums else by_slot[self.slots[0]]
                 _run_plan(self.plan, stack, logw, out)
                 return out, acc
             arrays, fold = list(arrays), None
             if self.slots is not None:
-                acc = np.empty(arrays[0].shape)
-                columns = acc.reshape(len(acc), -1)
-                fold = lambda start, stop, logs: _fold(columns[:, start:stop], logs, self.slots, self.mean)
-                if self.rows > self.inputs:
-                    arrays.append(acc)
-            _stream_plan(self.plan, arrays, logw, out, self.inputs if log else 0, fold)
+                acc = np.empty((self.sets, *shape))
+                columns = acc.reshape(self.sets, len(acc[0]), -1)
+                fold = lambda start, stop, logs: [
+                    _fold(columns[k, :, start:stop], logs[k * self.inputs :], self.slots, self.mean)
+                    for k in range(self.sets)
+                ]
+                if self.sums:
+                    arrays.extend(acc)
+            _stream_plan(self.plan, arrays, logw, out, self.rows if log else 0, fold)
         return out, acc
 
 
@@ -405,8 +426,8 @@ def _compile(group, remaining, depth):
         else:
             if rows.count(rows[0]) == len(rows):  # one row, several exponents: broadcast it
                 sel = slice(rows[0], rows[0] + 1)
-            elif rows == list(range(rows[0], rows[0] + len(rows))):
-                sel = slice(rows[0], rows[0] + len(rows))
+            elif rows[1] > rows[0] and rows == list(range(rows[0], rows[-1] + 1, rows[1] - rows[0])):
+                sel = slice(rows[0], rows[-1] + 1, rows[1] - rows[0])  # evenly spaced: one per set
             else:
                 sel = np.array(rows)
             pf = None
@@ -563,14 +584,16 @@ def mixed_norm_log(f: Tensor, spec: NormSpec) -> float:
     return Pass(f.space, [(0, spec)], 1).run((f.values,), log_weights(f.space))[0][0]
 
 
-def integral_log_inplace(acc: np.ndarray, space: ProductSpace, logw) -> float:
-    """Log of the weighted sum of exp(acc) over the whole space; acc is overwritten."""
-    for i, axis in enumerate(space.ids):
-        shape = [1] * acc.ndim
+def integral_logs_inplace(rows: np.ndarray, space: ProductSpace, logw) -> list[float]:
+    """Log of the weighted sum of exp(row) over the whole space for each row
+    of a (rows, *space.shape) array, which is overwritten.  numpy sums each
+    row's cells in the order it sums them in a 1-D array."""
+    for i, axis in enumerate(space.ids, start=1):
+        shape = [1] * rows.ndim
         shape[i] = -1
-        acc += logw[axis].reshape(shape)
+        rows += logw[axis].reshape(shape)
     with np.errstate(divide="ignore", over="ignore"):
-        return float(_logsumexp_inplace(acc.reshape(-1), 0)[0])
+        return _logsumexp_inplace(rows.reshape(len(rows), -1), 1).ravel().tolist()
 
 
 def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
@@ -586,9 +609,10 @@ def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
             w = f.space.weight_array(aid)
             shape = [1] * arr.ndim
             shape[ax] = -1
-            powered = np.power(arr, pf)
-            powered *= w.reshape(shape)
-            arr = np.sum(powered, axis=ax) ** (1.0 / pf)
+            with np.errstate(over="ignore"):  # a power sum past the float range is inf
+                powered = np.power(arr, pf)
+                powered *= w.reshape(shape)
+                arr = np.sum(powered, axis=ax) ** (1.0 / pf)
         remaining.pop(ax)
     return float(arr)
 
@@ -616,12 +640,13 @@ def integrate_product(tensors, method: str = "log") -> float:
         slots, arrays = distinct_inputs(tensors)
         logw = log_weights(space)
         acc = Pass(space, (), len(arrays), slots).run(arrays, logw)[1]
-        return exp_or_inf(integral_log_inplace(acc, space, logw))
+        return exp_or_inf(integral_logs_inplace(acc, space, logw)[0])
     acc = tensors[0].values.copy()
-    for t in tensors[1:]:
-        acc *= t.values
-    for i, axis in enumerate(space.axes):
-        shape = [1] * acc.ndim
-        shape[i] = -1
-        acc *= np.asarray(axis.weights).reshape(shape)
-    return float(acc.sum())
+    with np.errstate(over="ignore"):  # a product past the float range is inf
+        for t in tensors[1:]:
+            acc *= t.values
+        for i, axis in enumerate(space.axes):
+            shape = [1] * acc.ndim
+            shape[i] = -1
+            acc *= np.asarray(axis.weights).reshape(shape)
+        return float(acc.sum())

@@ -35,7 +35,7 @@ from mixednorm import (
     solve_subset_coefficients,
 )
 from mixednorm import spaces
-from mixednorm.catalog import RhsFactor, _pair_ratio
+from mixednorm.catalog import RhsFactor, _pair_ratio, batch_log_sides, evaluate_batch
 from mixednorm.search import maximize_ratio, random_params
 from mixednorm.spaces import _BATCH_BYTES, log_values, mixed_norm_log, mixed_norm_logs
 
@@ -1013,3 +1013,86 @@ def test_holder_mixed_rejects_two_column_orders():
     )
     space = unit_space(("x1", "x2"), (3, 3))
     assert maximize_ratio(inst, space, seed=3).best_ratio <= 1 + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: K input sets in one pass
+
+
+def _batch_values(rng, sets, arity, shape):
+    values = np.exp(rng.uniform(-4, 4, (sets, arity, *shape)))
+    values[rng.random(values.shape) < 0.25] = 0.0
+    return values
+
+
+def _check_batch_rows(inst, space, values):
+    """Each input set's ratio and log sides from one batched call equal, by
+    float.hex, what evaluate_instance reports for that set's Tensors."""
+    sides = batch_log_sides(inst, space, values)
+    ratios = evaluate_batch(inst, space, values)
+    assert len(sides) == len(ratios) == len(values)
+    for row, (lhs, rhs, lower), ratio in zip(values, sides, ratios):
+        rep = evaluate_instance(inst, [Tensor(space, v) for v in row])
+        got = {"log_lhs": lhs, "log_rhs": rhs}
+        if lower is not None:
+            got = {"log_lower": lower, "log_middle": lhs, "log_upper": rhs}
+        hexed = lambda fields: {k: float(v).hex() for k, v in fields.items()}
+        assert hexed(got) == hexed(_log_fields(rep))
+        assert float(ratio).hex() == float(rep.ratio).hex()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    sets=st.integers(1, 9),
+    budget=st.sampled_from((256, _BATCH_BYTES)),
+)
+def test_batched_rows_equal_evaluate_instance(kind, seed, sets, budget):
+    # every kind's random draws on a random space whose axes come in another
+    # order than the instance's; with a 256-byte budget both sides stream
+    rng = np.random.default_rng(seed)
+    inst = build_instance(kind, random_params(kind, rng, max_axes=4))
+    ids = [inst.axis_ids[k] for k in rng.permutation(len(inst.axis_ids))]
+    space = random_space(rng, ids)
+    with _batch_budget(budget):
+        _check_batch_rows(inst, space, _batch_values(rng, sets, inst.arity, space.shape))
+
+
+def test_batched_rows_above_the_batch_budget_equal_evaluate_instance():
+    rng = np.random.default_rng(11)
+    # 16 Quad6 sets on 5^4 stack 112 rows, above the budget, where one set stacks
+    quad6 = build_instance("Quad6")
+    small = ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, 5)))) for a in quad6.axis_ids))
+    # a product integral whose every input row is above the budget on its own
+    specs = [NormSpec.uniform(p, ("x1", "x2", "x3")).to_doc() for p in ("3/2", 3)]
+    holder = build_instance("HolderMixed", {"specs": specs})
+    large = ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, 41)))) for a in ("x3", "x1", "x2")))
+    assert 8 * 41**3 > _BATCH_BYTES
+    with _streamed_plans() as streamed:
+        for inst, space, sets in ((quad6, small, 16), (holder, large, 3)):
+            _check_batch_rows(inst, space, _batch_values(rng, sets, inst.arity, space.shape))
+            assert id(inst._passes[space.ids, tuple(range(inst.arity)), sets][0].plan) in streamed
+    assert id(quad6._passes[small.ids, tuple(range(6)), 1][0].plan) not in streamed
+
+
+def test_batched_values_get_the_tensor_checks():
+    specs = [NormSpec.uniform(2, ("x1", "x2")).to_doc()] * 2
+    inst = build_instance("HolderMixed", {"specs": specs})
+    space = unit_space(("x1", "x2"), (2, 3))
+    good = np.ones((4, 2, 2, 3))
+    assert evaluate_batch(inst, space, good) == [1.0] * 4
+    for bad_value in (math.nan, math.inf, -0.5):
+        values = good.copy()
+        values[2, 1, 1, 0] = bad_value
+        with pytest.raises(ValidationError) as tensor_error:
+            Tensor(space, values[2, 1])
+        with pytest.raises(ValidationError) as batch_error:
+            evaluate_batch(inst, space, values)
+        assert str(batch_error.value) == str(tensor_error.value)
+        assert "flat index 3" in str(batch_error.value)
+    for shape in ((4, 1, 2, 3), (4, 2, 3, 2), (2, 3), (4, 2, 2, 3, 1)):
+        with pytest.raises(ValidationError, match="shape"):
+            evaluate_batch(inst, space, np.ones(shape))
+    with pytest.raises(ValidationError, match="axes"):
+        evaluate_batch(inst, unit_space(("x1", "x3"), (2, 3)), good)

@@ -202,6 +202,18 @@ def test_probe_overflow_raises_only_the_validation_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_direct_eval_past_the_float_range_prints_no_warning(capsys):
+    tensor = json.dumps(
+        {"shape": [2], "values": [1e300, 1e300], "space": {"axes": [{"id": "x1", "weights": [1e300, 1e300]}]}}
+    )
+    spec = json.dumps({"columns": [{"p": 1, "axis": "x1"}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, doc, err = run_json(capsys, "eval", "--method", "direct", "--tensor", tensor, "--spec", spec)
+    assert rc == 0 and err == ""
+    assert doc["norm"] == "inf" and doc["log_norm"] == 1382.2442029769873
+
+
 def test_probe_json_and_csv(capsys):
     rc, doc, _ = run_json(capsys, "probe", "--spec", SPEC_21, "--p", "2")
     assert rc == 0

@@ -1,5 +1,6 @@
-"""The randomized harness: trial configs, probes, hill climbing, sweeps."""
+"""The randomized harness: trial configs, probes, the violation search, sweeps."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -28,6 +29,7 @@ from mixednorm import (
     tensor_from_doc,
 )
 from mixednorm import search
+from mixednorm.catalog import RhsFactor, evaluate_batch
 from mixednorm.perms import all_permutations, lowers, raises
 from mixednorm.search import _monotone_images, random_params
 
@@ -128,7 +130,7 @@ def test_scaling_probe_doc():
 
 
 # ---------------------------------------------------------------------------
-# hill climbing
+# the violation search
 
 @pytest.fixture
 def wide_space():
@@ -175,6 +177,58 @@ def test_maximize_ratio_respects_soundness(wide_space):
     assert res.best_ratio <= 1 + 1e-8
     # ... and the indicator starts actually achieve equality here
     assert res.best_ratio == pytest.approx(1.0, rel=1e-10)
+
+
+def crossed_holder():
+    """HolderMixed with two column orders, which build_instance rejects:
+    Holder's inequality needs one order, and this system breaks it."""
+    a = NormSpec((("3/2", "x1"), (3, "x2")))
+    b = NormSpec((("3/2", "x2"), (3, "x1")))
+    one_order = NormSpec(((3, "x1"), ("3/2", "x2")))
+    sound = build_instance("HolderMixed", {"specs": [a.to_doc(), one_order.to_doc()]})
+    return dataclasses.replace(
+        sound, rhs=(RhsFactor(a, Fraction(1), 0), RhsFactor(b, Fraction(1), 1))
+    )
+
+
+def test_climb_finds_the_violation_the_indicator_starts_miss():
+    inst = crossed_holder()
+    space = ProductSpace(tuple(Axis(a, (1.0, 1.0, 1.0)) for a in ("x1", "x2")))
+    starts = search._indicator_starts(space, inst.arity)
+    assert len(starts) == 5
+    assert evaluate_batch(inst, space, starts) == [1.0] * 5
+    found = 0
+    for seed in range(10):
+        res = maximize_ratio(inst, space, seed=seed)
+        assert res.evaluations == 10_000
+        again = evaluate_instance(inst, list(res.witnesses)).ratio
+        assert float(again).hex() == float(res.best_ratio).hex()
+        found += res.best_ratio > 1 + 1e-8
+    assert found >= 7
+
+
+def test_maximize_ratio_spends_its_budget(wide_space):
+    rng = np.random.default_rng(8)
+    quad6 = build_instance("Quad6")
+    space = ProductSpace(
+        tuple(Axis(a, tuple(np.exp(rng.uniform(-7, 7, 5)))) for a in quad6.axis_ids)
+    )
+    for inst, space, max_evals in ((perturbed_gm1(), wide_space, 2_001), (quad6, space, 333)):
+        res = maximize_ratio(inst, space, seed=2, max_evals=max_evals)
+        assert res.evaluations == max_evals
+        assert all(isinstance(w, Tensor) for w in res.witnesses)
+        again = evaluate_instance(inst, list(res.witnesses)).ratio
+        assert float(again).hex() == float(res.best_ratio).hex()
+    # with the ratio 1 everywhere no population wins, so each start's step
+    # collapses below _MIN_STEP many times over and is reset each time
+    spec = NormSpec(((2, "x1"), (1, "x2"))).to_doc()
+    flat = build_instance("MinkowskiRaise", {"spec": spec, "perm": [1, 2], "direction": "raise"})
+    unit = ProductSpace(tuple(Axis(a, (1.0, 1.0)) for a in ("x1", "x2")))
+    res = maximize_ratio(flat, unit, seed=2, max_evals=5_000)
+    assert res.evaluations == 5_000 and res.best_ratio == 1.0
+    # a budget smaller than the indicator family stops part way through it
+    res = maximize_ratio(perturbed_gm1(), wide_space, seed=2, max_evals=3)
+    assert res.evaluations == 3 and res.best_ratio > 1
 
 
 def test_maximize_ratio_validates_space():

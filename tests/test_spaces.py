@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from mixednorm import (
     mixed_norm_log,
 )
 from mixednorm import spaces
-from mixednorm.spaces import integral_log_inplace, log_values, log_weights, mixed_norm_logs
+from mixednorm.spaces import integral_logs_inplace, log_values, log_weights, mixed_norm_logs
 
 
 def unit_space(*sizes):
@@ -307,7 +308,7 @@ def _reference_log_integral(tensors) -> float:
     acc = log_values(tensors[0])
     for t in tensors[1:]:
         acc += log_values(t)
-    return integral_log_inplace(acc, tensors[0].space, log_weights(tensors[0].space))
+    return integral_logs_inplace(acc[None], tensors[0].space, log_weights(tensors[0].space))[0]
 
 
 def test_log_path_streams_raw_values_and_keeps_its_bits():
@@ -434,8 +435,18 @@ def test_kernel_agrees_with_scipy_logsumexp():
         g = Tensor(space, np.exp(rng.uniform(-20, 20, n)))
         want_integral = special.logsumexp(logf + np.log(g.values), b=w)
         acc = logf + np.log(g.values)
-        got_integral = integral_log_inplace(acc, space, log_weights(space))
+        got_integral = integral_logs_inplace(acc[None], space, log_weights(space))[0]
         assert got_integral == pytest.approx(want_integral, rel=1e-12)
+
+
+def test_direct_path_gives_inf_beyond_the_float_range_without_warning():
+    space = ProductSpace((Axis("x1", (1e300, 1e300)), Axis("x2", (2.0,))))
+    f = Tensor(space, [[1e300], [1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1, 2, "1/2"):
+            assert eval_mixed_norm(f, NormSpec.uniform(p, ("x1", "x2")), method="direct") == math.inf
+        assert integrate_product([f, f], method="direct") == math.inf
 
 
 def test_log_path_gives_inf_beyond_the_float_range():
