@@ -25,6 +25,8 @@ exponent).  Above it the plan streams: each pair is reduced from the raw
 inputs in blocks of at most `_BATCH_BYTES`, each block logged once for
 every pair that shares it and added into the slot sums, until a node's
 outputs fit the budget and stack again.  Only the slot sums are full-size.
+A block (and a chunk of a product integral's flat pass) is the unit of work
+of a pool of one thread per CPU (`_map`); no result depends on the count.
 `mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and the catalog's
 `evaluate_instance` all run a `Pass` of one set; the catalog's
 `evaluate_batch` runs K sets, one per candidate of a search population.
@@ -37,6 +39,8 @@ The direct path shares none of this code, so it stays an independent check.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,22 +232,6 @@ class NormSpec:
         return cls(tuple(pairs))
 
 
-def _require_shared_space(tensors) -> ProductSpace:
-    if not tensors:
-        raise ValidationError("at least one tensor required")
-    space = tensors[0].space
-    for t in tensors[1:]:
-        if t.space != space:
-            raise ValidationError("tensors live on different spaces")
-    return space
-
-
-def log_values(t: Tensor) -> np.ndarray:
-    """Elementwise log with zeros mapped to -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(t.values)
-
-
 def log_weights(space: ProductSpace) -> dict[str, np.ndarray]:
     """The log of each axis's atom weights, keyed by axis id."""
     return {a.id: np.log(np.asarray(a.weights, dtype=float)) for a in space.axes}
@@ -288,12 +276,35 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
 # of one 13 MB slice, a call page-faulted about 1 GB).  On a 96x96x96x178
 # input (1.26 GB) the grid's MinkowskiRaise, SymmetricGM1 and HolderMixed
 # took about 2.0, 3.7 and 3.7 s in blocks, against 3.8, 7.0 and 4.5 s on
-# whole arrays.
+# whole arrays.  A block is also the unit of work handed to a worker (_map).
 _BATCH_BYTES = 1 << 19
 
 # The most columns the specs of an orbit or a subset family may hold
 # together (M specs over n axes hold M * n), checked before any is listed.
 _MAX_COLUMNS = 100_000
+
+_POOL_BYTES = 1 << 25  # a smaller loop runs inline: it gains little on threads, and its time varies more
+_WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_pool, _pool_lock = None, threading.Lock()  # the pool starts in the first _map that needs it
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _pool_lock=threading.Lock()))
+
+
+def _map(task, items: list, nbytes: int) -> list:
+    """[task(*item) for item in items], on the pool (numpy releases the GIL inside a ufunc) for two or
+    more items over nbytes >= _POOL_BYTES.  A task must not call _map: a nested map can deadlock."""
+    global _pool
+    if _WORKERS < 2 or len(items) < 2 or nbytes < _POOL_BYTES:
+        return [task(*item) for item in items]
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="mixednorm")
+
+    def quiet(item):  # numpy keeps the kernel's np.errstate per thread
+        with np.errstate(divide="ignore", over="ignore"):
+            return task(*item)
+    return list(_pool.map(quiet, items))
 
 
 def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray) -> np.ndarray:
@@ -517,7 +528,8 @@ def _reduce_blocks(arrays, heads, logw, raw: int, fold) -> list[np.ndarray]:
         width = max(2, _BATCH_BYTES // (8 * n0 * run) * run)
         matrices = [a.reshape(n0, -1) for a in arrays]
         used = range(len(arrays)) if fold else {heads[k][0] for k in columns}
-        for start, stop in _bounds(size // n0, width):
+
+        def column_block(start, stop):
             logs = {r: _logged(matrices[r][:, start:stop], r < raw) for r in used}
             if fold:
                 fold(start, stop, [logs[r] for r in range(len(arrays))])
@@ -529,17 +541,20 @@ def _reduce_blocks(arrays, heads, logw, raw: int, fold) -> list[np.ndarray]:
                     n = shape[ax]
                     cells = _reduce_run(logs[r], pf, n, shape[ax + 1 :], logw[aid])
                     reduced[k].reshape(n0, -1)[:, start // n : stop // n] = cells
+        _map(column_block, list(_bounds(size // n0, width)), 8 * size * len(used))
     if rows:
         first = min(heads[k][1] for k in rows)
         outer = math.prod(shape[:first])
         matrices = [a.reshape(outer, -1) for a in arrays]
         used = {heads[k][0] for k in rows}
-        for start, stop in _bounds(outer, max(1, _BATCH_BYTES * outer // (8 * size))):
+
+        def row_block(start, stop):
             logs = {r: _logged(matrices[r][start:stop], r < raw) for r in used}
             for k in rows:
                 r, ax, pf, aid, _ = heads[k]
                 cells = _reduce_run(logs[r], pf, shape[ax], shape[ax + 1 :], logw[aid])
                 reduced[k].reshape(outer, -1)[start:stop] = cells
+        _map(row_block, list(_bounds(outer, max(1, _BATCH_BYTES * outer // (8 * size)))), 8 * size * len(used))
     return reduced
 
 
@@ -587,13 +602,34 @@ def mixed_norm_log(f: Tensor, spec: NormSpec) -> float:
 def integral_logs_inplace(rows: np.ndarray, space: ProductSpace, logw) -> list[float]:
     """Log of the weighted sum of exp(row) over the whole space for each row
     of a (rows, *space.shape) array, which is overwritten.  numpy sums each
-    row's cells in the order it sums them in a 1-D array."""
-    for i, axis in enumerate(space.ids, start=1):
-        shape = [1] * rows.ndim
-        shape[i] = -1
-        rows += logw[axis].reshape(shape)
+    row's cells in the order it sums them in a 1-D array.  Above the budget
+    all but that sum runs on the pool, in chunks along the first space axis."""
+    ids, n1 = space.ids, rows.shape[1]
     with np.errstate(divide="ignore", over="ignore"):
-        return _logsumexp_inplace(rows.reshape(len(rows), -1), 1).ravel().tolist()
+        if rows.nbytes <= _BATCH_BYTES:
+            return _logsumexp_inplace(_add_log_weights(rows, ids, logw), 1).ravel().tolist()
+
+        def shifted_exp(start, stop):
+            block = rows[:, start:stop]
+            block -= shift
+            np.exp(block, out=block)
+
+        chunks = list(_bounds(n1, max(1, _BATCH_BYTES * n1 // rows.nbytes)))
+        maxima = _map(lambda a, b: np.maximum.reduce(_add_log_weights(rows, ids, logw, slice(a, b)), axis=1), chunks, rows.nbytes)
+        shift = np.maximum.reduce(maxima, axis=0).reshape((-1,) + (1,) * len(ids))
+        np.copyto(shift, 0.0, where=np.isinf(shift))
+        _map(shifted_exp, chunks, rows.nbytes)
+        return (np.log(np.add.reduce(rows.reshape(len(rows), -1), axis=1)) + shift.ravel()).tolist()
+
+
+def _add_log_weights(rows: np.ndarray, ids, logw, first=None) -> np.ndarray:
+    """Add each axis's log weights in axis order to rows, a stack of arrays
+    on those axes, or to rows[:, first]; return that with one row per array."""
+    block = rows if first is None else rows[:, first]
+    for i, axis in enumerate(ids):
+        w = logw[axis] if first is None or i else logw[axis][first]
+        block += w.reshape((-1,) + (1,) * (len(ids) - 1 - i))
+    return block.reshape(len(rows), -1)
 
 
 def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
@@ -635,7 +671,11 @@ def integrate_product(tensors, method: str = "log") -> float:
     """Integral of the pointwise product f_1 * ... * f_m over the product space."""
     if method not in ("log", "direct"):
         raise ValidationError(f"unknown evaluation method {method!r}")
-    space = _require_shared_space(tensors)
+    if not tensors:
+        raise ValidationError("at least one tensor required")
+    space = tensors[0].space
+    if any(t.space != space for t in tensors[1:]):
+        raise ValidationError("tensors live on different spaces")
     if method == "log":
         slots, arrays = distinct_inputs(tensors)
         logw = log_weights(space)

@@ -5,7 +5,9 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,13 +33,14 @@ from mixednorm import (
     evaluate_instance,
     instance_from_doc,
     instance_to_doc,
+    integrate_product,
     size_k_subsets,
     solve_subset_coefficients,
 )
 from mixednorm import spaces
 from mixednorm.catalog import RhsFactor, _pair_ratio, batch_log_sides, evaluate_batch
 from mixednorm.search import maximize_ratio, random_params
-from mixednorm.spaces import _BATCH_BYTES, log_values, mixed_norm_log, mixed_norm_logs
+from mixednorm.spaces import _BATCH_BYTES, mixed_norm_log, mixed_norm_logs
 
 
 def unit_space(ids, sizes):
@@ -55,6 +58,12 @@ def random_space(rng, ids, max_size=4):
 
 def random_tensor(rng, space):
     return Tensor(space, np.exp(rng.uniform(-2, 2, space.shape)))
+
+
+def log_values(t: Tensor) -> np.ndarray:
+    """The log of a tensor's values, with zeros as -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(t.values)
 
 
 # ---------------------------------------------------------------------------
@@ -743,21 +752,24 @@ _MINKOWSKI_48 = {
     "kind, params, bound",
     [("SymmetricGM1", _GM1_48, 0.5), ("MinkowskiRaise", _MINKOWSKI_48, 0.5), ("HolderMixed", _HOLDER_48, 1.25)],
 )
-def test_streamed_pass_peak_memory(kind, params, bound):
+def test_streamed_pass_peak_memory(kind, params, bound, workers):
     # Above the batch budget no full-size log or work array is made: a norm
     # needs only blocks and reduced arrays, and a product integral adds the
-    # one full-size accumulator its flat pass reads.
+    # one full-size accumulator its flat pass reads.  Two worker threads
+    # hold two blocks at a time, within the same bound.
     inst = build_instance(kind, params)
     space = unit_space(("x1", "x2", "x3", "x4"), (48,) * 4)
     f = Tensor(space, np.exp(np.random.default_rng(48).uniform(-1, 1, space.shape)))
-    tracemalloc.start()
-    try:
-        rep = evaluate_instance(inst, [f])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rep.passed
-    assert peak <= bound * f.values.nbytes
+    for n in (None, 2):
+        with workers(n):
+            tracemalloc.start()
+            try:
+                rep = evaluate_instance(inst, [f])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert rep.passed
+        assert peak <= bound * f.values.nbytes, n
 
 
 def test_distinct_inputs_above_the_batch_budget_keep_the_row_at_a_time_peak():
@@ -1096,3 +1108,48 @@ def test_batched_values_get_the_tensor_checks():
             evaluate_batch(inst, space, np.ones(shape))
     with pytest.raises(ValidationError, match="axes"):
         evaluate_batch(inst, unit_space(("x1", "x3"), (2, 3)), good)
+
+
+# ---------------------------------------------------------------------------
+# the streamed kernel on worker threads
+
+
+def test_streamed_results_are_the_same_bits_for_any_worker_count(workers):
+    # With a 256-byte budget these inputs stream in many blocks and the
+    # product integrals' flat pass runs in chunks, on pools of 1, 2 and 3
+    # threads.  A zero logs to -inf and an all-zero set sums to a zero
+    # integral: a task run without the kernel's np.errstate would warn, and
+    # warnings are errors here.
+    rng = np.random.default_rng(12)
+    sizes = {"x3": 6, "x1": 5, "x4": 4, "x2": 7}
+    space = ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, n)))) for a, n in sizes.items()))
+    cases = (("HolderMixed", _HOLDER_48), ("SymmetricGM1", _GM1_48), ("MinkowskiRaise", _MINKOWSKI_48))
+    insts = [build_instance(kind, params) for kind, params in cases]
+    sets = [_batch_values(rng, 3, inst.arity, space.shape) for inst in insts]
+    sets[0][1] = 0.0
+    spec = NormSpec((("3/2", "x2"), ("inf", "x3"), (3, "x1"), (1, "x4")))
+    f, g = (Tensor(space, v) for v in sets[0][0, :2])
+
+    def results():
+        out = []
+        for inst, values in zip(insts, sets):
+            rep = evaluate_instance(inst, [Tensor(space, v) for v in values[0]])
+            out.append({k: float(v).hex() for k, v in _log_fields(rep).items()})
+            out.append([float(r).hex() for r in evaluate_batch(inst, space, values)])
+        out.append(float(mixed_norm_log(f, spec)).hex())
+        out.append(float(integrate_product([f, g, f])).hex())
+        return out
+
+    seen = {"stacked": results()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock between threads often
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 3):
+                with _batch_budget(256), workers(n):
+                    seen[n] = results()
+                    assert (spaces._pool is not None) == (n > 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen[1] == seen[2] == seen[3] == seen["stacked"]

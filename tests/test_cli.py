@@ -351,6 +351,15 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["pbar"] == "4/3"
 
 
+def test_cold_cli_import_skips_the_thread_pool_module():
+    # concurrent.futures costs about 6 ms of a cold start; only a streamed
+    # loop of two or more blocks imports it
+    code = "import sys, mixednorm.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # malformed and extreme inputs, every subcommand
 

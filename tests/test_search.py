@@ -28,7 +28,7 @@ from mixednorm import (
     sweep,
     tensor_from_doc,
 )
-from mixednorm import search
+from mixednorm import search, spaces
 from mixednorm.catalog import RhsFactor, evaluate_batch
 from mixednorm.perms import all_permutations, lowers, raises
 from mixednorm.search import _monotone_images, random_params
@@ -166,6 +166,19 @@ def test_maximize_ratio_is_deterministic(wide_space):
     assert all(
         np.array_equal(x.values, y.values) for x, y in zip(a.witnesses, b.witnesses)
     )
+
+
+def test_small_inputs_never_start_the_kernel_pool(workers, wide_space):
+    # sweep-, search- and batch-sized inputs fit the batch budget, so they
+    # run on the calling thread even where the pool would have two workers
+    with workers(2):
+        sweep(TrialConfig(seed=3, trials=2))
+        maximize_ratio(perturbed_gm1(), wide_space, seed=17, max_evals=200)
+        quad6 = build_instance("Quad6")
+        space = ProductSpace(tuple(Axis(a, (1.0,) * 5) for a in quad6.axis_ids))
+        values = np.random.default_rng(4).uniform(0, 1, (8, quad6.arity, *space.shape))
+        evaluate_batch(quad6, space, values)
+        assert spaces._pool is None
 
 
 def test_maximize_ratio_respects_soundness(wide_space):

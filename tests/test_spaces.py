@@ -20,13 +20,19 @@ from mixednorm import (
     mixed_norm_log,
 )
 from mixednorm import spaces
-from mixednorm.spaces import integral_logs_inplace, log_values, log_weights, mixed_norm_logs
+from mixednorm.spaces import integral_logs_inplace, log_weights, mixed_norm_logs
 
 
 def unit_space(*sizes):
     return ProductSpace(
         tuple(Axis(f"x{i + 1}", (1.0,) * s) for i, s in enumerate(sizes))
     )
+
+
+def log_values(t: Tensor) -> np.ndarray:
+    """The log of a tensor's values, with zeros as -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(t.values)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +310,26 @@ def test_direct_path_holds_one_temporary_and_keeps_its_bits():
 
 
 def _reference_log_integral(tensors) -> float:
-    """The log of the product integral from one full-size log per input."""
+    """The log of the product integral from one full-size log per input,
+    summed by one shifted log-sum-exp over the whole array."""
     acc = log_values(tensors[0])
     for t in tensors[1:]:
         acc += log_values(t)
-    return integral_logs_inplace(acc[None], tensors[0].space, log_weights(tensors[0].space))[0]
+    for i, axis in enumerate(tensors[0].space.axes):
+        shape = [1] * acc.ndim
+        shape[i] = -1
+        acc += np.log(np.asarray(axis.weights)).reshape(shape)
+    flat = acc.reshape(-1)
+    top = np.max(flat)
+    shift = top if np.isfinite(top) else 0.0
+    with np.errstate(divide="ignore"):
+        return float(np.log(np.sum(np.exp(flat - shift))) + shift)
 
 
-def test_log_path_streams_raw_values_and_keeps_its_bits():
+def test_log_path_streams_raw_values_and_keeps_its_bits(workers):
     # Above the batch budget a norm needs only blocks of the input's log and
     # reduced arrays, and a product integral adds the one full-size slot sum
-    # its flat pass reads.
+    # its flat pass reads, at the default worker count and on two threads.
     rng = np.random.default_rng(48)
     shape = (48, 48, 48, 48)
     space = ProductSpace(
@@ -322,15 +337,31 @@ def test_log_path_streams_raw_values_and_keeps_its_bits():
     )
     f, g = (Tensor(space, np.exp(rng.uniform(-1, 1, shape))) for _ in range(2))
     spec = NormSpec((("3/2", "x2"), ("inf", "x3"), (3, "x1"), (1, "x4")))
-    log_norm, peak = _traced_peak(mixed_norm_log, f, spec)
-    assert log_norm == _reference_log_norm(f, spec)
-    assert peak <= 0.25 * f.values.nbytes
-    norm, peak = _traced_peak(eval_mixed_norm, f, spec)
-    assert norm == math.exp(log_norm)
-    assert peak <= 0.25 * f.values.nbytes
-    integral, peak = _traced_peak(integrate_product, [f, g, f])
-    assert integral == math.exp(_reference_log_integral([f, g, f]))
-    assert peak <= 1.25 * f.values.nbytes
+    want_norm, want_integral = _reference_log_norm(f, spec), _reference_log_integral([f, g, f])
+    for n in (None, 2):
+        with workers(n):
+            log_norm, peak = _traced_peak(mixed_norm_log, f, spec)
+            assert log_norm == want_norm
+            assert peak <= 0.25 * f.values.nbytes
+            norm, peak = _traced_peak(eval_mixed_norm, f, spec)
+            assert norm == math.exp(log_norm)
+            assert peak <= 0.25 * f.values.nbytes
+            integral, peak = _traced_peak(integrate_product, [f, g, f])
+        assert integral == math.exp(want_integral)
+        assert peak <= 1.25 * f.values.nbytes
+
+
+def test_streamed_loops_below_the_pool_size_stay_on_the_calling_thread(monkeypatch):
+    # a 32^4 input (8 MiB) streams in blocks, but no loop reads _POOL_BYTES
+    monkeypatch.setattr(spaces, "_WORKERS", 2)
+    monkeypatch.setattr(spaces, "_pool", None)
+    rng = np.random.default_rng(32)
+    space = ProductSpace(tuple(Axis(f"x{i + 1}", tuple(rng.uniform(0.5, 2, 32))) for i in range(4)))
+    f, g = (Tensor(space, rng.uniform(0.5, 2, space.shape)) for _ in range(2))
+    assert spaces._BATCH_BYTES < f.values.nbytes < spaces._POOL_BYTES
+    mixed_norm_log(f, NormSpec((("3/2", "x2"), ("inf", "x3"), (3, "x1"), (1, "x4"))))
+    integrate_product([f, g, f])
+    assert spaces._pool is None
 
 
 # ---------------------------------------------------------------------------
