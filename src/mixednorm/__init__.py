@@ -1,6 +1,11 @@
 """Weighted mixed norms on finite product spaces, the permutation calculus
 that reorders them, and a verified catalog of the inequalities they satisfy.
+
+Importing the package loads only the exact layer (exponents, specs, perms,
+catalog), which needs no numpy; the numeric names resolve on first use.
 """
+
+import importlib
 
 from .catalog import (
     KINDS,
@@ -9,24 +14,12 @@ from .catalog import (
     MixedNorm,
     ProductIntegral,
     SubsetSystem,
-    VerificationReport,
     build_instance,
     check_holder_system,
-    evaluate_batch,
-    evaluate_instance,
     instance_from_doc,
     instance_to_doc,
     size_k_subsets,
     solve_subset_coefficients,
-)
-from .documents import (
-    json_float,
-    load_validated,
-    space_from_doc,
-    space_to_doc,
-    tensor_from_csv,
-    tensor_from_doc,
-    tensor_to_doc,
 )
 from .errors import ValidationError
 from .exponents import (
@@ -35,6 +28,7 @@ from .exponents import (
     as_exponent,
     exponent_to_doc,
     harmonic_mean,
+    json_float,
     reciprocal,
     to_float,
 )
@@ -53,24 +47,32 @@ from .perms import (
     raises,
     sorting_permutations,
 )
-from .search import (
-    ScalingProbe,
-    SearchResult,
-    TrialConfig,
-    maximize_ratio,
-    random_inputs,
-    scaling_probe,
-    sweep,
-)
-from .spaces import (
-    Axis,
-    NormSpec,
-    ProductSpace,
-    Tensor,
-    eval_mixed_norm,
-    integrate_product,
-    mixed_norm_log,
-)
+from .specs import Axis, NormSpec, ProductSpace
+
+# The numeric layer's names, by module; each module, and numpy with it, is
+# imported on the first access to one of its names.
+_NUMERIC = {
+    "documents": ("load_validated", "space_from_doc", "space_to_doc", "tensor_from_csv",
+                  "tensor_from_doc", "tensor_to_doc"),
+    "evaluation": ("VerificationReport", "evaluate_batch", "evaluate_instance"),
+    "search": ("ScalingProbe", "SearchResult", "TrialConfig", "maximize_ratio", "random_inputs",
+               "scaling_probe", "sweep"),
+    "spaces": ("Tensor", "eval_mixed_norm", "integrate_product", "mixed_norm_log"),
+}
+
+
+def __getattr__(name):
+    """A numeric name, imported on first access and kept (PEP 562)."""
+    for module, names in _NUMERIC.items():
+        if name in names:
+            globals()[name] = value = getattr(importlib.import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "1.0.0"
 

@@ -11,7 +11,8 @@ not exceed the left side.  The exact rational data the inequality needs
 (harmonic means, complementary exponents, subset coefficients) is kept in a
 `derived` block.  Instances are built from plain parameter dicts, serialize
 to {"kind", "params", "derived"} documents, and are re-derived and
-cross-checked on load.
+cross-checked on load.  All of this is exact and needs no numpy; the
+`evaluation` module evaluates instances on tensors.
 
 Kinds
 -----
@@ -42,9 +43,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
-from .documents import json_float
 from .errors import ValidationError
 from .exponents import (
     INF,
@@ -52,6 +50,7 @@ from .exponents import (
     as_exponent,
     exponent_to_doc,
     harmonic_mean,
+    json_float,
     reciprocal,
     to_float,
 )
@@ -64,17 +63,7 @@ from .perms import (
     raises,
     sorting_permutations,
 )
-from .spaces import (
-    _MAX_COLUMNS,
-    NormSpec,
-    Pass,
-    Tensor,
-    check_values,
-    distinct_inputs,
-    exp_or_inf,
-    integral_logs_inplace,
-    log_weights,
-)
+from .specs import _MAX_COLUMNS, NormSpec
 
 KINDS = (
     "HolderMixed",
@@ -196,6 +185,7 @@ def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
     if strategy == "random":
         if not isinstance(seed, int) or seed < 0:
             raise ValidationError(f"random strategy needs a nonnegative integer seed, got {seed!r}")
+        import numpy as np  # the one numeric step of the exact layer
         uniform = np.full(len(subsets), 1.0 / math.comb(n - 1, k - 1))
         incidence = np.zeros((n, len(subsets)))
         for i, s in enumerate(subsets):
@@ -293,37 +283,9 @@ class InequalityInstance:
     params: dict
     derived: dict
     lower: NormSpec | None = None
-    # evaluation passes with the factor weights, keyed by (space axis ids, slot -> row)
+    # the `evaluation` module's passes with the factor weights, keyed by
+    # (space axis ids, slot -> row, input sets)
     _passes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    margin: float
-    passed: bool
-    hard_failure: bool
-    tolerance: float
-    seed: int | None
-    trial: dict
-
-    def to_doc(self) -> dict:
-        return {
-            "lhs": json_float(self.lhs),
-            "rhs": json_float(self.rhs),
-            "ratio": json_float(self.ratio),
-            "margin": json_float(self.margin),
-            "pass": self.passed,
-            "hard_failure": self.hard_failure,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "trial": {
-                k: json_float(v) if isinstance(v, float) else v
-                for k, v in self.trial.items()
-            },
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -689,165 +651,3 @@ def instance_from_doc(doc) -> InequalityInstance:
                 f"derived fields do not match recomputation: {bad}"
             )
     return inst
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-def _resolve_inputs(inst: InequalityInstance, tensors) -> list[Tensor]:
-    tensors = list(tensors)
-    if len(tensors) == inst.arity:
-        return tensors
-    if len(tensors) == 1 and inst.arity > 1:
-        return tensors * inst.arity  # one function in every slot
-    raise ValidationError(
-        f"{inst.kind} takes {inst.arity} tensors (or 1 to broadcast), got {len(tensors)}"
-    )
-
-
-def _pair_ratio(log_lhs: float, log_rhs: float, tolerance: float):
-    """(ratio, hard_failure) under the 0/0 -> 0 convention."""
-    if log_rhs == -math.inf:
-        if log_lhs == -math.inf or exp_or_inf(log_lhs) <= tolerance:
-            return 0.0, False
-        return math.inf, True
-    return exp_or_inf(log_lhs - log_rhs), False
-
-
-def _compile_pass(inst: InequalityInstance, space, slot_rows, sets: int) -> tuple[Pass, tuple[float, ...]]:
-    """The instance's pass for one space axis order, pattern of repeated
-    inputs and number of input sets, with the right-side factors' weights.
-    Its norms, in output order for each set: the right-side factors, a
-    MixedNorm or GmLpNorm left side, then `lower`.  A GmLpNorm of two or
-    more slots reads the slots' mean, one row past the inputs; a
-    ProductIntegral takes the slot sum."""
-    lhs = inst.lhs
-    inputs = max(slot_rows) + 1
-    mean = isinstance(lhs, GmLpNorm) and len(slot_rows) > 1
-    slots = slot_rows if mean or isinstance(lhs, ProductIntegral) else None
-    requests = [(slot_rows[f.input_index], f.spec) for f in inst.rhs]
-    if isinstance(lhs, MixedNorm):
-        requests.append((0, lhs.spec))
-    elif isinstance(lhs, GmLpNorm):
-        requests.append((inputs if mean else 0, NormSpec.uniform(lhs.exponent, space.ids)))
-    if inst.lower is not None:
-        requests.append((0, inst.lower))
-    weights = tuple(float(f.weight) for f in inst.rhs)
-    return Pass(space, requests, inputs, slots, mean, sets), weights
-
-
-def _log_sides(inst: InequalityInstance, space, slot_rows, arrays, sets: int = 1) -> list[tuple]:
-    """(log lhs, log rhs, log lower or None) of each of `sets` input sets in
-    one pass over their distinct inputs, arrays[k * inputs + r], with the
-    pass cached on the instance for the space's axis order, the pattern of
-    repeated inputs and the number of sets."""
-    key = (space.ids, slot_rows, sets)
-    cached = inst._passes.get(key)
-    if cached is None:
-        cached = inst._passes[key] = _compile_pass(inst, space, slot_rows, sets)
-    evaluation, weights = cached
-    logw = log_weights(space)
-    values, acc = evaluation.run(arrays, logw)
-    per = len(values) // sets
-    if isinstance(inst.lhs, ProductIntegral):
-        lhs = integral_logs_inplace(acc, space, logw)
-    else:
-        lhs = values[len(inst.rhs) :: per]
-    rhs = []
-    for k in range(sets):
-        log_rhs = 0.0
-        for weight, v in zip(weights, values[k * per :]):
-            log_rhs += weight * v
-        rhs.append(log_rhs)
-    return list(zip(lhs, rhs, values[per - 1 :: per] if inst.lower is not None else [None] * sets))
-
-
-def _check_space(inst: InequalityInstance, space) -> None:
-    if set(space.ids) != set(inst.axis_ids):
-        raise ValidationError(
-            f"instance axes {sorted(inst.axis_ids)} do not match space axes {sorted(space.ids)}"
-        )
-
-
-def _ratio(log_lhs: float, log_rhs: float, log_lo: float | None, tolerance: float) -> tuple:
-    """(ratio, hard_failure, numerator, denominator) of one input set: the
-    worse of lower <= lhs and lhs <= rhs where a lower spec is set."""
-    if log_lo is not None:
-        r1, h1 = _pair_ratio(log_lo, log_lhs, tolerance)  # lower <= middle
-        r2, h2 = _pair_ratio(log_lhs, log_rhs, tolerance)  # middle <= upper
-        if r1 >= r2:
-            return r1, h1, log_lo, log_lhs
-        return r2, h2, log_lhs, log_rhs
-    return (*_pair_ratio(log_lhs, log_rhs, tolerance), log_lhs, log_rhs)
-
-
-def batch_log_sides(inst: InequalityInstance, space, values) -> list[tuple]:
-    """(log lhs, log rhs, log lower or None) of each input set of values, a
-    (K, arity, *space.shape) float array: set k puts values[k, i] in slot
-    i, as evaluate_instance would with one Tensor per slot, and gets the
-    same bits.  The values get Tensor's checks once for the whole array."""
-    _check_space(inst, space)
-    values = np.ascontiguousarray(values, dtype=float)
-    if values.shape[1:2] != (inst.arity,):
-        raise ValidationError(f"{inst.kind} takes {inst.arity} tensors per input set, got shape {values.shape}")
-    check_values(values, space.shape, lead=2)
-    return _log_sides(inst, space, tuple(range(inst.arity)), values.reshape(-1, *space.shape), len(values))
-
-
-def evaluate_batch(inst: InequalityInstance, space, values, tolerance: float = 1e-8) -> list[float]:
-    """The ratio evaluate_instance reports for each input set of values, a
-    (K, arity, *space.shape) float array, from one pass over all of them."""
-    return [_ratio(*sides, tolerance)[0] for sides in batch_log_sides(inst, space, values)]
-
-
-def evaluate_instance(
-    inst: InequalityInstance,
-    tensors,
-    tolerance: float = 1e-8,
-    seed: int | None = None,
-    trial: dict | None = None,
-) -> VerificationReport:
-    """Evaluate both sides in the log domain and report the ratio.
-
-    pass <=> ratio <= 1 + tolerance; a zero right side with a left side above
-    tolerance is flagged as a hard failure.  A side beyond the float range is
-    reported as inf.
-    """
-    fs = _resolve_inputs(inst, tensors)
-    space = fs[0].space
-    for t in fs[1:]:
-        if t.space != space:
-            raise ValidationError("all tensors must live on one space")
-    _check_space(inst, space)
-    meta = dict(trial or {})
-    meta["kind"] = inst.kind
-    if inst.derived.get("notes"):
-        meta["notes"] = list(inst.derived["notes"])
-
-    slot_rows, arrays = distinct_inputs(fs)
-    log_lhs, log_rhs, log_lo = _log_sides(inst, space, slot_rows, arrays)[0]
-    ratio, hard, log_num, log_den = _ratio(log_lhs, log_rhs, log_lo, tolerance)
-    lhs_v, rhs_v = exp_or_inf(log_num), exp_or_inf(log_den)
-    if log_lo is not None:
-        meta["log_lower"], meta["log_middle"], meta["log_upper"] = log_lo, log_lhs, log_rhs
-    else:
-        meta["log_lhs"], meta["log_rhs"] = log_lhs, log_rhs
-
-    passed = (not hard) and ratio <= 1 + tolerance
-    if math.isfinite(rhs_v) and math.isfinite(lhs_v):
-        margin = rhs_v - lhs_v
-    elif rhs_v == lhs_v:
-        margin = 0.0
-    else:
-        margin = math.inf if rhs_v > lhs_v else -math.inf
-    return VerificationReport(
-        lhs=lhs_v,
-        rhs=rhs_v,
-        ratio=ratio,
-        margin=margin,
-        passed=passed,
-        hard_failure=hard,
-        tolerance=tolerance,
-        seed=seed,
-        trial=meta,
-    )

@@ -5,6 +5,8 @@ verify, coeffs, probe, search, sweep.  Machine output is JSON on stdout
 (sorted keys, so identical runs are byte-identical); diagnostics go to
 stderr.  Exit codes: 0 ok, 1 verification failure, 2 usage or validation
 error.  Document arguments accept an inline JSON literal or a file path.
+The exact subcommands (orbit, decompose, plan, coeffs) never load numpy:
+the handlers of the numeric ones import the numeric modules themselves.
 """
 
 from __future__ import annotations
@@ -20,18 +22,15 @@ from .catalog import (
     KINDS,
     SubsetSystem,
     build_instance,
-    evaluate_instance,
     instance_from_doc,
     instance_to_doc,
     size_k_subsets,
     solve_subset_coefficients,
 )
-from .documents import json_float, space_from_doc, tensor_from_doc
 from .errors import ValidationError
-from .exponents import as_exponent, exponent_to_doc, to_float
+from .exponents import as_exponent, exponent_to_doc, json_float, to_float
 from .perms import Permutation, decompose, orbit, orbit_info
-from .search import TrialConfig, maximize_ratio, random_inputs, scaling_probe, sweep
-from .spaces import NormSpec, eval_mixed_norm, exp_or_inf, mixed_norm_log
+from .specs import NormSpec
 
 PROBE_RTOL = 1e-9
 
@@ -99,18 +98,13 @@ def _instance_from_args(args):
     return build_instance(_resolve_kind(args.kind), params)
 
 
-def _tensors_from_args(args):
-    space = None
-    if args.space is not None:
-        space = space_from_doc(_load_doc(args.space))
-    tensors = [tensor_from_doc(_load_doc(d), space) for d in args.tensors]
-    return tensors
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_eval(args) -> int:
+    from .documents import space_from_doc, tensor_from_doc
+    from .spaces import eval_mixed_norm, exp_or_inf, mixed_norm_log
+
     spec = NormSpec.from_doc(_load_doc(args.spec))
     space = space_from_doc(_load_doc(args.space)) if args.space is not None else None
     tensor = tensor_from_doc(_load_doc(args.tensor), space)
@@ -163,6 +157,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .documents import space_from_doc, tensor_from_doc
+    from .evaluation import evaluate_instance
+    from .search import TrialConfig, random_inputs
+
     inst = _instance_from_args(args)
     reports = []
     if args.random is not None:
@@ -182,7 +180,8 @@ def _cmd_verify(args) -> int:
     else:
         if not args.tensors:
             raise ValidationError("pass input tensors via --tensors or use --random N --seed S")
-        tensors = _tensors_from_args(args)
+        space = space_from_doc(_load_doc(args.space)) if args.space is not None else None
+        tensors = [tensor_from_doc(_load_doc(d), space) for d in args.tensors]
         reports.append(evaluate_instance(inst, tensors, tolerance=args.tol))
     all_pass = all(r.passed for r in reports)
     worst = max(range(len(reports)), key=lambda i: reports[i].ratio)
@@ -215,6 +214,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .search import scaling_probe
+
     spec = NormSpec.from_doc(_load_doc(args.spec))
     try:
         t_grid = [float(x) for x in re.split(r"[,\s]+", args.t_grid.strip()) if x]
@@ -234,6 +235,9 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .documents import space_from_doc
+    from .search import maximize_ratio
+
     inst = _instance_from_args(args)
     if args.space is None:
         raise ValidationError("search needs a --space document")
@@ -255,6 +259,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .search import TrialConfig, sweep
+
     kinds = None
     if args.kinds is not None:
         kinds = tuple(_resolve_kind(k) for k in args.kinds.split(",") if k)

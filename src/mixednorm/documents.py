@@ -14,13 +14,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import Axis, ProductSpace, Tensor
-
-
-def json_float(x: float):
-    """x for a strict-JSON document: the float itself, or its name ("inf",
-    "-inf") when it is not finite."""
-    return float(x) if math.isfinite(x) else str(x)
+from .spaces import Tensor
+from .specs import Axis, ProductSpace
 
 
 def space_to_doc(space: ProductSpace) -> dict:

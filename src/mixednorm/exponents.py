@@ -101,6 +101,12 @@ def to_float(e: Exponent) -> float:
     return f
 
 
+def json_float(x: float):
+    """x for a strict-JSON document: the float itself, or its name ("inf",
+    "-inf") when it is not finite."""
+    return float(x) if math.isfinite(x) else str(x)
+
+
 def exponent_to_doc(e: Exponent):
     """JSON form: 'inf', an int, a float when binary-exact, else 'a/b'."""
     if e is INF:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .exponents import Exponent, harmonic_mean
-from .spaces import _MAX_COLUMNS, NormSpec
+from .specs import _MAX_COLUMNS, NormSpec
 
 
 @dataclass(frozen=True)

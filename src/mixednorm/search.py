@@ -17,19 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import (
-    KINDS,
-    InequalityInstance,
-    build_instance,
-    evaluate_batch,
-    evaluate_instance,
-    instance_to_doc,
-)
-from .documents import json_float, space_to_doc, tensor_to_doc
+from .catalog import KINDS, InequalityInstance, build_instance, instance_to_doc
+from .documents import space_to_doc, tensor_to_doc
 from .errors import ValidationError
-from .exponents import INF, as_exponent, harmonic_mean, reciprocal
+from .evaluation import evaluate_batch, evaluate_instance
+from .exponents import INF, as_exponent, harmonic_mean, json_float, reciprocal
 from .perms import orbit
-from .spaces import Axis, NormSpec, ProductSpace, Tensor, mixed_norm_logs
+from .spaces import Tensor, mixed_norm_logs
+from .specs import Axis, NormSpec, ProductSpace
 
 # Values of random tensors, in sweeps and as climb starts.
 _VALUE_RANGE = (1e-2, 1e2)

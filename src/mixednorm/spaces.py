@@ -1,4 +1,4 @@
-"""Finite weighted product spaces, nonnegative tensors, and mixed norms.
+"""Nonnegative tensors on finite product spaces, and their mixed norms.
 
 A mixed norm reduces a tensor one axis at a time in the column order of its
 spec: the first column is the innermost reduction.  A finite exponent p
@@ -27,9 +27,10 @@ every pair that shares it and added into the slot sums, until a node's
 outputs fit the budget and stack again.  Only the slot sums are full-size.
 A block (and a chunk of a product integral's flat pass) is the unit of work
 of a pool of one thread per CPU (`_map`); no result depends on the count.
-`mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and the catalog's
-`evaluate_instance` all run a `Pass` of one set; the catalog's
-`evaluate_batch` runs K sets, one per candidate of a search population.
+`mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and
+`evaluation.evaluate_instance` all run a `Pass` of one set;
+`evaluation.evaluate_batch` runs K sets, one per candidate of a search
+population.
 `Tensor` stores its values in C order, so a stacked row or a block sums
 each cell in the same order as a lone array, and each entry point returns
 bit for bit what a one-spec loop over whole arrays returns.
@@ -46,73 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .exponents import INF, Exponent, as_exponent, exponent_to_doc, to_float
-
-
-@dataclass(frozen=True)
-class Axis:
-    """One factor of a product space: finitely many atoms with positive weights."""
-
-    id: str
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError("axis id must be a nonempty string")
-        try:
-            ws = tuple(float(w) for w in self.weights)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"axis {self.id!r}: weights must be numbers") from exc
-        if not ws:
-            raise ValidationError(f"axis {self.id!r} has no atoms")
-        for i, w in enumerate(ws):
-            if not math.isfinite(w) or w <= 0:
-                raise ValidationError(
-                    f"axis {self.id!r}, atom {i}: weight {w!r} is not a positive finite number"
-                )
-        object.__setattr__(self, "weights", ws)
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
-class ProductSpace:
-    axes: tuple[Axis, ...]
-
-    def __post_init__(self):
-        axes = tuple(self.axes)
-        if not axes:
-            raise ValidationError("a product space needs at least one axis")
-        ids = [a.id for a in axes]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate axis ids: {ids}")
-        object.__setattr__(self, "axes", axes)
-
-    @property
-    def n(self) -> int:
-        return len(self.axes)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.axes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(a.size for a in self.axes)
-
-    def position(self, axis_id: str) -> int:
-        for i, a in enumerate(self.axes):
-            if a.id == axis_id:
-                return i
-        raise ValidationError(f"no axis {axis_id!r} in space with axes {list(self.ids)}")
-
-    def axis(self, axis_id: str) -> Axis:
-        return self.axes[self.position(axis_id)]
-
-    def weight_array(self, axis_id: str) -> np.ndarray:
-        return np.asarray(self.axis(axis_id).weights, dtype=float)
+from .exponents import INF, to_float
+from .specs import NormSpec, ProductSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,80 +92,6 @@ def check_values(arr: np.ndarray, shape, lead: int = 0) -> None:
     if (flat < 0).any():
         idx = int(np.flatnonzero(flat < 0)[0])
         raise ValidationError(f"tensor value at flat index {idx % math.prod(shape)} is negative ({flat[idx]})")
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """A mixed-norm specification: ordered (exponent, axis) columns, innermost first."""
-
-    columns: tuple[tuple[Exponent, str], ...]
-
-    def __post_init__(self):
-        cols = []
-        for col in self.columns:
-            try:
-                p_raw, aid = col
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"norm spec column {col!r} is not an (exponent, axis) pair"
-                ) from exc
-            cols.append((as_exponent(p_raw), str(aid)))
-        if not cols:
-            raise ValidationError("norm spec needs at least one column")
-        ids = [a for _, a in cols]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"norm spec repeats an axis: {ids}")
-        object.__setattr__(self, "columns", tuple(cols))
-
-    @property
-    def n(self) -> int:
-        return len(self.columns)
-
-    @property
-    def exponents(self) -> tuple[Exponent, ...]:
-        return tuple(p for p, _ in self.columns)
-
-    @property
-    def axis_ids(self) -> tuple[str, ...]:
-        return tuple(a for _, a in self.columns)
-
-    def exponent_for(self, axis_id: str) -> Exponent:
-        for p, a in self.columns:
-            if a == axis_id:
-                return p
-        raise ValidationError(f"norm spec has no axis {axis_id!r}")
-
-    def is_nonincreasing(self) -> bool:
-        exps = self.exponents
-        return all(exps[i] >= exps[i + 1] for i in range(len(exps) - 1))
-
-    def validate_for(self, space: ProductSpace) -> None:
-        if {a for _, a in self.columns} != set(space.ids):
-            raise ValidationError(
-                f"norm spec axes {sorted(self.axis_ids)} do not match "
-                f"space axes {sorted(space.ids)}"
-            )
-
-    @classmethod
-    def uniform(cls, p, axis_ids) -> "NormSpec":
-        return cls(tuple((p, a) for a in axis_ids))
-
-    def to_doc(self) -> dict:
-        return {"columns": [{"p": exponent_to_doc(p), "axis": a} for p, a in self.columns]}
-
-    @classmethod
-    def from_doc(cls, doc) -> "NormSpec":
-        if not isinstance(doc, dict) or "columns" not in doc:
-            raise ValidationError("norm spec document must be an object with a 'columns' list")
-        cols = doc["columns"]
-        if not isinstance(cols, list):
-            raise ValidationError("norm spec 'columns' must be a list")
-        pairs = []
-        for i, c in enumerate(cols):
-            if not isinstance(c, dict) or "p" not in c or "axis" not in c:
-                raise ValidationError(f"norm spec column {i} must have 'p' and 'axis'")
-            pairs.append((c["p"], c["axis"]))
-        return cls(tuple(pairs))
 
 
 def log_weights(space: ProductSpace) -> dict[str, np.ndarray]:
@@ -278,10 +140,6 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
 # took about 2.0, 3.7 and 3.7 s in blocks, against 3.8, 7.0 and 4.5 s on
 # whole arrays.  A block is also the unit of work handed to a worker (_map).
 _BATCH_BYTES = 1 << 19
-
-# The most columns the specs of an orbit or a subset family may hold
-# together (M specs over n axes hold M * n), checked before any is listed.
-_MAX_COLUMNS = 100_000
 
 _POOL_BYTES = 1 << 25  # a smaller loop runs inline: it gains little on threads, and its time varies more
 _WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -642,7 +500,7 @@ def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
             arr = np.max(arr, axis=ax)
         else:
             pf = to_float(p)
-            w = f.space.weight_array(aid)
+            w = np.asarray(f.space.axis(aid).weights, dtype=float)
             shape = [1] * arr.ndim
             shape[ax] = -1
             with np.errstate(over="ignore"):  # a power sum past the float range is inf

@@ -38,7 +38,8 @@ from mixednorm import (
     solve_subset_coefficients,
 )
 from mixednorm import spaces
-from mixednorm.catalog import RhsFactor, _pair_ratio, batch_log_sides, evaluate_batch
+from mixednorm.catalog import RhsFactor
+from mixednorm.evaluation import _pair_ratio, batch_log_sides, evaluate_batch
 from mixednorm.search import maximize_ratio, random_params
 from mixednorm.spaces import _BATCH_BYTES, mixed_norm_log, mixed_norm_logs
 

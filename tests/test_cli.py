@@ -353,11 +353,43 @@ def test_console_entry_point():
 
 def test_cold_cli_import_skips_the_thread_pool_module():
     # concurrent.futures costs about 6 ms of a cold start; only a streamed
-    # loop of two or more blocks imports it
-    code = "import sys, mixednorm.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # loop of two or more blocks imports it.  numpy is most of a cold start,
+    # and only the numeric subcommands import it.
+    for module in ("mixednorm", "mixednorm.cli"):
+        code = f"import sys, {module}; print(sorted({{'concurrent.futures', 'numpy'}} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+
+
+# `python -m mixednorm ARGS` that reports on stderr whether numpy was loaded
+_COLD_RUN = """
+import runpy, sys
+sys.argv = ["mixednorm", *sys.argv[1:]]
+try:
+    runpy.run_module("mixednorm", run_name="__main__", alter_sys=True)
+finally:
+    print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, numpy_loaded",
+    [
+        (["plan", "--kind", "Quad6"], False),
+        (["orbit", "--spec", SPEC_21], False),
+        (["decompose", "--spec", SPEC_21, "--perm", "[2, 1]", "--direction", "lower"], False),
+        (["coeffs", "--n", "4", "--k", "2"], False),
+        (["eval", "--tensor", TENSOR_2x2, "--spec", SPEC_21], True),
+        (["verify", "--kind", "Littlewood43", "--random", "1", "--seed", "1"], True),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_exact_subcommands_start_without_numpy(argv, numpy_loaded):
+    proc = subprocess.run([sys.executable, "-c", _COLD_RUN, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    json.loads(proc.stdout)
+    assert proc.stderr.splitlines()[-1] == f"numpy loaded: {numpy_loaded}"
 
 
 # ---------------------------------------------------------------------------

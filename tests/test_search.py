@@ -29,7 +29,8 @@ from mixednorm import (
     tensor_from_doc,
 )
 from mixednorm import search, spaces
-from mixednorm.catalog import RhsFactor, evaluate_batch
+from mixednorm.catalog import RhsFactor
+from mixednorm.evaluation import evaluate_batch
 from mixednorm.perms import all_permutations, lowers, raises
 from mixednorm.search import _monotone_images, random_params
 

@@ -266,7 +266,7 @@ def _old_direct(f: Tensor, spec: NormSpec) -> float:
             pf = float(p)
             shape = [1] * arr.ndim
             shape[ax] = -1
-            w = f.space.weight_array(aid).reshape(shape)
+            w = np.asarray(f.space.axis(aid).weights, dtype=float).reshape(shape)
             arr = np.sum(np.power(arr, pf) * w, axis=ax) ** (1.0 / pf)
         remaining.pop(ax)
     return float(arr)
