@@ -14,18 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import GmLpNorm, InequalityInstance, MixedNorm, ProductIntegral
+from .catalog import GmLpNorm, InequalityInstance, MixedNorm
 from .errors import ValidationError
 from .exponents import json_float
-from .spaces import (
-    Pass,
-    Tensor,
-    check_values,
-    distinct_inputs,
-    exp_or_inf,
-    integral_logs_inplace,
-    log_weights,
-)
+from .spaces import Pass, Tensor, check_values, distinct_inputs, exp_or_inf, log_weights
 from .specs import NormSpec
 
 
@@ -81,23 +73,25 @@ def _pair_ratio(log_lhs: float, log_rhs: float, tolerance: float):
 def _compile_pass(inst: InequalityInstance, space, slot_rows, sets: int) -> tuple[Pass, tuple[float, ...]]:
     """The instance's pass for one space axis order, pattern of repeated
     inputs and number of input sets, with the right-side factors' weights.
-    Its norms, in output order for each set: the right-side factors, a
-    MixedNorm or GmLpNorm left side, then `lower`.  A GmLpNorm of two or
-    more slots reads the slots' mean, one row past the inputs; a
-    ProductIntegral takes the slot sum."""
+    Its norms, in output order for each set: the right-side factors, the
+    left side, then `lower`.  A GmLpNorm or ProductIntegral left side of two
+    or more slots reads the slots' logs summed, one row past the inputs: a
+    GmLpNorm is the L^exponent norm of their mean, and a ProductIntegral the
+    L^1 norm of their sum (Fubini)."""
     lhs = inst.lhs
     inputs = max(slot_rows) + 1
-    mean = isinstance(lhs, GmLpNorm) and len(slot_rows) > 1
-    slots = slot_rows if mean or isinstance(lhs, ProductIntegral) else None
+    summed = len(slot_rows) > 1 and not isinstance(lhs, MixedNorm)
     requests = [(slot_rows[f.input_index], f.spec) for f in inst.rhs]
     if isinstance(lhs, MixedNorm):
         requests.append((0, lhs.spec))
-    elif isinstance(lhs, GmLpNorm):
-        requests.append((inputs if mean else 0, NormSpec.uniform(lhs.exponent, space.ids)))
+    else:
+        exponent = lhs.exponent if isinstance(lhs, GmLpNorm) else 1
+        requests.append((inputs if summed else 0, NormSpec.uniform(exponent, space.ids)))
     if inst.lower is not None:
         requests.append((0, inst.lower))
     weights = tuple(float(f.weight) for f in inst.rhs)
-    return Pass(space, requests, inputs, slots, mean, sets), weights
+    mean = summed and isinstance(lhs, GmLpNorm)
+    return Pass(space, requests, inputs, slot_rows if summed else None, mean, sets), weights
 
 
 def _log_sides(inst: InequalityInstance, space, slot_rows, arrays, sets: int = 1) -> list[tuple]:
@@ -110,20 +104,16 @@ def _log_sides(inst: InequalityInstance, space, slot_rows, arrays, sets: int = 1
     if cached is None:
         cached = inst._passes[key] = _compile_pass(inst, space, slot_rows, sets)
     evaluation, weights = cached
-    logw = log_weights(space)
-    values, acc = evaluation.run(arrays, logw)
+    values = evaluation.run(arrays, log_weights(space))
     per = len(values) // sets
-    if isinstance(inst.lhs, ProductIntegral):
-        lhs = integral_logs_inplace(acc, space, logw)
-    else:
-        lhs = values[len(inst.rhs) :: per]
     rhs = []
     for k in range(sets):
         log_rhs = 0.0
         for weight, v in zip(weights, values[k * per :]):
             log_rhs += weight * v
         rhs.append(log_rhs)
-    return list(zip(lhs, rhs, values[per - 1 :: per] if inst.lower is not None else [None] * sets))
+    lower = values[per - 1 :: per] if inst.lower is not None else [None] * sets
+    return list(zip(values[len(inst.rhs) :: per], rhs, lower))
 
 
 def _check_space(inst: InequalityInstance, space) -> None:

@@ -14,9 +14,10 @@ is the default and the oracle the catalog's verdicts rest on.
 
 Every log-domain result comes from one `Pass`: the norm requests of K input
 sets of a few distinct inputs each, and of each set's slot sum (its logs
-added slot by slot, for a product integral or a geometric mean), compiled
-by a trie walk over the specs' columns so each distinct (input, column
-prefix) is reduced once.  Each `run` chooses how to run its one plan.
+added slot by slot; by Fubini a product integral is the sum's L^1 norm, and
+a geometric mean's L^p norm is the L^p norm of the sum over the slot count),
+compiled by a trie walk over the specs' columns so each distinct (input,
+column prefix) is reduced once.  Each `run` chooses how to run its one plan.
 Within `_BATCH_BYTES` the logs stack into one C-ordered array with a row
 per input of every set (and one per set for the slot sum), and each plan
 node collapses one axis for every (row, exponent) pair reducing it at that
@@ -25,8 +26,8 @@ exponent).  Above it the plan streams: each pair is reduced from the raw
 inputs in blocks of at most `_BATCH_BYTES`, each block logged once for
 every pair that shares it and added into the slot sums, until a node's
 outputs fit the budget and stack again.  Only the slot sums are full-size.
-A block (and a chunk of a product integral's flat pass) is the unit of work
-of a pool of one thread per CPU (`_map`); no result depends on the count.
+A block is the unit of work of a pool of one thread per CPU (`_map`); no
+result depends on the count.
 `mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and
 `evaluation.evaluate_instance` all run a `Pass` of one set;
 `evaluation.evaluate_batch` runs K sets, one per candidate of a search
@@ -186,12 +187,12 @@ class Pass:
     space's axis order.
 
     requests holds (row, spec) pairs of one set.  Row r < inputs reads input
-    r; row `inputs` reads the slot sum of two or more slots.  slots, where
-    given, lists the input row of each slot.  The slot sum adds the slots'
-    logs in slot order, and mean divides it by the slot count.  With one
-    slot, the slot sum is that input's log.  Each set's requests are the
-    same; the stack holds set k's inputs in rows k * inputs + r, then the K
-    slot sums, so set k's norms come out in positions k * len(requests) + i.
+    r; row `inputs` reads the slot sum.  slots, where given, lists the input
+    row of each of two or more slots.  The slot sum adds the slots' logs in
+    slot order, and mean divides it by the slot count.  Each set's requests
+    are the same; the stack holds set k's inputs in rows k * inputs + r,
+    then the K slot sums, so set k's norms come out in positions
+    k * len(requests) + i.
     """
 
     def __init__(self, space: ProductSpace, requests, inputs: int, slots=None, mean: bool = False, sets: int = 1):
@@ -206,19 +207,17 @@ class Pass:
             for k in range(sets)
             for i, (row, cols) in enumerate(columns)
         ]
-        self.sums = sets if slots is not None and len(slots) > 1 else 0  # slot-sum rows
+        self.sums = sets if slots is not None else 0  # slot-sum rows
         self.plan, width = _compile(self.group, self.ids, 0)
         self.width = max(width, self.rows + self.sums)  # the most rows a stacked array holds
 
-    def run(self, arrays, logw, log: bool = True):
-        """(log norms in output order, slot sums or None) of the input rows
-        arrays[k * inputs + r], raw values when log is set, else logs with
-        zeros as -inf; logw is the space's log_weights.  arrays is a list
-        of arrays, or one array with the rows on axis 0.  The arrays are
-        not written.  The slot sums are a (sets, *shape) array, the
-        caller's to overwrite."""
+    def run(self, arrays, logw, log: bool = True) -> list[float]:
+        """Log norms in output order of the input rows arrays[k * inputs + r],
+        raw values when log is set, else logs with zeros as -inf; logw is the
+        space's log_weights.  arrays is a list of arrays, or one array with
+        the rows on axis 0.  The arrays are not written."""
         out = [0.0] * len(self.group)
-        shape, acc = arrays[0].shape, None
+        shape = arrays[0].shape
         with np.errstate(divide="ignore", over="ignore"):
             if self.width * arrays[0].nbytes <= _BATCH_BYTES:
                 stack = np.empty((self.rows + self.sums, *shape))
@@ -229,37 +228,32 @@ class Pass:
                         np.log(arr, out=stack[row])
                     else:
                         stack[row] = arr
-                if self.slots is not None:
+                if self.sums:
                     by_slot = stack[: self.rows].reshape(self.sets, self.inputs, *shape).swapaxes(0, 1)
-                    acc = _fold(stack[self.rows :], by_slot, self.slots, self.mean) if self.sums else by_slot[self.slots[0]]
+                    _fold(stack[self.rows :], by_slot, self.slots, self.mean)
                 _run_plan(self.plan, stack, logw, out)
-                return out, acc
+                return out
             arrays, fold = list(arrays), None
-            if self.slots is not None:
+            if self.sums:
                 acc = np.empty((self.sets, *shape))
                 columns = acc.reshape(self.sets, len(acc[0]), -1)
                 fold = lambda start, stop, logs: [
                     _fold(columns[k, :, start:stop], logs[k * self.inputs :], self.slots, self.mean)
                     for k in range(self.sets)
                 ]
-                if self.sums:
-                    arrays.extend(acc)
+                arrays.extend(acc)
             _stream_plan(self.plan, arrays, logw, out, self.rows if log else 0, fold)
-        return out, acc
+        return out
 
 
-def _fold(out: np.ndarray, logs, slots, mean: bool) -> np.ndarray:
+def _fold(out: np.ndarray, logs, slots, mean: bool) -> None:
     """The slots' logs, logs[row] for each slot's row, summed in slot order
     into out, and divided by the slot count when mean is set."""
-    if len(slots) == 1:
-        np.copyto(out, logs[slots[0]])
-        return out
     np.add(logs[slots[0]], logs[slots[1]], out=out)
     for row in slots[2:]:
         out += logs[row]
     if mean:
         out /= len(slots)
-    return out
 
 
 def _compile(group, remaining, depth):
@@ -450,44 +444,11 @@ def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]
 
     logv holds log values with zeros as -inf; it is not modified.
     """
-    return Pass(space, [(0, s) for s in specs], 1).run((logv,), log_weights(space), log=False)[0]
+    return Pass(space, [(0, s) for s in specs], 1).run((logv,), log_weights(space), log=False)
 
 
 def mixed_norm_log(f: Tensor, spec: NormSpec) -> float:
-    return Pass(f.space, [(0, spec)], 1).run((f.values,), log_weights(f.space))[0][0]
-
-
-def integral_logs_inplace(rows: np.ndarray, space: ProductSpace, logw) -> list[float]:
-    """Log of the weighted sum of exp(row) over the whole space for each row
-    of a (rows, *space.shape) array, which is overwritten.  numpy sums each
-    row's cells in the order it sums them in a 1-D array.  Above the budget
-    all but that sum runs on the pool, in chunks along the first space axis."""
-    ids, n1 = space.ids, rows.shape[1]
-    with np.errstate(divide="ignore", over="ignore"):
-        if rows.nbytes <= _BATCH_BYTES:
-            return _logsumexp_inplace(_add_log_weights(rows, ids, logw), 1).ravel().tolist()
-
-        def shifted_exp(start, stop):
-            block = rows[:, start:stop]
-            block -= shift
-            np.exp(block, out=block)
-
-        chunks = list(_bounds(n1, max(1, _BATCH_BYTES * n1 // rows.nbytes)))
-        maxima = _map(lambda a, b: np.maximum.reduce(_add_log_weights(rows, ids, logw, slice(a, b)), axis=1), chunks, rows.nbytes)
-        shift = np.maximum.reduce(maxima, axis=0).reshape((-1,) + (1,) * len(ids))
-        np.copyto(shift, 0.0, where=np.isinf(shift))
-        _map(shifted_exp, chunks, rows.nbytes)
-        return (np.log(np.add.reduce(rows.reshape(len(rows), -1), axis=1)) + shift.ravel()).tolist()
-
-
-def _add_log_weights(rows: np.ndarray, ids, logw, first=None) -> np.ndarray:
-    """Add each axis's log weights in axis order to rows, a stack of arrays
-    on those axes, or to rows[:, first]; return that with one row per array."""
-    block = rows if first is None else rows[:, first]
-    for i, axis in enumerate(ids):
-        w = logw[axis] if first is None or i else logw[axis][first]
-        block += w.reshape((-1,) + (1,) * (len(ids) - 1 - i))
-    return block.reshape(len(rows), -1)
+    return Pass(f.space, [(0, spec)], 1).run((f.values,), log_weights(f.space))[0]
 
 
 def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
@@ -534,11 +495,12 @@ def integrate_product(tensors, method: str = "log") -> float:
     space = tensors[0].space
     if any(t.space != space for t in tensors[1:]):
         raise ValidationError("tensors live on different spaces")
-    if method == "log":
+    if method == "log":  # by Fubini, the L^1 norm of the product: of the slot sum for two or more slots
         slots, arrays = distinct_inputs(tensors)
-        logw = log_weights(space)
-        acc = Pass(space, (), len(arrays), slots).run(arrays, logw)[1]
-        return exp_or_inf(integral_logs_inplace(acc, space, logw)[0])
+        summed = len(slots) > 1
+        request = (len(arrays) if summed else 0, NormSpec.uniform(1, space.ids))
+        evaluation = Pass(space, [request], len(arrays), slots if summed else None)
+        return exp_or_inf(evaluation.run(arrays, log_weights(space))[0])
     acc = tensors[0].values.copy()
     with np.errstate(over="ignore"):  # a product past the float range is inf
         for t in tensors[1:]:

@@ -619,16 +619,8 @@ def _reference_sides(inst, fs):
         if isinstance(inst.lhs, GmLpNorm):
             uniform = NormSpec.uniform(inst.lhs.exponent, space.ids)
             log_lhs = mixed_norm_logs(acc / len(fs), space, (uniform,))[0]
-        else:
-            for i, axis in enumerate(space.axes):
-                shape = [1] * acc.ndim
-                shape[i] = -1
-                acc = acc + np.log(np.asarray(axis.weights)).reshape(shape)
-            flat = acc.reshape(-1)
-            top = np.max(flat)
-            shift = top if np.isfinite(top) else 0.0
-            with np.errstate(divide="ignore"):
-                log_lhs = float(np.log(np.sum(np.exp(flat - shift))) + shift)
+        else:  # a product integral is the L^1 norm of the product
+            log_lhs = mixed_norm_logs(acc, space, (NormSpec.uniform(1, space.ids),))[0]
     lower = None
     if inst.lower is not None:
         lower = mixed_norm_log(fs[0], inst.lower)
@@ -756,8 +748,8 @@ _MINKOWSKI_48 = {
 def test_streamed_pass_peak_memory(kind, params, bound, workers):
     # Above the batch budget no full-size log or work array is made: a norm
     # needs only blocks and reduced arrays, and a product integral adds the
-    # one full-size accumulator its flat pass reads.  Two worker threads
-    # hold two blocks at a time, within the same bound.
+    # one full-size slot sum whose L^1 norm it is.  Two worker threads hold
+    # two blocks at a time, within the same bound.
     inst = build_instance(kind, params)
     space = unit_space(("x1", "x2", "x3", "x4"), (48,) * 4)
     f = Tensor(space, np.exp(np.random.default_rng(48).uniform(-1, 1, space.shape)))
@@ -910,6 +902,24 @@ def test_one_cached_pass_serves_every_size_of_a_space():
     assert 8 * 90 * 80 * 20 > _BATCH_BYTES
     assert len(inst._passes) == 1
     assert id(next(iter(inst._passes.values()))[0].plan) in streamed
+
+
+@pytest.mark.parametrize("sizes", [(3, 4, 2, 5), (20, 20, 20, 20)], ids=["stacked", "streamed"])
+def test_one_tensor_in_every_slot_integrates_the_slot_sum_row(sizes):
+    # HolderMixed with one tensor broadcast to its three slots: one input
+    # row, whose log the slot-sum row holds three times.  Weights of total
+    # mass about 1 keep log_lhs near 0, where its last bits tell one order of
+    # summation from another.
+    inst = build_instance("HolderMixed", _HOLDER_48)
+    rng = np.random.default_rng(20)
+    for _ in range(4):
+        space = ProductSpace(tuple(Axis(a, tuple(rng.uniform(0.5, 2, n) / n)) for a, n in zip(inst.axis_ids, sizes)))
+        f = Tensor(space, rng.uniform(0.5, 1.5, space.shape))
+        with _streamed_plans() as streamed:
+            rep = evaluate_instance(inst, [f])
+        assert bool(streamed) == (sizes[0] > 3)
+        assert rep.trial["log_lhs"] == _reference_sides(inst, [f] * inst.arity)[0]
+        assert rep.lhs == pytest.approx(integrate_product([f] * inst.arity, method="direct"), rel=1e-12)
 
 
 @contextlib.contextmanager
@@ -1116,8 +1126,8 @@ def test_batched_values_get_the_tensor_checks():
 
 
 def test_streamed_results_are_the_same_bits_for_any_worker_count(workers):
-    # With a 256-byte budget these inputs stream in many blocks and the
-    # product integrals' flat pass runs in chunks, on pools of 1, 2 and 3
+    # With a 256-byte budget these inputs stream in many blocks, the slot
+    # sums of the product integrals among them, on pools of 1, 2 and 3
     # threads.  A zero logs to -inf and an all-zero set sums to a zero
     # integral: a task run without the kernel's np.errstate would warn, and
     # warnings are errors here.

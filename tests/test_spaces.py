@@ -20,7 +20,7 @@ from mixednorm import (
     mixed_norm_log,
 )
 from mixednorm import spaces
-from mixednorm.spaces import integral_logs_inplace, log_weights, mixed_norm_logs
+from mixednorm.spaces import mixed_norm_logs
 
 
 def unit_space(*sizes):
@@ -311,25 +311,25 @@ def test_direct_path_holds_one_temporary_and_keeps_its_bits():
 
 def _reference_log_integral(tensors) -> float:
     """The log of the product integral from one full-size log per input,
-    summed by one shifted log-sum-exp over the whole array."""
+    summed in slot order, then reduced axis by axis, the first axis
+    innermost, each by one shifted p = 1 log-sum-exp: the L^1 norm of the
+    product, which by Fubini is its integral."""
     acc = log_values(tensors[0])
     for t in tensors[1:]:
-        acc += log_values(t)
-    for i, axis in enumerate(tensors[0].space.axes):
-        shape = [1] * acc.ndim
-        shape[i] = -1
-        acc += np.log(np.asarray(axis.weights)).reshape(shape)
-    flat = acc.reshape(-1)
-    top = np.max(flat)
-    shift = top if np.isfinite(top) else 0.0
-    with np.errstate(divide="ignore"):
-        return float(np.log(np.sum(np.exp(flat - shift))) + shift)
+        acc = acc + log_values(t)
+    for axis in tensors[0].space.axes:
+        a = acc + np.log(np.asarray(axis.weights)).reshape((-1,) + (1,) * (acc.ndim - 1))
+        top = np.max(a, axis=0)
+        shift = np.where(np.isfinite(top), top, 0.0)
+        with np.errstate(divide="ignore"):
+            acc = np.log(np.sum(np.exp(a - shift), axis=0)) + shift
+    return float(acc)
 
 
 def test_log_path_streams_raw_values_and_keeps_its_bits(workers):
     # Above the batch budget a norm needs only blocks of the input's log and
     # reduced arrays, and a product integral adds the one full-size slot sum
-    # its flat pass reads, at the default worker count and on two threads.
+    # whose L^1 norm it is, at the default worker count and on two threads.
     rng = np.random.default_rng(48)
     shape = (48, 48, 48, 48)
     space = ProductSpace(
@@ -349,6 +349,25 @@ def test_log_path_streams_raw_values_and_keeps_its_bits(workers):
             integral, peak = _traced_peak(integrate_product, [f, g, f])
         assert integral == math.exp(want_integral)
         assert peak <= 1.25 * f.values.nbytes
+
+
+@pytest.mark.parametrize("shape", [(6, 5, 4), (50, 40, 40)], ids=["stacked", "streamed"])
+def test_one_slot_and_one_repeated_slot_integrate_as_the_reference(shape):
+    # [f] is the L^1 norm of f's own row, [f, f] that of the slot-sum row
+    # f's log is folded into twice.  The larger f is above the batch budget.
+    # Weights of total mass about 1 keep log I near 0, where its last bits
+    # tell one order of summation from another.
+    rng = np.random.default_rng(14)
+    for _ in range(4):
+        space = ProductSpace(
+            tuple(Axis(f"x{i + 1}", tuple(rng.uniform(0.5, 2, n) / n)) for i, n in enumerate(shape))
+        )
+        f = Tensor(space, rng.uniform(0.5, 1.5, shape) * (rng.random(shape) >= 0.2))
+        assert (f.values.nbytes > spaces._BATCH_BYTES) == (shape[0] > 6)
+        for tensors in ([f], [f, f]):
+            integral = integrate_product(tensors)
+            assert integral == math.exp(_reference_log_integral(tensors))
+            assert integral == pytest.approx(integrate_product(tensors, method="direct"), rel=1e-12)
 
 
 def test_streamed_loops_below_the_pool_size_stay_on_the_calling_thread(monkeypatch):
@@ -465,9 +484,7 @@ def test_kernel_agrees_with_scipy_logsumexp():
         assert mixed_norm_log(f, NormSpec(((p, "x1"),))) == pytest.approx(want, rel=1e-12)
         g = Tensor(space, np.exp(rng.uniform(-20, 20, n)))
         want_integral = special.logsumexp(logf + np.log(g.values), b=w)
-        acc = logf + np.log(g.values)
-        got_integral = integral_logs_inplace(acc[None], space, log_weights(space))[0]
-        assert got_integral == pytest.approx(want_integral, rel=1e-12)
+        assert math.log(integrate_product([f, g])) == pytest.approx(want_integral, rel=1e-12)
 
 
 def test_direct_path_gives_inf_beyond_the_float_range_without_warning():
