@@ -148,11 +148,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    params = _load_doc(args.params) if args.params is not None else None
-    if params is not None and not isinstance(params, dict):
-        raise ValidationError("--params must be a JSON object")
-    inst = build_instance(_resolve_kind(args.kind), params)
-    _emit(instance_to_doc(inst))
+    _emit(instance_to_doc(_instance_from_args(args)))
     return 0
 
 

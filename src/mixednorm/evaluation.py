@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalog import GmLpNorm, InequalityInstance, MixedNorm
 from .errors import ValidationError
 from .exponents import json_float
-from .spaces import Pass, Tensor, check_values, distinct_inputs, exp_or_inf, log_weights
+from .spaces import Pass, Tensor, as_float_array, check_values, distinct_inputs, exp_or_inf, log_weights
 from .specs import NormSpec
 
 
@@ -141,10 +139,12 @@ def batch_log_sides(inst: InequalityInstance, space, values) -> list[tuple]:
     i, as evaluate_instance would with one Tensor per slot, and gets the
     same bits.  The values get Tensor's checks once for the whole array."""
     _check_space(inst, space)
-    values = np.ascontiguousarray(values, dtype=float)
+    values = as_float_array(values)
     if values.shape[1:2] != (inst.arity,):
         raise ValidationError(f"{inst.kind} takes {inst.arity} tensors per input set, got shape {values.shape}")
     check_values(values, space.shape, lead=2)
+    if not len(values):
+        return []
     return _log_sides(inst, space, tuple(range(inst.arity)), values.reshape(-1, *space.shape), len(values))
 
 

@@ -24,10 +24,10 @@ node collapses one axis for every (row, exponent) pair reducing it at that
 depth, by one in-place shifted log-sum-exp (a maximum for an infinite
 exponent).  Above it the plan streams: each pair is reduced from the raw
 inputs in blocks of at most `_BATCH_BYTES`, each block logged once for
-every pair that shares it and added into the slot sums, until a node's
-outputs fit the budget and stack again.  Only the slot sums are full-size.
-A block is the unit of work of a pool of one thread per CPU (`_map`); no
-result depends on the count.
+every pair that shares it, and the block's slot sums formed from those
+logs, until a node's outputs fit the budget and stack again.  No array
+the size of an input is made.  A block is the unit of work of a pool of
+one thread per CPU (`_map`); no result depends on the count.
 `mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and
 `evaluation.evaluate_instance` all run a `Pass` of one set;
 `evaluation.evaluate_batch` runs K sets, one per candidate of a search
@@ -60,7 +60,7 @@ class Tensor:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, order="C")
+        arr = as_float_array(self.values, copy=True)
         check_values(arr, self.space.shape)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -71,13 +71,26 @@ class Tensor:
 
     @classmethod
     def from_flat(cls, space: ProductSpace, flat) -> "Tensor":
-        arr = np.asarray(list(flat), dtype=float)
+        arr = as_float_array(list(flat))
         expected = int(np.prod(space.shape))
         if arr.size != expected:
             raise ValidationError(
                 f"expected {expected} values for shape {space.shape}, got {arr.size}"
             )
         return cls(space, arr.reshape(space.shape))
+
+
+def as_float_array(values, copy: bool = False) -> np.ndarray:
+    """values as a C-ordered float array, a new one when copy is set.  Values
+    that numpy cannot convert to floats, and complex ones, are a
+    ValidationError rather than a numpy error or a silently dropped part."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind != "c":
+            return np.array(arr, dtype=float, order="C") if copy else np.ascontiguousarray(arr, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"tensor values are not real numbers: {exc}") from None
+    raise ValidationError("tensor values are complex")
 
 
 def check_values(arr: np.ndarray, shape, lead: int = 0) -> None:
@@ -230,30 +243,26 @@ class Pass:
                         stack[row] = arr
                 if self.sums:
                     by_slot = stack[: self.rows].reshape(self.sets, self.inputs, *shape).swapaxes(0, 1)
-                    _fold(stack[self.rows :], by_slot, self.slots, self.mean)
+                    _fold(by_slot, self.slots, self.mean, out=stack[self.rows :])
                 _run_plan(self.plan, stack, logw, out)
                 return out
-            arrays, fold = list(arrays), None
-            if self.sums:
-                acc = np.empty((self.sets, *shape))
-                columns = acc.reshape(self.sets, len(acc[0]), -1)
-                fold = lambda start, stop, logs: [
-                    _fold(columns[k, :, start:stop], logs[k * self.inputs :], self.slots, self.mean)
-                    for k in range(self.sets)
-                ]
-                arrays.extend(acc)
-            _stream_plan(self.plan, arrays, logw, out, self.rows if log else 0, fold)
+            fold = None
+            if self.sums:  # each set's slot sum of one block of logs, formed when a head reads it
+                fold = lambda logs: [_fold(logs[k * self.inputs :], self.slots, self.mean) for k in range(self.sets)]
+            _stream_plan(self.plan, arrays, logw, out, log, fold)
         return out
 
 
-def _fold(out: np.ndarray, logs, slots, mean: bool) -> None:
+def _fold(logs, slots, mean: bool, out=None) -> np.ndarray:
     """The slots' logs, logs[row] for each slot's row, summed in slot order
-    into out, and divided by the slot count when mean is set."""
-    np.add(logs[slots[0]], logs[slots[1]], out=out)
+    into out (a new array where out is None), and divided by the slot count
+    when mean is set."""
+    out = np.add(logs[slots[0]], logs[slots[1]], out=out)
     for row in slots[2:]:
         out += logs[row]
     if mean:
         out /= len(slots)
+    return out
 
 
 def _compile(group, remaining, depth):
@@ -318,12 +327,12 @@ def _run_plan(plan, stack: np.ndarray, logw, out) -> None:
         _run_plan(sub, _reduce_column(stack[sel], pf, ax, logw[aid].reshape(lead)), logw, out)
 
 
-def _stream_plan(plan, arrays, logw, out, raw: int = 0, fold=None) -> None:
+def _stream_plan(plan, arrays, logw, out, log: bool = False, fold=None) -> None:
     """Evaluate a compiled plan on row arrays, arrays[r] for row r, writing
     each request's log norm to out[index].
 
-    The arrays share one shape and have no row axis.  The first `raw` hold
-    raw values, the rest log values.  Each (row, exponent) pair of a child
+    The arrays share one shape and have no row axis; they hold raw values
+    when log is set, else log values.  Each (row, exponent) pair of a child
     is one _reduce_blocks head, and fold is handed on to _reduce_blocks.
     Once a child's reduced rows fit in _BATCH_BYTES together, they are
     stacked and the child's plan runs on the stack.  The arrays are not
@@ -333,9 +342,9 @@ def _stream_plan(plan, arrays, logw, out, raw: int = 0, fold=None) -> None:
     for i, pos in outputs:
         out[i] = float(arrays[pos])
     heads = [(pos, ax - 1, p, aid, lead) for ax, _, _, aid, lead, pairs, _ in children for pos, p in pairs]
-    if not (heads or fold):
+    if not heads:
         return
-    reduced = iter(_reduce_blocks(arrays, heads, logw, raw, fold))
+    reduced = iter(_reduce_blocks(arrays, heads, logw, log, fold))
     for *_, pairs, sub in children:
         rows = [next(reduced) for _ in pairs]
         if 8 * len(rows) * rows[0].size <= _BATCH_BYTES:
@@ -344,47 +353,48 @@ def _stream_plan(plan, arrays, logw, out, raw: int = 0, fold=None) -> None:
             _stream_plan(sub, rows, logw, out)
 
 
-def _reduce_blocks(arrays, heads, logw, raw: int, fold) -> list[np.ndarray]:
-    """Each (array index, axis, exponent or None, axis id, log weight shape)
-    head's reduction of its array, logged first for the first `raw` arrays.
+def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
+    """Each (row, axis, exponent or None, axis id, log weight shape) head's
+    reduction of arrays[row], logged first when log is set.  A row past the
+    arrays is a set's slot sum: fold(logs) forms it, one per set, from the
+    logs of each array's block that a head reads, and no more of it is kept.
 
     A 1-D array, or one within _BATCH_BYTES, is reduced whole.  A larger one
     is reduced in blocks of at most _BATCH_BYTES where the shape allows, and
     each block's reduction is written into its part of the head's output.
     Blocks are ranges of columns of the arrays seen as (n0, rest) matrices,
     whole runs of every axis a head reduces, so one log of a block serves
-    every head, and fold(start, stop, logs), where given, receives them
-    before any head reads the block.  A head whose run of columns over all
-    n0 rows would pass _BATCH_BYTES takes blocks of rows of its array seen
-    as a matrix instead, after the blocks of columns, along the axes before
-    the first axis such heads reduce.  Either way numpy sums each output
-    cell in the same order as for the whole array, provided a block of
-    columns is never one column wide while the matrix has more: axis 0
-    would then be its only axis, which numpy sums pairwise rather than row
-    by row.
+    every head.  A head whose run of columns over all n0 rows would pass
+    _BATCH_BYTES (never a slot sum's: it starts at axis 0) takes blocks of
+    rows of its array seen as a matrix instead, after the blocks of columns,
+    along the axes before the first axis such heads reduce.  Either way
+    numpy sums each output cell in the same order as for the whole array,
+    provided a block of columns is never one column wide while the matrix
+    has more: axis 0 would then be its only axis, which numpy sums pairwise
+    rather than row by row.
     """
     shape = arrays[0].shape
     n0, size = shape[0], math.prod(shape)
     if len(shape) == 1 or 8 * size <= _BATCH_BYTES:
         used = range(len(arrays)) if fold else {h[0] for h in heads}
-        logs = {r: _logged(arrays[r], r < raw) for r in used}
+        logs = {r: _logged(arrays[r], log) for r in used}
         if fold:
-            fold(0, size // n0, [logs[r].reshape(n0, -1) for r in used])
+            logs.update(enumerate(fold(list(logs.values())), len(arrays)))
         return [_reduce_column(logs[r], pf, ax, logw[aid].reshape(lead)) for r, ax, pf, aid, lead in heads]
     reduced = [np.empty(shape[:ax] + shape[ax + 1 :]) for _, ax, *_ in heads]
     columns, rows = [], []
     for k, (_, ax, *_) in enumerate(heads):
         (columns if 8 * n0 * math.prod(shape[ax:]) <= _BATCH_BYTES or ax == 0 else rows).append(k)
-    if columns or fold:
+    if columns:
         run = max((math.prod(shape[heads[k][1] :]) for k in columns if heads[k][1]), default=1)
         width = max(2, _BATCH_BYTES // (8 * n0 * run) * run)
         matrices = [a.reshape(n0, -1) for a in arrays]
         used = range(len(arrays)) if fold else {heads[k][0] for k in columns}
 
         def column_block(start, stop):
-            logs = {r: _logged(matrices[r][:, start:stop], r < raw) for r in used}
+            logs = {r: _logged(matrices[r][:, start:stop], log) for r in used}
             if fold:
-                fold(start, stop, [logs[r] for r in range(len(arrays))])
+                logs.update(enumerate(fold(list(logs.values())), len(arrays)))
             for k in columns:
                 r, ax, pf, aid, _ = heads[k]
                 if ax == 0:
@@ -401,7 +411,7 @@ def _reduce_blocks(arrays, heads, logw, raw: int, fold) -> list[np.ndarray]:
         used = {heads[k][0] for k in rows}
 
         def row_block(start, stop):
-            logs = {r: _logged(matrices[r][start:stop], r < raw) for r in used}
+            logs = {r: _logged(matrices[r][start:stop], log) for r in used}
             for k in rows:
                 r, ax, pf, aid, _ = heads[k]
                 cells = _reduce_run(logs[r], pf, shape[ax], shape[ax + 1 :], logw[aid])

@@ -1,21 +1,36 @@
-"""A 50-digit mpmath oracle for the log-domain kernel's product integrals.
+"""A 50-digit mpmath oracle for the log-domain kernel's product integrals,
+mixed norms and geometric-mean norms.
 
-mpmath holds every float input and weight exactly, so a cell-by-cell sum in
-50 digits gives log ∫ f_1 ... f_m to far below a float's last bit.  The
-kernel's value must lie within 1e-14 * max(1, |log I|) of it: well under
-the verdict tolerance of 1e-8, and loose enough for any order of summation.
-Draws span weights e^±30 and values e^±40 with about a fifth of the cells
-zero, on grids of at most 5^4 cells.
+mpmath holds every float input, weight and exponent exactly, so a
+cell-by-cell sum, or a nested reduction one column at a time, in 50 digits
+gives the log of the result to far below a float's last bit.  The kernel's
+value must lie within 1e-14 * max(1, |log N|) of it: well under the verdict
+tolerance of 1e-8, and loose enough for any order of summation.  Draws span
+weights e^±30 and values e^±40 with about a fifth of the cells zero, on
+grids of at most 5^4 cells.  The norms are checked at the default batch
+budget and at a 256-byte one, under which most draws stream in blocks and
+form the geometric mean's slot sum block by block.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mixednorm import Axis, ProductSpace, Tensor, build_instance, evaluate_instance, integrate_product
+from mixednorm import (
+    INF,
+    Axis,
+    NormSpec,
+    ProductSpace,
+    Tensor,
+    build_instance,
+    evaluate_instance,
+    integrate_product,
+    mixed_norm_log,
+)
+from mixednorm import spaces
 from mixednorm.search import random_params
 
 mpmath = pytest.importorskip("mpmath")
@@ -50,11 +65,87 @@ def _assert_near_log_integral(got: float, tensors) -> None:
             for axis, a in zip(space.axes, cell):
                 term *= mpmath.mpf(float(axis.weights[a]))
             total += term
-        if total == 0:
-            assert got == -math.inf
-            return
-        want = mpmath.log(total)
+        _assert_near(got, mpmath.log(total))
+
+
+def _assert_near(got: float, want) -> None:
+    """got is within the error bound of the 50-digit log want; a zero
+    (want = -inf) must give -inf."""
+    if want == -mpmath.inf:
+        assert got == -math.inf
+    else:
         assert abs(mpmath.mpf(got) - want) <= 1e-14 * max(1, abs(want)), (got, want)
+
+
+def _at_both_budgets(run) -> list[float]:
+    """run() at the default batch budget and at 256 bytes."""
+    got = [run()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_BATCH_BYTES", 256)
+        got.append(run())
+    return got
+
+
+def _mp_values(t: Tensor) -> np.ndarray:
+    return np.vectorize(mpmath.mpf, otypes=[object])(t.values)
+
+
+def _mp_norm(arr: np.ndarray, space, columns) -> object:
+    """The mixed norm of an array of mpf values under (exponent, axis id)
+    columns, innermost first, reduced one column at a time in 50 digits."""
+    remaining = list(space.ids)
+    for p, aid in columns:
+        ax = remaining.index(aid)
+        if p is INF:
+            arr = np.max(arr, axis=ax)
+        else:
+            pf = mpmath.mpf(float(p))
+            shape = [1] * arr.ndim
+            shape[ax] = -1
+            w = np.array([mpmath.mpf(float(x)) for x in space.axis(aid).weights], dtype=object).reshape(shape)
+            arr = np.sum(arr**pf * w, axis=ax) ** (1 / pf)
+        remaining.pop(ax)
+    return arr
+
+
+_NORM_POOL = ("1/3", "1/2", "2/3", "1", "3/2", "2", "3", "4", "12", "inf")
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1), ndim=st.integers(1, 4))
+def test_mixed_norm_matches_a_50_digit_nested_reduction(seed, ndim):
+    rng = np.random.default_rng(seed)
+    ids = [f"x{i + 1}" for i in range(ndim)]
+    space = _space(rng, ids)
+    f = _tensor(rng, space)
+    spec = NormSpec(tuple((_NORM_POOL[int(rng.integers(len(_NORM_POOL)))], a) for a in rng.permutation(ids)))
+    with mpmath.workdps(50):
+        want = mpmath.log(_mp_norm(_mp_values(f), space, spec.columns))
+        for got in _at_both_budgets(lambda: mixed_norm_log(f, spec)):
+            _assert_near(got, want)
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1))
+def test_geometric_mean_left_side_matches_a_50_digit_sum(seed):
+    # SymmetricGM's left side, the L^pbar norm of the slots' geometric mean:
+    # the kernel's mean of the slots' logs, as one uniform norm request
+    rng = np.random.default_rng(seed)
+    inst = build_instance("SymmetricGM", random_params("SymmetricGM", rng, max_axes=4))
+    assume(inst.arity > 1)
+    space = _space(rng, inst.axis_ids)
+    distinct = [_tensor(rng, space) for _ in range(int(rng.integers(1, inst.arity + 1)))]
+    slots = [int(rng.integers(len(distinct))) for _ in range(inst.arity)]  # one tensor may fill several
+    tensors = [distinct[s] for s in slots]
+    with mpmath.workdps(50):
+        values = [_mp_values(t) for t in distinct]
+        product = values[slots[0]]
+        for s in slots[1:]:
+            product = product * values[s]
+        mean = np.vectorize(lambda v: mpmath.root(v, inst.arity), otypes=[object])(product)
+        want = mpmath.log(_mp_norm(mean, space, NormSpec.uniform(inst.lhs.exponent, space.ids).columns))
+        for got in _at_both_budgets(lambda: evaluate_instance(inst, tensors).trial["log_lhs"]):
+            _assert_near(got, want)
 
 
 @ORACLE

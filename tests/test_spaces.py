@@ -67,6 +67,17 @@ def test_tensor_validation_names_flat_index():
         Tensor(space, [[1.0, 2.0], [3.0, -4.0]])
     with pytest.raises(ValidationError, match="flat index 1"):
         Tensor(space, [[1.0, math.nan], [3.0, 4.0]])
+    # values numpy cannot convert, and complex ones (whose imaginary part a
+    # cast would drop with a ComplexWarning), are a ValidationError too
+    not_real = [([1 + 2j, 3, 4, 5], "complex"), (np.array([1 + 2j, 3, 4, 5]), "complex"),
+                ([[1, 2], [3]], "not real numbers"), ("ab", "not real numbers"), ([{}, 1, 2, 3], "not real numbers")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values, message in not_real:
+            with pytest.raises(ValidationError, match=message):
+                Tensor(space, values)
+            with pytest.raises(ValidationError, match=message):
+                Tensor.from_flat(space, values)
 
 
 def test_tensor_values_are_read_only():
