@@ -107,7 +107,7 @@ def _log_sides(inst: InequalityInstance, space, slot_rows, arrays, sets: int = 1
     rhs = []
     for k in range(sets):
         log_rhs = 0.0
-        for weight, v in zip(weights, values[k * per :]):
+        for weight, v in zip(weights, values[k * per : (k + 1) * per]):
             log_rhs += weight * v
         rhs.append(log_rhs)
     lower = values[per - 1 :: per] if inst.lower is not None else [None] * sets

@@ -26,8 +26,9 @@ exponent).  Above it the plan streams: each pair is reduced from the raw
 inputs in blocks of at most `_BATCH_BYTES`, each block logged once for
 every pair that shares it, and the block's slot sums formed from those
 logs, until a node's outputs fit the budget and stack again.  No array
-the size of an input is made.  A block is the unit of work of a pool of
-one thread per CPU (`_map`); no result depends on the count.
+the size of an input is made.  A block is the unit of work of `_map`,
+which runs a large loop on threads of its own, one per CPU up to 8, and
+joins them before it returns; no result depends on the count.
 `mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and
 `evaluation.evaluate_instance` all run a `Pass` of one set;
 `evaluation.evaluate_batch` runs K sets, one per candidate of a search
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +82,20 @@ class Tensor:
 
 def as_float_array(values, copy: bool = False) -> np.ndarray:
     """values as a C-ordered float array, a new one when copy is set.  Values
-    that numpy cannot convert to floats, and complex ones, are a
-    ValidationError rather than a numpy error or a silently dropped part."""
+    that numpy cannot convert to floats, text, booleans and complex values
+    are a ValidationError rather than a numpy error, a cast or a silently
+    dropped part."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind != "c":
+        kind = arr.dtype.kind
+        if kind == "O" or not isinstance(values, np.ndarray):  # numpy casts a bool among numbers, text among objects
+            if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+                kind = "b"
+        if kind not in "cUSb":
             return np.array(arr, dtype=float, order="C") if copy else np.ascontiguousarray(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"tensor values are not real numbers: {exc}") from None
-    raise ValidationError("tensor values are complex")
+    raise ValidationError("tensor values are complex" if kind == "c" else "tensor values are not real numbers")
 
 
 def check_values(arr: np.ndarray, shape, lead: int = 0) -> None:
@@ -157,26 +162,20 @@ _BATCH_BYTES = 1 << 19
 
 _POOL_BYTES = 1 << 25  # a smaller loop runs inline: it gains little on threads, and its time varies more
 _WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-_pool, _pool_lock = None, threading.Lock()  # the pool starts in the first _map that needs it
-if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
-    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _pool_lock=threading.Lock()))
 
 
 def _map(task, items: list, nbytes: int) -> list:
-    """[task(*item) for item in items], on the pool (numpy releases the GIL inside a ufunc) for two or
-    more items over nbytes >= _POOL_BYTES.  A task must not call _map: a nested map can deadlock."""
-    global _pool
+    """[task(*item) for item in items], on threads of its own (numpy releases the GIL inside a ufunc),
+    joined before it returns, for two or more items over nbytes >= _POOL_BYTES."""
     if _WORKERS < 2 or len(items) < 2 or nbytes < _POOL_BYTES:
         return [task(*item) for item in items]
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="mixednorm")
+    from concurrent.futures import ThreadPoolExecutor
 
     def quiet(item):  # numpy keeps the kernel's np.errstate per thread
         with np.errstate(divide="ignore", over="ignore"):
             return task(*item)
-    return list(_pool.map(quiet, items))
+    with ThreadPoolExecutor(min(_WORKERS, len(items)), thread_name_prefix="mixednorm") as pool:
+        return list(pool.map(quiet, items))
 
 
 def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray) -> np.ndarray:
@@ -205,11 +204,14 @@ class Pass:
     slot order, and mean divides it by the slot count.  Each set's requests
     are the same; the stack holds set k's inputs in rows k * inputs + r,
     then the K slot sums, so set k's norms come out in positions
-    k * len(requests) + i.
+    k * len(requests) + i.  K sets too large to stack together, each small
+    enough to stack alone, run in chunks of as many as stack, each chunk on
+    a pass of its own set count (`parts`).
     """
 
     def __init__(self, space: ProductSpace, requests, inputs: int, slots=None, mean: bool = False, sets: int = 1):
         self.ids, self.inputs, self.slots, self.mean, self.sets = space.ids, inputs, slots, mean, sets
+        self.args, self.parts = (space, requests, inputs, slots, mean), {}
         self.rows = sets * inputs  # the input rows; the slot sums, if any, follow them
         columns = []
         for row, spec in requests:
@@ -221,14 +223,26 @@ class Pass:
             for i, (row, cols) in enumerate(columns)
         ]
         self.sums = sets if slots is not None else 0  # slot-sum rows
-        self.plan, width = _compile(self.group, self.ids, 0)
-        self.width = max(width, self.rows + self.sums)  # the most rows a stacked array holds
+        plan, width = _compile(self.group[: len(columns)], self.ids, 0)  # K sets' plan has K times one set's width
+        self.plan = plan if sets == 1 else None  # K sets' plan is compiled by the first run that stacks or streams
+        self.width = max(width * sets, self.rows + self.sums)  # the most rows a stacked array holds
 
     def run(self, arrays, logw, log: bool = True) -> list[float]:
         """Log norms in output order of the input rows arrays[k * inputs + r],
         raw values when log is set, else logs with zeros as -inf; logw is the
         space's log_weights.  arrays is a list of arrays, or one array with
         the rows on axis 0.  The arrays are not written."""
+        per_set = self.width // self.sets * arrays[0].nbytes  # the stacked bytes of one set
+        if self.sets * per_set > _BATCH_BYTES >= per_set:
+            chunk, n, out = _BATCH_BYTES // per_set, self.inputs, []
+            for k in range(0, self.sets, chunk):
+                c = min(chunk, self.sets - k)
+                if c not in self.parts:
+                    self.parts[c] = Pass(*self.args, sets=c)
+                out += self.parts[c].run(arrays[k * n : (k + c) * n], logw, log)
+            return out
+        if self.plan is None:
+            self.plan = _compile(self.group, self.ids, 0)[0]
         out = [0.0] * len(self.group)
         shape = arrays[0].shape
         with np.errstate(divide="ignore", over="ignore"):
@@ -248,7 +262,8 @@ class Pass:
                 return out
             fold = None
             if self.sums:  # each set's slot sum of one block of logs, formed when a head reads it
-                fold = lambda logs: [_fold(logs[k * self.inputs :], self.slots, self.mean) for k in range(self.sets)]
+                n = self.inputs
+                fold = lambda logs: [_fold(logs[k * n : (k + 1) * n], self.slots, self.mean) for k in range(self.sets)]
             _stream_plan(self.plan, arrays, logw, out, log, fold)
         return out
 

@@ -31,7 +31,11 @@ class Axis:
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("axis id must be a nonempty string")
         try:
-            ws = tuple(float(w) for w in self.weights)
+            ws = tuple(self.weights)
+            for w in ws:
+                if isinstance(w, (str, bytes, bool)):  # float() would parse text and cast a bool
+                    raise TypeError
+            ws = tuple(map(float, ws))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"axis {self.id!r}: weights must be numbers") from exc
         if not ws:

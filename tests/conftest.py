@@ -1,7 +1,8 @@
 """The `python -m mixednorm` subprocesses some tests start import the
 checkout's `src`, as the tests do, whether or not PYTHONPATH names it.
 
-The `workers` fixture forces the kernel's thread pool to a worker count."""
+The `workers` fixture forces the kernel's worker count, and `executors`
+records the thread pools the kernel opens."""
 
 import contextlib
 import os
@@ -16,8 +17,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYT
 @pytest.fixture
 def workers():
     """workers(n): a context in which the streamed kernel runs its blocks on
-    a fresh pool of n threads, however few bytes a loop reads (n = None
-    keeps the defaults), shut down on leaving it."""
+    n threads, however few bytes a loop reads (n = None keeps the
+    defaults)."""
     from mixednorm import spaces
 
     @contextlib.contextmanager
@@ -28,11 +29,22 @@ def workers():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spaces, "_WORKERS", n)
             mp.setattr(spaces, "_POOL_BYTES", 0)
-            mp.setattr(spaces, "_pool", None)
-            try:
-                yield
-            finally:
-                if spaces._pool is not None:
-                    spaces._pool.shutdown()
+            yield
 
     return force
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """The worker count of each concurrent.futures.ThreadPoolExecutor opened
+    during the test, in order."""
+    import concurrent.futures
+
+    opened, real = [], concurrent.futures.ThreadPoolExecutor
+
+    def spy(max_workers=None, *args, **kwargs):
+        opened.append(max_workers)
+        return real(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    return opened

@@ -526,6 +526,11 @@ def test_tensors_must_share_instance_axes():
     space = unit_space(("x1", "zz"), (2, 2))
     with pytest.raises(ValidationError, match="axes"):
         evaluate_instance(inst, [Tensor.constant(space, 1.0)])
+    # the tensors of one call share one space, not only its axis ids
+    holder = build_instance("HolderMixed", {"specs": [NormSpec.uniform(2, ("x1", "x2")).to_doc()] * 2})
+    here, there = unit_space(("x1", "x2"), (2, 2)), unit_space(("x1", "x2"), (2, 3))
+    with pytest.raises(ValidationError, match="one space"):
+        evaluate_instance(holder, [Tensor.constant(here, 1.0), Tensor.constant(there, 1.0)])
 
 
 def test_sandwich_evaluation_reports_three_values():
@@ -1092,7 +1097,8 @@ def test_batched_rows_equal_evaluate_instance(kind, seed, sets, budget):
 
 def test_batched_rows_above_the_batch_budget_equal_evaluate_instance():
     rng = np.random.default_rng(11)
-    # 16 Quad6 sets on 5^4 stack 112 rows, above the budget, where one set stacks
+    # 16 Quad6 sets on 5^4 stack 112 rows, above the budget, where one set
+    # stacks: they run in chunks of as many sets as stack
     quad6 = build_instance("Quad6")
     small = ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, 5)))) for a in quad6.axis_ids))
     # a product integral whose every input row is above the budget on its own
@@ -1103,8 +1109,28 @@ def test_batched_rows_above_the_batch_budget_equal_evaluate_instance():
     with _streamed_plans() as streamed:
         for inst, space, sets in ((quad6, small, 16), (holder, large, 3)):
             _check_batch_rows(inst, space, _batch_values(rng, sets, inst.arity, space.shape))
-            assert id(inst._passes[space.ids, tuple(range(inst.arity)), sets][0].plan) in streamed
-    assert id(quad6._passes[small.ids, tuple(range(6)), 1][0].plan) not in streamed
+    assert id(holder._passes[large.ids, (0, 1), 3][0].plan) in streamed
+    chunked = quad6._passes[small.ids, tuple(range(6)), 16][0]
+    assert chunked.plan is None  # never compiled: its chunks ran
+    assert sorted(chunked.parts) == [2, 14]
+    for ev in (*chunked.parts.values(), quad6._passes[small.ids, tuple(range(6)), 1][0]):
+        assert ev.plan is not None and id(ev.plan) not in streamed
+
+
+def test_many_small_input_sets_run_in_chunks_that_stack(monkeypatch):
+    # 40,000 sets on a 2-atom axis stack 1.9 MB of rows, above the budget,
+    # but each set stacks in 48 bytes: the sets run in a few chunks of as
+    # many as stack, not one reduction per row, and each ratio keeps the
+    # bits of the set evaluated in a smaller batch
+    inst = build_instance("HolderMixed", {"specs": [NormSpec.uniform(2, ("x1",)).to_doc()] * 2})
+    space = ProductSpace((Axis("x1", (0.5, 2.0)),))
+    values = _batch_values(np.random.default_rng(40), 40_000, 2, space.shape)
+    apart = [float(r).hex() for k in range(0, 40_000, 4_000) for r in evaluate_batch(inst, space, values[k : k + 4000])]
+    calls = []
+    reduce_column = spaces._reduce_column
+    monkeypatch.setattr(spaces, "_reduce_column", lambda *args: calls.append(1) or reduce_column(*args))
+    assert [float(r).hex() for r in evaluate_batch(inst, space, values)] == apart
+    assert len(calls) <= 8
 
 
 def test_batched_values_get_the_tensor_checks():
@@ -1132,8 +1158,13 @@ def test_batched_values_get_the_tensor_checks():
     ragged = [[[[1, 2, 3], [4, 5]]] * 2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no ComplexWarning: the imaginary part is not dropped
+        text, flags = good.astype(str), good.astype(bool)
+        mixed = good.tolist()
+        mixed[3][1][1][2] = True
         for bad, message in ((complex_values, "complex"), (complex_values.tolist(), "complex"),
-                             (ragged, "not real numbers"), ("ab", "not real numbers")):
+                             (ragged, "not real numbers"), ("ab", "not real numbers"),
+                             (text, "not real numbers"), (text.tolist(), "not real numbers"),
+                             (flags, "not real numbers"), (mixed, "not real numbers")):
             with pytest.raises(ValidationError, match=message) as batch_error:
                 evaluate_batch(inst, space, bad)
             with pytest.raises(ValidationError) as tensor_error:
@@ -1146,7 +1177,7 @@ def test_batched_values_get_the_tensor_checks():
 # the streamed kernel on worker threads
 
 
-def test_streamed_results_are_the_same_bits_for_any_worker_count(workers):
+def test_streamed_results_are_the_same_bits_for_any_worker_count(workers, executors, monkeypatch):
     # With a 256-byte budget these inputs stream in many blocks, the slot
     # sums of the product integrals among them, on pools of 1, 2 and 3
     # threads.  A zero logs to -inf and an all-zero set sums to a zero
@@ -1173,15 +1204,26 @@ def test_streamed_results_are_the_same_bits_for_any_worker_count(workers):
         return out
 
     seen = {"stacked": results()}
+    loops, block_map = [], spaces._map  # the item count of each block loop
+
+    def counted_map(task, items, nbytes):
+        loops.append(len(items))
+        return block_map(task, items, nbytes)
+
+    monkeypatch.setattr(spaces, "_map", counted_map)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the interpreter lock between threads often
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 2, 3):
+                loops.clear()
+                executors.clear()
                 with _batch_budget(256), workers(n):
                     seen[n] = results()
-                    assert (spaces._pool is not None) == (n > 1)
+                # each loop of two or more blocks opens a pool of its own, of at most n threads
+                assert executors == [min(n, k) for k in loops if k > 1 and n > 1]
+                assert any(k > 1 for k in loops)
     finally:
         sys.setswitchinterval(interval)
     assert seen[1] == seen[2] == seen[3] == seen["stacked"]

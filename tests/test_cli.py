@@ -423,6 +423,8 @@ HOSTILE_INPUTS = {
     "eval-negative-weight": (
         2, ["eval", "--tensor", _tensor([1.0, 3.0], [-1.0, 2.0]), "--spec", _spec(2)]
     ),
+    "eval-text-weights": (2, ["eval", "--tensor", _tensor([1.0, 3.0], ["1", "2"]), "--spec", _spec(2)]),
+    "eval-bool-weights": (2, ["eval", "--tensor", _tensor([1.0, 3.0], [True, 2.0]), "--spec", _spec(2)]),
     "eval-exponent-1e400": (2, ["eval", "--tensor", T_13, "--spec", _spec("1e400")]),
     "eval-exponent-1e5000": (2, ["eval", "--tensor", T_13, "--spec", _spec("1e5000")]),
     "eval-exponent-1e-400": (

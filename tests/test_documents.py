@@ -36,6 +36,8 @@ def test_space_round_trip(space):
         {"axes": [{"id": "a"}]},
         {"axes": [{"id": "a", "weights": "1,2"}]},
         {"axes": [{"id": "a", "weights": [1.0, -1.0]}]},
+        {"axes": [{"id": "a", "weights": ["1", "2"]}]},
+        {"axes": [{"id": "a", "weights": [True, 2]}]},
         {"axes": [{"id": "a", "weights": [1.0]}, {"id": "a", "weights": [1.0]}]},
     ],
 )

@@ -14,6 +14,7 @@ form the geometric mean's slot sum block by block.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,8 +33,6 @@ from mixednorm import (
 )
 from mixednorm import spaces
 from mixednorm.search import random_params
-
-mpmath = pytest.importorskip("mpmath")
 
 ORACLE = settings(max_examples=100, deadline=None, derandomize=True)
 

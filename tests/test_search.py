@@ -28,8 +28,8 @@ from mixednorm import (
     sweep,
     tensor_from_doc,
 )
-from mixednorm import search, spaces
-from mixednorm.catalog import RhsFactor
+from mixednorm import search
+from mixednorm.catalog import MixedNorm, RhsFactor
 from mixednorm.evaluation import evaluate_batch
 from mixednorm.perms import all_permutations, lowers, raises
 from mixednorm.search import _monotone_images, random_params
@@ -169,7 +169,7 @@ def test_maximize_ratio_is_deterministic(wide_space):
     )
 
 
-def test_small_inputs_never_start_the_kernel_pool(workers, wide_space):
+def test_small_inputs_never_start_the_kernel_pool(workers, executors, wide_space):
     # sweep-, search- and batch-sized inputs fit the batch budget, so they
     # run on the calling thread even where the pool would have two workers
     with workers(2):
@@ -179,7 +179,7 @@ def test_small_inputs_never_start_the_kernel_pool(workers, wide_space):
         space = ProductSpace(tuple(Axis(a, (1.0,) * 5) for a in quad6.axis_ids))
         values = np.random.default_rng(4).uniform(0, 1, (8, quad6.arity, *space.shape))
         evaluate_batch(quad6, space, values)
-        assert spaces._pool is None
+    assert executors == []
 
 
 def test_maximize_ratio_respects_soundness(wide_space):
@@ -219,6 +219,49 @@ def test_climb_finds_the_violation_the_indicator_starts_miss():
         assert float(again).hex() == float(res.best_ratio).hex()
         found += res.best_ratio > 1 + 1e-8
     assert found >= 7
+
+
+def swapped_minkowski():
+    """MinkowskiRaise with its sides swapped: the raised norm bounds the original."""
+    spec = NormSpec(((1, "x1"), (2, "x2"), (3, "x3")))
+    sound = build_instance("MinkowskiRaise", {"spec": spec.to_doc(), "perm": [3, 2, 1]})
+    return dataclasses.replace(
+        sound, lhs=MixedNorm(sound.rhs[0].spec), rhs=(RhsFactor(sound.lhs.spec, Fraction(1), 0),)
+    )
+
+
+def shrunk_blei_ps():
+    """BleiPS whose factor weights sum to 9/10 of what homogeneity needs."""
+    sound = build_instance("BleiPS", {"n": 3, "k": 1, "q": [3, 3, 3]})
+    return dataclasses.replace(
+        sound, rhs=tuple(dataclasses.replace(f, weight=f.weight * Fraction(9, 10)) for f in sound.rhs)
+    )
+
+
+def short_holder():
+    """HolderMixed whose reciprocal exponents on x1 sum to 1/2 + 1/3."""
+    a, b = NormSpec(((2, "x1"), (2, "x2"))), NormSpec(((3, "x1"), (2, "x2")))
+    sound = build_instance("HolderMixed", {"specs": [a.to_doc(), a.to_doc()]})
+    return dataclasses.replace(sound, rhs=(RhsFactor(a, Fraction(1), 0), RhsFactor(b, Fraction(1), 1)))
+
+
+def low_blei21():
+    """Blei21 with its left exponent at 95% of pbar."""
+    pbar = Fraction(build_instance("Blei21", {"J": 3, "K": 1}).derived["pbar"])
+    return build_instance("Blei21", {"J": 3, "K": 1, "lhs_exponent": str(pbar * Fraction(19, 20))})
+
+
+@pytest.mark.parametrize("make", [swapped_minkowski, shrunk_blei_ps, short_holder, low_blei21])
+def test_climb_finds_the_violation_of_known_false_variants(make):
+    # each variant breaks one hypothesis of a sound kind, and the climb on a
+    # random space of 4 atoms per axis finds a witness the evaluator confirms
+    inst = make()
+    rng = np.random.default_rng(0)
+    space = ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, 4)))) for a in inst.axis_ids))
+    res = maximize_ratio(inst, space, seed=0, max_evals=4000)
+    assert res.best_ratio > 1 + 1e-8
+    again = evaluate_instance(inst, list(res.witnesses)).ratio
+    assert float(again).hex() == float(res.best_ratio).hex()
 
 
 def test_maximize_ratio_spends_its_budget(wide_space):

@@ -67,10 +67,14 @@ def test_tensor_validation_names_flat_index():
         Tensor(space, [[1.0, 2.0], [3.0, -4.0]])
     with pytest.raises(ValidationError, match="flat index 1"):
         Tensor(space, [[1.0, math.nan], [3.0, 4.0]])
-    # values numpy cannot convert, and complex ones (whose imaginary part a
-    # cast would drop with a ComplexWarning), are a ValidationError too
+    # values numpy cannot convert, complex ones (whose imaginary part a cast
+    # would drop with a ComplexWarning), and text and booleans (which a cast
+    # would parse or turn into 1 and 0) are a ValidationError too
     not_real = [([1 + 2j, 3, 4, 5], "complex"), (np.array([1 + 2j, 3, 4, 5]), "complex"),
-                ([[1, 2], [3]], "not real numbers"), ("ab", "not real numbers"), ([{}, 1, 2, 3], "not real numbers")]
+                ([[1, 2], [3]], "not real numbers"), ("ab", "not real numbers"), ([{}, 1, 2, 3], "not real numbers"),
+                (["1.5", "2", "3", "4"], "not real numbers"), (np.array(["1.5", "2", "3", "4"]), "not real numbers"),
+                ([b"1", b"2", b"3", b"4"], "not real numbers"), (np.array(["1.5", 2, 3, 4], dtype=object), "not real"),
+                ([True, 2.0, 3.0, 4.0], "not real numbers"), (np.array([True, False, True, True]), "not real numbers")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for values, message in not_real:
@@ -381,17 +385,16 @@ def test_one_slot_and_one_repeated_slot_integrate_as_the_reference(shape):
             assert integral == pytest.approx(integrate_product(tensors, method="direct"), rel=1e-12)
 
 
-def test_streamed_loops_below_the_pool_size_stay_on_the_calling_thread(monkeypatch):
+def test_streamed_loops_below_the_pool_size_stay_on_the_calling_thread(monkeypatch, executors):
     # a 32^4 input (8 MiB) streams in blocks, but no loop reads _POOL_BYTES
     monkeypatch.setattr(spaces, "_WORKERS", 2)
-    monkeypatch.setattr(spaces, "_pool", None)
     rng = np.random.default_rng(32)
     space = ProductSpace(tuple(Axis(f"x{i + 1}", tuple(rng.uniform(0.5, 2, 32))) for i in range(4)))
     f, g = (Tensor(space, rng.uniform(0.5, 2, space.shape)) for _ in range(2))
     assert spaces._BATCH_BYTES < f.values.nbytes < spaces._POOL_BYTES
     mixed_norm_log(f, NormSpec((("3/2", "x2"), ("inf", "x3"), (3, "x1"), (1, "x4"))))
     integrate_product([f, g, f])
-    assert spaces._pool is None
+    assert executors == []
 
 
 # ---------------------------------------------------------------------------
