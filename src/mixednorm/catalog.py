@@ -268,7 +268,7 @@ class InequalityInstance:
     derived: dict
     lower: NormSpec | None = None
     # the `evaluation` module's passes with the factor weights, keyed by
-    # (space axis ids, slot -> row, input sets)
+    # (space axis ids, slot -> row); one pass serves any number of input sets
     _passes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 

@@ -1,10 +1,10 @@
 """Evaluation of catalog instances: both sides of an inequality in the log
 domain, their ratio, and the report of one verification.
 
-An instance caches one `spaces.Pass` per space axis order, pattern of
-repeated inputs and number of input sets.  `evaluate_instance` runs it on
-one set of tensors; `evaluate_batch` runs it on K sets in one call, each
-set's ratio bit for bit what `evaluate_instance` reports for it.
+An instance caches one `spaces.Pass` per space axis order and pattern of
+repeated inputs.  `evaluate_instance` runs it on one set of tensors;
+`evaluate_batch` runs the same pass on K sets in one call, each set's ratio
+bit for bit what `evaluate_instance` reports for it.
 """
 
 from __future__ import annotations
@@ -68,14 +68,13 @@ def _pair_ratio(log_lhs: float, log_rhs: float, tolerance: float):
     return exp_or_inf(log_lhs - log_rhs), False
 
 
-def _compile_pass(inst: InequalityInstance, space, slot_rows, sets: int) -> tuple[Pass, tuple[float, ...]]:
-    """The instance's pass for one space axis order, pattern of repeated
-    inputs and number of input sets, with the right-side factors' weights.
-    Its norms, in output order for each set: the right-side factors, the
-    left side, then `lower`.  A GmLpNorm or ProductIntegral left side of two
-    or more slots reads the slots' logs summed, one row past the inputs: a
-    GmLpNorm is the L^exponent norm of their mean, and a ProductIntegral the
-    L^1 norm of their sum (Fubini)."""
+def _compile_pass(inst: InequalityInstance, space, slot_rows) -> tuple[Pass, tuple[float, ...]]:
+    """The instance's pass for one space axis order and pattern of repeated
+    inputs, with the right-side factors' weights.  Its norms, in output
+    order: the right-side factors, the left side, then `lower`.  A GmLpNorm
+    or ProductIntegral left side of two or more slots reads the slots' logs
+    summed, one row past the inputs: a GmLpNorm is the L^exponent norm of
+    their mean, and a ProductIntegral the L^1 norm of their sum (Fubini)."""
     lhs = inst.lhs
     inputs = max(slot_rows) + 1
     summed = len(slot_rows) > 1 and not isinstance(lhs, MixedNorm)
@@ -89,29 +88,26 @@ def _compile_pass(inst: InequalityInstance, space, slot_rows, sets: int) -> tupl
         requests.append((0, inst.lower))
     weights = tuple(float(f.weight) for f in inst.rhs)
     mean = summed and isinstance(lhs, GmLpNorm)
-    return Pass(space, requests, inputs, slot_rows if summed else None, mean, sets), weights
+    return Pass(space, requests, inputs, slot_rows if summed else None, mean), weights
 
 
-def _log_sides(inst: InequalityInstance, space, slot_rows, arrays, sets: int = 1) -> list[tuple]:
-    """(log lhs, log rhs, log lower or None) of each of `sets` input sets in
-    one pass over their distinct inputs, arrays[k * inputs + r], with the
-    pass cached on the instance for the space's axis order, the pattern of
-    repeated inputs and the number of sets."""
-    key = (space.ids, slot_rows, sets)
+def _log_sides(inst: InequalityInstance, space, slot_rows, arrays) -> list[tuple]:
+    """(log lhs, log rhs, log lower or None) of each input set of arrays, a
+    (K, inputs, *shape) array or a list of one set's distinct inputs, in one
+    pass cached on the instance for the space's axis order and the pattern
+    of repeated inputs."""
+    key = (space.ids, slot_rows)
     cached = inst._passes.get(key)
     if cached is None:
-        cached = inst._passes[key] = _compile_pass(inst, space, slot_rows, sets)
+        cached = inst._passes[key] = _compile_pass(inst, space, slot_rows)
     evaluation, weights = cached
-    values = evaluation.run(arrays, log_weights(space))
-    per = len(values) // sets
-    rhs = []
-    for k in range(sets):
+    lhs, sides = len(inst.rhs), []
+    for values in evaluation.run(arrays, log_weights(space)):
         log_rhs = 0.0
-        for weight, v in zip(weights, values[k * per : (k + 1) * per]):
+        for weight, v in zip(weights, values):
             log_rhs += weight * v
-        rhs.append(log_rhs)
-    lower = values[per - 1 :: per] if inst.lower is not None else [None] * sets
-    return list(zip(values[len(inst.rhs) :: per], rhs, lower))
+        sides.append((values[lhs], log_rhs, values[-1] if inst.lower is not None else None))
+    return sides
 
 
 def _check_space(inst: InequalityInstance, space) -> None:
@@ -145,7 +141,7 @@ def batch_log_sides(inst: InequalityInstance, space, values) -> list[tuple]:
     check_values(values, space.shape, lead=2)
     if not len(values):
         return []
-    return _log_sides(inst, space, tuple(range(inst.arity)), values.reshape(-1, *space.shape), len(values))
+    return _log_sides(inst, space, tuple(range(inst.arity)), values)
 
 
 def evaluate_batch(inst: InequalityInstance, space, values, tolerance: float = 1e-8) -> list[float]:

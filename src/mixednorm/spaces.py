@@ -12,27 +12,28 @@ log-domain path that masks zeros as -inf and uses shifted log-sum-exp so
 large exponents (12th powers and the like) cannot overflow.  The log path
 is the default and the oracle the catalog's verdicts rest on.
 
-Every log-domain result comes from one `Pass`: the norm requests of K input
-sets of a few distinct inputs each, and of each set's slot sum (its logs
-added slot by slot; by Fubini a product integral is the sum's L^1 norm, and
-a geometric mean's L^p norm is the L^p norm of the sum over the slot count),
-compiled by a trie walk over the specs' columns so each distinct (input,
-column prefix) is reduced once.  Each `run` chooses how to run its one plan.
-Within `_BATCH_BYTES` the logs stack into one C-ordered array with a row
-per input of every set (and one per set for the slot sum), and each plan
-node collapses one axis for every (row, exponent) pair reducing it at that
-depth, by one in-place shifted log-sum-exp (a maximum for an infinite
-exponent).  Above it the plan streams: each pair is reduced from the raw
-inputs in blocks of at most `_BATCH_BYTES`, each block logged once for
-every pair that shares it, and the block's slot sums formed from those
-logs, until a node's outputs fit the budget and stack again.  No array
-the size of an input is made.  A block is the unit of work of `_map`,
-which runs a large loop on threads of its own, one per CPU up to 8, and
-joins them before it returns; no result depends on the count.
+Every log-domain result comes from one `Pass`: the norm requests of one set
+of a few distinct inputs, and of its slot sum (its logs added slot by slot;
+by Fubini a product integral is the sum's L^1 norm, and a geometric mean's
+L^p norm is the L^p norm of the sum over the slot count), compiled by a
+trie walk over the specs' columns so each distinct (input, column prefix)
+is reduced once.  Each `run` runs that one plan on K input sets, and
+chooses how.  Within `_BATCH_BYTES` the logs stack into one C-ordered array
+with a leading set axis and a row per input (and one for the slot sum), and
+each plan node collapses one axis for every set and every (row, exponent)
+pair reducing it at that depth, by one in-place shifted log-sum-exp (a
+maximum for an infinite exponent); more sets run in chunks of as many as
+stack.  A set too large to stack alone streams: each pair is reduced from
+the raw inputs in blocks of at most `_BATCH_BYTES`, each block logged once
+for every pair that shares it, and the block's slot sum formed from those
+logs, until a node's outputs fit the budget and stack again.  No array the
+size of an input is made.  A block is the unit of work of `_map`, which
+runs a large loop on threads of its own, one per CPU up to 8, and joins
+them before it returns; no result depends on the count.
 `mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and
-`evaluation.evaluate_instance` all run a `Pass` of one set;
-`evaluation.evaluate_batch` runs K sets, one per candidate of a search
-population.
+`evaluation.evaluate_instance` all run a `Pass` on one set;
+`evaluation.evaluate_batch` runs the same pass on K sets, one per candidate
+of a search population.
 `Tensor` stores its values in C order, so a stacked row or a block sums
 each cell in the same order as a lone array, and each entry point returns
 bit for bit what a one-spec loop over whole arrays returns.
@@ -194,77 +195,61 @@ def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray) -> np.ndarra
 
 
 class Pass:
-    """One log-domain evaluation: the mixed norms of K = `sets` input sets
-    of a few inputs each, and of each set's slot sum, compiled once for a
-    space's axis order.
+    """One log-domain evaluation: the mixed norms of a set of a few inputs,
+    and of the set's slot sum, compiled once for a space's axis order and run
+    on any number of sets.
 
-    requests holds (row, spec) pairs of one set.  Row r < inputs reads input
-    r; row `inputs` reads the slot sum.  slots, where given, lists the input
-    row of each of two or more slots.  The slot sum adds the slots' logs in
-    slot order, and mean divides it by the slot count.  Each set's requests
-    are the same; the stack holds set k's inputs in rows k * inputs + r,
-    then the K slot sums, so set k's norms come out in positions
-    k * len(requests) + i.  K sets too large to stack together, each small
-    enough to stack alone, run in chunks of as many as stack, each chunk on
-    a pass of its own set count (`parts`).
+    requests holds (row, spec) pairs.  Row r < inputs reads input r; row
+    `inputs` reads the slot sum.  slots, where given, lists the input row of
+    each of two or more slots.  The slot sum adds the slots' logs in slot
+    order, and mean divides it by the slot count.
     """
 
-    def __init__(self, space: ProductSpace, requests, inputs: int, slots=None, mean: bool = False, sets: int = 1):
-        self.ids, self.inputs, self.slots, self.mean, self.sets = space.ids, inputs, slots, mean, sets
-        self.args, self.parts = (space, requests, inputs, slots, mean), {}
-        self.rows = sets * inputs  # the input rows; the slot sums, if any, follow them
-        columns = []
-        for row, spec in requests:
+    def __init__(self, space: ProductSpace, requests, inputs: int, slots=None, mean: bool = False):
+        self.inputs, self.slots, self.mean, self.count = inputs, slots, mean, len(requests)
+        group = []  # (output index, row, float columns)
+        for i, (row, spec) in enumerate(requests):
             spec.validate_for(space)
-            columns.append((row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
-        self.group = [  # (output index, row, float columns)
-            (k * len(columns) + i, self.rows + k if row == inputs else k * inputs + row, cols)
-            for k in range(sets)
-            for i, (row, cols) in enumerate(columns)
-        ]
-        self.sums = sets if slots is not None else 0  # slot-sum rows
-        plan, width = _compile(self.group[: len(columns)], self.ids, 0)  # K sets' plan has K times one set's width
-        self.plan = plan if sets == 1 else None  # K sets' plan is compiled by the first run that stacks or streams
-        self.width = max(width * sets, self.rows + self.sums)  # the most rows a stacked array holds
+            group.append((i, row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
+        self.plan, width = _compile(group, space.ids, 0)
+        self.height = inputs + (slots is not None)  # a set's rows in the stack: its inputs, then its slot sum
+        self.width = max(width, self.height)  # the most rows of one set a stacked array holds
 
-    def run(self, arrays, logw, log: bool = True) -> list[float]:
-        """Log norms in output order of the input rows arrays[k * inputs + r],
-        raw values when log is set, else logs with zeros as -inf; logw is the
-        space's log_weights.  arrays is a list of arrays, or one array with
-        the rows on axis 0.  The arrays are not written."""
-        per_set = self.width // self.sets * arrays[0].nbytes  # the stacked bytes of one set
-        if self.sets * per_set > _BATCH_BYTES >= per_set:
-            chunk, n, out = _BATCH_BYTES // per_set, self.inputs, []
-            for k in range(0, self.sets, chunk):
-                c = min(chunk, self.sets - k)
-                if c not in self.parts:
-                    self.parts[c] = Pass(*self.args, sets=c)
-                out += self.parts[c].run(arrays[k * n : (k + c) * n], logw, log)
-            return out
-        if self.plan is None:
-            self.plan = _compile(self.group, self.ids, 0)[0]
-        out = [0.0] * len(self.group)
-        shape = arrays[0].shape
+    def run(self, arrays, logw, log: bool = True) -> list[list[float]]:
+        """Each input set's log norms, in request order.  arrays is a
+        (K, inputs, *shape) array of K sets, or a list of one set's input
+        arrays, arrays[r] for row r; they hold raw values when log is set,
+        else logs with zeros as -inf.  logw is the space's log_weights.  The
+        arrays are not written.
+
+        Up to as many sets as stack within _BATCH_BYTES stack into one
+        (sets, height, *shape) array, and more run in chunks of that many; a
+        set too large to stack alone streams on its own."""
+        sets = arrays if isinstance(arrays, np.ndarray) else [arrays]
+        one, n = sets[0][0], self.inputs
+        out = [[0.0] * self.count for _ in range(len(sets))]
+        chunk = _BATCH_BYTES // (self.width * one.nbytes)
         with np.errstate(divide="ignore", over="ignore"):
-            if self.width * arrays[0].nbytes <= _BATCH_BYTES:
-                stack = np.empty((self.rows + self.sums, *shape))
-                # one array of rows is logged in one call, a list row by row
-                rows = [(slice(self.rows), arrays)] if isinstance(arrays, np.ndarray) else enumerate(arrays)
-                for row, arr in rows:
-                    if log:
-                        np.log(arr, out=stack[row])
-                    else:
-                        stack[row] = arr
-                if self.sums:
-                    by_slot = stack[: self.rows].reshape(self.sets, self.inputs, *shape).swapaxes(0, 1)
-                    _fold(by_slot, self.slots, self.mean, out=stack[self.rows :])
-                _run_plan(self.plan, stack, logw, out)
+            if not chunk:
+                fold = None
+                if self.slots:  # the slot sum of one block of logs, formed when a head reads it
+                    fold = lambda logs: _fold(logs, self.slots, self.mean)
+                for values, norms in zip(sets, out):
+                    _stream_plan(self.plan, values, logw, norms, log, fold)
                 return out
-            fold = None
-            if self.sums:  # each set's slot sum of one block of logs, formed when a head reads it
-                n = self.inputs
-                fold = lambda logs: [_fold(logs[k * n : (k + 1) * n], self.slots, self.mean) for k in range(self.sets)]
-            _stream_plan(self.plan, arrays, logw, out, log, fold)
+            for k in range(0, len(sets), chunk):
+                part = sets[k : k + chunk]
+                stack = np.empty((len(part), self.height, *one.shape))
+                # an array of sets is logged in one call, a list of one set's inputs row by row
+                rows = [(stack[:, :n], part)] if sets is arrays else zip(stack[0], arrays)
+                for row, values in rows:
+                    if log:
+                        np.log(values, out=row)
+                    else:
+                        row[...] = values
+                if self.slots:
+                    _fold(stack.swapaxes(0, 1), self.slots, self.mean, out=stack[:, n])
+                _run_plan(self.plan, stack, logw, out[k : k + chunk])
         return out
 
 
@@ -282,8 +267,8 @@ def _fold(logs, slots, mean: bool, out=None) -> np.ndarray:
 
 def _compile(group, remaining, depth):
     """The reduction plan of group, (output index, row, float columns)
-    triples sharing their first `depth` columns, over an array with a row
-    axis first and the `remaining` axes after it.
+    triples sharing their first `depth` columns, over a stack with a set
+    axis and a row axis first and the `remaining` axes after them.
 
     The plan is a tuple tree built by a trie walk over the columns, so each
     distinct (row, column prefix) is reduced once.  A node is (children,
@@ -291,8 +276,10 @@ def _compile(group, remaining, depth):
     pairs in one _reduce_column call: every pair that collapses the axis
     with a finite exponent, or every one with an infinite exponent.  It also
     lists those pairs, with None for an infinite exponent, which a streamed
-    run reduces one at a time.  Returns (plan, width): width is the most
-    rows a work array holds.
+    run reduces one at a time.  A child holds its axis among the `remaining`
+    axes, and the index of its rows in a stack, past the whole set axis.
+    Returns (plan, width): width is the most rows of one set a work array
+    holds.
     """
     if not remaining:
         return ((), tuple((i, pos) for i, pos, _ in group)), 0
@@ -308,43 +295,43 @@ def _compile(group, remaining, depth):
             where.setdefault((pos, cols[depth][1]), len(where))
         pairs = tuple((pos, None if infinite else p) for pos, p in where)
         rows = [pos for pos, _ in pairs]
-        if len(rows) == 1:
-            sel, pf = slice(rows[0], rows[0] + 1), pairs[0][1]
+        if rows.count(rows[0]) == len(rows):  # one row, for one or several exponents: broadcast it
+            sel = slice(rows[0], rows[0] + 1)
+        elif rows == list(range(rows[0], rows[0] + len(rows))):  # a run of rows: a view, not a copy
+            sel = slice(rows[0], rows[0] + len(rows))
         else:
-            if rows.count(rows[0]) == len(rows):  # one row, several exponents: broadcast it
-                sel = slice(rows[0], rows[0] + 1)
-            elif rows[1] > rows[0] and rows == list(range(rows[0], rows[-1] + 1, rows[1] - rows[0])):
-                sel = slice(rows[0], rows[-1] + 1, rows[1] - rows[0])  # evenly spaced: one per set
-            else:
-                sel = np.array(rows)
-            pf = None
-            if not infinite:
-                pf = np.array([p for _, p in pairs]).reshape((-1,) + (1,) * len(remaining))
+            sel = np.array(rows)
+        pf = pairs[0][1] if len(pairs) == 1 else None
+        if len(pairs) > 1 and not infinite:
+            pf = np.array([p for _, p in pairs]).reshape((-1,) + (1,) * len(remaining))
         sub, sub_width = _compile(
             [(i, where[pos, cols[depth][1]], cols) for i, pos, cols in members],
             remaining[:ax] + remaining[ax + 1 :],
             depth + 1,
         )
         lead = (-1,) + (1,) * (len(remaining) - ax - 1)
-        nodes.append((ax + 1, sel, pf, aid, lead, pairs, sub))
+        nodes.append((ax, (slice(None), sel), pf, aid, lead, pairs, sub))
         width = max(width, len(rows), sub_width)
     return (tuple(nodes), ()), width
 
 
 def _run_plan(plan, stack: np.ndarray, logw, out) -> None:
-    """Evaluate a compiled plan on a stack of log arrays, writing each
-    request's log norm to out[index].  stack is not written; the caller holds
+    """Evaluate a compiled plan on a stack of log arrays with a set axis
+    and a row axis first, writing set k's log norm of each request to
+    out[k][index].  stack is not written; the caller holds
     np.errstate(divide="ignore", over="ignore")."""
     children, outputs = plan
-    for i, pos in outputs:
-        out[i] = float(stack[pos])
+    if outputs:
+        for norms, row in zip(out, stack.tolist()):
+            for i, pos in outputs:
+                norms[i] = row[pos]
     for ax, sel, pf, aid, lead, _, sub in children:
-        _run_plan(sub, _reduce_column(stack[sel], pf, ax, logw[aid].reshape(lead)), logw, out)
+        _run_plan(sub, _reduce_column(stack[sel], pf, ax + 2, logw[aid].reshape(lead)), logw, out)
 
 
 def _stream_plan(plan, arrays, logw, out, log: bool = False, fold=None) -> None:
-    """Evaluate a compiled plan on row arrays, arrays[r] for row r, writing
-    each request's log norm to out[index].
+    """Evaluate a compiled plan on one set's row arrays, arrays[r] for row
+    r, writing each request's log norm to out[index].
 
     The arrays share one shape and have no row axis; they hold raw values
     when log is set, else log values.  Each (row, exponent) pair of a child
@@ -356,14 +343,14 @@ def _stream_plan(plan, arrays, logw, out, log: bool = False, fold=None) -> None:
     children, outputs = plan
     for i, pos in outputs:
         out[i] = float(arrays[pos])
-    heads = [(pos, ax - 1, p, aid, lead) for ax, _, _, aid, lead, pairs, _ in children for pos, p in pairs]
+    heads = [(pos, ax, p, aid, lead) for ax, _, _, aid, lead, pairs, _ in children for pos, p in pairs]
     if not heads:
         return
     reduced = iter(_reduce_blocks(arrays, heads, logw, log, fold))
     for *_, pairs, sub in children:
         rows = [next(reduced) for _ in pairs]
         if 8 * len(rows) * rows[0].size <= _BATCH_BYTES:
-            _run_plan(sub, np.stack(rows), logw, out)
+            _run_plan(sub, np.stack(rows)[None], logw, [out])
         else:
             _stream_plan(sub, rows, logw, out)
 
@@ -371,8 +358,8 @@ def _stream_plan(plan, arrays, logw, out, log: bool = False, fold=None) -> None:
 def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
     """Each (row, axis, exponent or None, axis id, log weight shape) head's
     reduction of arrays[row], logged first when log is set.  A row past the
-    arrays is a set's slot sum: fold(logs) forms it, one per set, from the
-    logs of each array's block that a head reads, and no more of it is kept.
+    arrays is the slot sum: fold(logs) forms it from the logs of each
+    array's block that a head reads, and no more of it is kept.
 
     A 1-D array, or one within _BATCH_BYTES, is reduced whole.  A larger one
     is reduced in blocks of at most _BATCH_BYTES where the shape allows, and
@@ -394,7 +381,7 @@ def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
         used = range(len(arrays)) if fold else {h[0] for h in heads}
         logs = {r: _logged(arrays[r], log) for r in used}
         if fold:
-            logs.update(enumerate(fold(list(logs.values())), len(arrays)))
+            logs[len(arrays)] = fold(list(logs.values()))
         return [_reduce_column(logs[r], pf, ax, logw[aid].reshape(lead)) for r, ax, pf, aid, lead in heads]
     reduced = [np.empty(shape[:ax] + shape[ax + 1 :]) for _, ax, *_ in heads]
     columns, rows = [], []
@@ -409,7 +396,7 @@ def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
         def column_block(start, stop):
             logs = {r: _logged(matrices[r][:, start:stop], log) for r in used}
             if fold:
-                logs.update(enumerate(fold(list(logs.values())), len(arrays)))
+                logs[len(arrays)] = fold(list(logs.values()))
             for k in columns:
                 r, ax, pf, aid, _ = heads[k]
                 if ax == 0:
@@ -469,11 +456,11 @@ def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]
 
     logv holds log values with zeros as -inf; it is not modified.
     """
-    return Pass(space, [(0, s) for s in specs], 1).run((logv,), log_weights(space), log=False)
+    return Pass(space, [(0, s) for s in specs], 1).run((logv,), log_weights(space), log=False)[0]
 
 
 def mixed_norm_log(f: Tensor, spec: NormSpec) -> float:
-    return Pass(f.space, [(0, spec)], 1).run((f.values,), log_weights(f.space))[0]
+    return Pass(f.space, [(0, spec)], 1).run((f.values,), log_weights(f.space))[0][0]
 
 
 def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
@@ -525,7 +512,7 @@ def integrate_product(tensors, method: str = "log") -> float:
         summed = len(slots) > 1
         request = (len(arrays) if summed else 0, NormSpec.uniform(1, space.ids))
         evaluation = Pass(space, [request], len(arrays), slots if summed else None)
-        return exp_or_inf(evaluation.run(arrays, log_weights(space))[0])
+        return exp_or_inf(evaluation.run(arrays, log_weights(space))[0][0])
     acc = tensors[0].values.copy()
     with np.errstate(over="ignore"):  # a product past the float range is inf
         for t in tensors[1:]:

@@ -10,6 +10,7 @@ without it; the arrays live in `spaces`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -31,9 +32,11 @@ class Axis:
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("axis id must be a nonempty string")
         try:
+            if isinstance(self.weights, (str, bytes, bytearray)):  # text, or bytes read as their codes
+                raise TypeError
             ws = tuple(self.weights)
             for w in ws:
-                if isinstance(w, (str, bytes, bool)):  # float() would parse text and cast a bool
+                if isinstance(w, bool) or not isinstance(w, numbers.Real):  # float() would parse text, cast a bool
                     raise TypeError
             ws = tuple(map(float, ws))
         except (TypeError, ValueError) as exc:

@@ -957,6 +957,22 @@ def _streamed_plans():
         yield seen
 
 
+@contextlib.contextmanager
+def _stacked_plans():
+    """(plan id, set count) of each stack that spaces._run_plan runs a plan
+    on within the block, the nodes below a plan's root included."""
+    seen = []
+    run = spaces._run_plan
+
+    def spy(plan, stack, *args):
+        seen.append((id(plan), len(stack)))
+        return run(plan, stack, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_run_plan", spy)
+        yield seen
+
+
 @st.composite
 def _streamed_shapes(draw):
     """A 1-D shape of 33-300 atoms, or 0-2 size-1 axes followed by 2-4 axes
@@ -1106,15 +1122,16 @@ def test_batched_rows_above_the_batch_budget_equal_evaluate_instance():
     holder = build_instance("HolderMixed", {"specs": specs})
     large = ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, 41)))) for a in ("x3", "x1", "x2")))
     assert 8 * 41**3 > _BATCH_BYTES
-    with _streamed_plans() as streamed:
+    with _streamed_plans() as streamed, _stacked_plans() as stacked:
         for inst, space, sets in ((quad6, small, 16), (holder, large, 3)):
             _check_batch_rows(inst, space, _batch_values(rng, sets, inst.arity, space.shape))
-    assert id(holder._passes[large.ids, (0, 1), 3][0].plan) in streamed
-    chunked = quad6._passes[small.ids, tuple(range(6)), 16][0]
-    assert chunked.plan is None  # never compiled: its chunks ran
-    assert sorted(chunked.parts) == [2, 14]
-    for ev in (*chunked.parts.values(), quad6._passes[small.ids, tuple(range(6)), 1][0]):
-        assert ev.plan is not None and id(ev.plan) not in streamed
+    assert id(holder._passes[large.ids, (0, 1)][0].plan) in streamed
+    # the batch and evaluate_instance share Quad6's one pass, and its plan
+    # ran on stacks of 14 and 2 sets for each batched call, then of one set
+    # for each evaluate_instance, and never streamed
+    (chunked, _), = quad6._passes.values()
+    assert [sets for plan, sets in stacked if plan == id(chunked.plan)] == [14, 2] * 2 + [1] * 16
+    assert id(chunked.plan) not in streamed
 
 
 def test_many_small_input_sets_run_in_chunks_that_stack(monkeypatch):
@@ -1131,6 +1148,32 @@ def test_many_small_input_sets_run_in_chunks_that_stack(monkeypatch):
     monkeypatch.setattr(spaces, "_reduce_column", lambda *args: calls.append(1) or reduce_column(*args))
     assert [float(r).hex() for r in evaluate_batch(inst, space, values)] == apart
     assert len(calls) <= 8
+
+
+def test_one_plan_serves_every_number_of_input_sets(monkeypatch):
+    # a batch compiles one set's plan, whatever its size and however many
+    # chunks it runs in, and evaluate_instance on distinct tensors runs the
+    # same pass
+    compiled, compile_plan = [], spaces._compile
+
+    def spy(group, remaining, depth):
+        if depth == 0:
+            compiled.append(remaining)
+        return compile_plan(group, remaining, depth)
+
+    monkeypatch.setattr(spaces, "_compile", spy)
+    rng = np.random.default_rng(16)
+    quad6 = build_instance("Quad6")
+    small = ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, 5)))) for a in quad6.axis_ids))
+    holder = build_instance("HolderMixed", {"specs": [NormSpec.uniform(2, ("x1",)).to_doc()] * 2})
+    two = ProductSpace((Axis("x1", (0.5, 2.0)),))
+    for inst, space, sets in ((quad6, small, 16), (holder, two, 40_000)):
+        values = _batch_values(rng, sets, inst.arity, space.shape)
+        compiled.clear()
+        evaluate_batch(inst, space, values)
+        assert compiled == [space.ids]
+        evaluate_instance(inst, [Tensor(space, v) for v in values[-1]])
+        assert compiled == [space.ids]
 
 
 def test_batched_values_get_the_tensor_checks():

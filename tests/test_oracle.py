@@ -9,7 +9,9 @@ tolerance of 1e-8, and loose enough for any order of summation.  Draws span
 weights e^±30 and values e^±40 with about a fifth of the cells zero, on
 grids of at most 5^4 cells.  The norms are checked at the default batch
 budget and at a 256-byte one, under which most draws stream in blocks and
-form the geometric mean's slot sum block by block.
+form the geometric mean's slot sum block by block.  Every kind's right side,
+the weighted sum of its factors' log norms, and SortedSandwich's lower side
+are checked the same way, through `evaluate_instance` and `batch_log_sides`.
 """
 
 import math
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from mixednorm import (
     INF,
+    KINDS,
     Axis,
     NormSpec,
     ProductSpace,
@@ -32,6 +35,7 @@ from mixednorm import (
     mixed_norm_log,
 )
 from mixednorm import spaces
+from mixednorm.evaluation import batch_log_sides
 from mixednorm.search import random_params
 
 ORACLE = settings(max_examples=100, deadline=None, derandomize=True)
@@ -67,13 +71,14 @@ def _assert_near_log_integral(got: float, tensors) -> None:
         _assert_near(got, mpmath.log(total))
 
 
-def _assert_near(got: float, want) -> None:
-    """got is within the error bound of the 50-digit log want; a zero
-    (want = -inf) must give -inf."""
+def _assert_near(got: float, want, scale=None) -> None:
+    """got is within 1e-14 * max(1, scale) of the 50-digit log want, where
+    scale defaults to |want|; a zero (want = -inf) must give -inf."""
     if want == -mpmath.inf:
         assert got == -math.inf
     else:
-        assert abs(mpmath.mpf(got) - want) <= 1e-14 * max(1, abs(want)), (got, want)
+        bound = 1e-14 * max(1, abs(want) if scale is None else scale)
+        assert abs(mpmath.mpf(got) - want) <= bound, (got, want)
 
 
 def _at_both_budgets(run) -> list[float]:
@@ -172,3 +177,40 @@ def test_holder_mixed_left_side_matches_a_50_digit_sum(seed, broadcast):
     tensors = [_tensor(rng, space) for _ in range(1 if broadcast else inst.arity)]
     rep = evaluate_instance(inst, tensors)
     _assert_near_log_integral(rep.trial["log_lhs"], tensors * inst.arity if broadcast else tensors)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_right_and_lower_sides_match_50_digit_nested_reductions(kind, seed):
+    # the right side is sum_i w_i log N_i over the factors' norms, each
+    # reduced in 50 digits; its error bound scales with sum_i |w_i log N_i|
+    rng = np.random.default_rng(seed)
+    inst = build_instance(kind, random_params(kind, rng, max_axes=4))
+    space = _space(rng, inst.axis_ids)
+    tensors = [_tensor(rng, space) for _ in range(inst.arity)]
+    values = np.stack([t.values for t in tensors])[None]
+    with mpmath.workdps(50):
+        mp_values = [_mp_values(t) for t in tensors]
+        terms = [
+            mpmath.mpf(f.weight.numerator) / f.weight.denominator
+            * mpmath.log(_mp_norm(mp_values[f.input_index], space, f.spec.columns))
+            for f in inst.rhs
+        ]
+        want = {"rhs": mpmath.fsum(terms)}
+        if inst.lower is not None:
+            want["lower"] = mpmath.log(_mp_norm(mp_values[0], space, inst.lower.columns))
+        scale = {"rhs": mpmath.fsum(abs(t) for t in terms), "lower": abs(want.get("lower", 0))}
+
+        def sides():
+            trial = evaluate_instance(inst, tensors).trial
+            (_, rhs, lower), = batch_log_sides(inst, space, values)
+            if inst.lower is None:
+                return [{"rhs": trial["log_rhs"]}, {"rhs": rhs}]
+            return [{"rhs": trial["log_upper"], "lower": trial["log_lower"]}, {"rhs": rhs, "lower": lower}]
+
+        for got in _at_both_budgets(sides):
+            for fields in got:
+                assert fields.keys() == want.keys()
+                for side, value in fields.items():
+                    _assert_near(value, want[side], scale[side])

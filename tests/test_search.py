@@ -29,7 +29,7 @@ from mixednorm import (
     tensor_from_doc,
 )
 from mixednorm import search
-from mixednorm.catalog import MixedNorm, RhsFactor
+from mixednorm.catalog import MixedNorm, RhsFactor, _subset_specs, size_k_subsets
 from mixednorm.evaluation import evaluate_batch
 from mixednorm.perms import all_permutations, lowers, raises
 from mixednorm.search import _monotone_images, random_params
@@ -251,7 +251,25 @@ def low_blei21():
     return build_instance("Blei21", {"J": 3, "K": 1, "lhs_exponent": str(pbar * Fraction(19, 20))})
 
 
-@pytest.mark.parametrize("make", [swapped_minkowski, shrunk_blei_ps, short_holder, low_blei21])
+def swapped_blei_qp():
+    """BleiQP (J = 3, K = 1) with q = 3 on each subset and 3/2 on its
+    complement: p > q, which build_instance rejects."""
+    sound = build_instance("BleiQP", {"J": 3, "K": 1, "q": 3, "p": "3/2"})
+    specs = _subset_specs(sound.axis_ids, size_k_subsets(3, 1), [Fraction(3, 2)] * 3, [Fraction(3)] * 3)
+    return dataclasses.replace(sound, rhs=tuple(dataclasses.replace(f, spec=s) for f, s in zip(sound.rhs, specs)))
+
+
+def increasing_symmetric_gm():
+    """SymmetricGM on [2, 1] with its orbit listed with increasing
+    exponents, which orbit() rejects as unsorted."""
+    sound = build_instance("SymmetricGM", {"spec": NormSpec(((2, "x1"), (1, "x2"))).to_doc()})
+    orbit = (NormSpec(((1, "x1"), (2, "x2"))), NormSpec(((1, "x2"), (2, "x1"))))
+    return dataclasses.replace(sound, rhs=tuple(dataclasses.replace(f, spec=s) for f, s in zip(sound.rhs, orbit)))
+
+
+@pytest.mark.parametrize(
+    "make", [swapped_minkowski, shrunk_blei_ps, short_holder, low_blei21, swapped_blei_qp, increasing_symmetric_gm]
+)
 def test_climb_finds_the_violation_of_known_false_variants(make):
     # each variant breaks one hypothesis of a sound kind, and the climb on a
     # random space of 4 atoms per axis finds a witness the evaluator confirms

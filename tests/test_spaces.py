@@ -49,6 +49,11 @@ def test_axis_rejects_bad_weights():
         Axis("a", (math.inf,))
     with pytest.raises(ValidationError):
         Axis("", (1.0,))
+    # a text or bytes object is not a list of numbers, and a boolean is not a number
+    for weights in ("ab", b"ab", (np.bool_(True), 2.0), (True, 2.0), ("1", 2.0), (1 + 0j, 2.0)):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            Axis("x", weights)
+    assert Axis("x", (np.float64(0.5), np.int64(2), Fraction(1, 4), 3)).weights == (0.5, 2.0, 0.25, 3.0)
 
 
 def test_product_space_rejects_duplicate_ids():
