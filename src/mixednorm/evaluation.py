@@ -72,23 +72,20 @@ def _compile_pass(inst: InequalityInstance, space, slot_rows) -> tuple[Pass, tup
     """The instance's pass for one space axis order and pattern of repeated
     inputs, with the right-side factors' weights.  Its norms, in output
     order: the right-side factors, the left side, then `lower`.  A GmLpNorm
-    or ProductIntegral left side of two or more slots reads the slots' logs
-    summed, one row past the inputs: a GmLpNorm is the L^exponent norm of
-    their mean, and a ProductIntegral the L^1 norm of their sum (Fubini)."""
+    or ProductIntegral left side reads the pass's slot sum: a GmLpNorm is
+    the L^exponent norm of the slots' mean, and a ProductIntegral the L^1
+    norm of their sum (Fubini)."""
     lhs = inst.lhs
-    inputs = max(slot_rows) + 1
-    summed = len(slot_rows) > 1 and not isinstance(lhs, MixedNorm)
     requests = [(slot_rows[f.input_index], f.spec) for f in inst.rhs]
     if isinstance(lhs, MixedNorm):
         requests.append((0, lhs.spec))
     else:
         exponent = lhs.exponent if isinstance(lhs, GmLpNorm) else 1
-        requests.append((inputs if summed else 0, NormSpec.uniform(exponent, space.ids)))
+        requests.append((None, NormSpec.uniform(exponent, space.ids)))
     if inst.lower is not None:
         requests.append((0, inst.lower))
     weights = tuple(float(f.weight) for f in inst.rhs)
-    mean = summed and isinstance(lhs, GmLpNorm)
-    return Pass(space, requests, inputs, slot_rows if summed else None, mean), weights
+    return Pass(space, requests, slot_rows, isinstance(lhs, GmLpNorm)), weights
 
 
 def _log_sides(inst: InequalityInstance, space, slot_rows, arrays) -> list[tuple]:

@@ -126,6 +126,19 @@ def apply_permutation(spec: NormSpec, perm: Permutation, mode: str = "both") -> 
     raise ValidationError(f"unknown permutation mode {mode!r}")
 
 
+def _kept_pairs(exponents, direction: str) -> list[tuple[int, int]]:
+    """The column pairs (i, j), i < j, that a raising permutation must keep
+    in order, those with p_i > p_j; for direction "lower", those with
+    p_j > p_i.  Listed by i, then j."""
+    n = len(exponents)
+    return [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if (exponents[i - 1] > exponents[j - 1] if direction == "raise" else exponents[j - 1] > exponents[i - 1])
+    ]
+
+
 def _first_violation(perm: Permutation, spec: NormSpec, direction: str):
     """First column pair witnessing that perm fails to raise (or lower) spec.
 
@@ -136,15 +149,7 @@ def _first_violation(perm: Permutation, spec: NormSpec, direction: str):
     if perm.n != spec.n:
         raise ValidationError(f"permutation size {perm.n} does not match spec size {spec.n}")
     inv = perm.inverse()
-    exps = spec.exponents
-    for i in range(1, spec.n + 1):
-        for j in range(i + 1, spec.n + 1):
-            if inv(j) < inv(i):
-                if direction == "raise" and not exps[i - 1] <= exps[j - 1]:
-                    return (i, j)
-                if direction == "lower" and not exps[j - 1] <= exps[i - 1]:
-                    return (i, j)
-    return None
+    return next(((i, j) for i, j in _kept_pairs(spec.exponents, direction) if inv(j) < inv(i)), None)
 
 
 def raises(perm: Permutation, spec: NormSpec) -> bool:

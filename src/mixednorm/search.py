@@ -22,7 +22,7 @@ from .documents import space_to_doc, tensor_to_doc
 from .errors import ValidationError
 from .evaluation import evaluate_batch, evaluate_instance
 from .exponents import INF, as_exponent, harmonic_mean, json_float, reciprocal
-from .perms import orbit
+from .perms import _kept_pairs, orbit
 from .spaces import Tensor, mixed_norm_logs
 from .specs import Axis, NormSpec, ProductSpace
 
@@ -308,9 +308,7 @@ def maximize_ratio(
     indicators = _indicator_starts(space, inst.arity)
     n_starts = len(indicators) + restarts
     indicators = indicators[:max_evals]
-    indicator_ratios = [
-        r for i in range(0, len(indicators), _POPULATION) for r in ratios(indicators[i : i + _POPULATION])
-    ]
+    indicator_ratios = ratios(indicators)
     rng_init = _rng(seed, 1)
     best_ratio, best_set, best_start = -math.inf, None, 0
     for si in range(n_starts):
@@ -385,18 +383,11 @@ def _random_q_list(rng, count, denom=12):
 def _monotone_images(spec: NormSpec, direction: str) -> list[tuple[int, ...]]:
     """The images of the permutations that perms.raises (direction "raise")
     or perms.lowers accepts for spec, in lexicographic order: those that keep
-    i before j for every column pair i < j whose exponents the direction
-    forbids reversing."""
-    p, n = spec.exponents, spec.n
-    kept = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if (p[i - 1] > p[j - 1] if direction == "raise" else p[j - 1] > p[i - 1])
-    ]
+    every pair of perms._kept_pairs in order."""
+    kept = _kept_pairs(spec.exponents, direction)
     return [
         images
-        for images in itertools.permutations(range(1, n + 1))
+        for images in itertools.permutations(range(1, spec.n + 1))
         if all(images.index(i) < images.index(j) for i, j in kept)
     ]
 

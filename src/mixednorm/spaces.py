@@ -17,17 +17,20 @@ of a few distinct inputs, and of its slot sum (its logs added slot by slot;
 by Fubini a product integral is the sum's L^1 norm, and a geometric mean's
 L^p norm is the L^p norm of the sum over the slot count), compiled by a
 trie walk over the specs' columns so each distinct (input, column prefix)
-is reduced once.  Each `run` runs that one plan on K input sets, and
-chooses how.  Within `_BATCH_BYTES` the logs stack into one C-ordered array
-with a leading set axis and a row per input (and one for the slot sum), and
-each plan node collapses one axis for every set and every (row, exponent)
-pair reducing it at that depth, by one in-place shifted log-sum-exp (a
-maximum for an infinite exponent); more sets run in chunks of as many as
-stack.  A set too large to stack alone streams: each pair is reduced from
-the raw inputs in blocks of at most `_BATCH_BYTES`, each block logged once
-for every pair that shares it, and the block's slot sum formed from those
-logs, until a node's outputs fit the budget and stack again.  No array the
-size of an input is made.  A block is the unit of work of `_map`, which
+is reduced once.  A caller names the slot sum and lists the slots; the
+pass forms the sum only for two or more slots, and reads a lone slot's
+input for it otherwise.  Each `run` runs that one plan on K input sets,
+and chooses how.  Within `_BATCH_BYTES` the logs stack into one C-ordered
+array with a leading set axis and a row per input (and one for the slot
+sum), and each plan node collapses one axis for every set and every (row,
+exponent) pair reducing it at that depth, by one in-place shifted
+log-sum-exp (a maximum for an infinite exponent); more sets run in chunks
+of as many as stack.  A set too large to stack alone streams: each pair is
+reduced from the raw inputs in blocks of columns or of rows of at most
+`_BATCH_BYTES`, each block logged once for every pair that shares it, and
+the block's slot sum formed from those logs, until a node's outputs fit
+the budget, or are scalars, and stack again.  No array the size of an
+input is made.  A block is the unit of work of `_map`, which
 runs a large loop on threads of its own, one per CPU up to 8, and joins
 them before it returns; no result depends on the count.
 `mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and
@@ -42,6 +45,7 @@ The direct path shares none of this code, so it stays an independent check.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -199,20 +203,26 @@ class Pass:
     and of the set's slot sum, compiled once for a space's axis order and run
     on any number of sets.
 
-    requests holds (row, spec) pairs.  Row r < inputs reads input r; row
-    `inputs` reads the slot sum.  slots, where given, lists the input row of
-    each of two or more slots.  The slot sum adds the slots' logs in slot
-    order, and mean divides it by the slot count.
+    requests holds (row, spec) pairs: row r reads input r, and row None the
+    slot sum.  slots lists the input row of each slot, so a set has
+    max(slots) + 1 inputs.  The slot sum adds the slots' logs in slot order,
+    and mean divides it by the slot count; the pass forms it only when a
+    request reads it and there are two or more slots, and otherwise None
+    reads the lone slot's input.
     """
 
-    def __init__(self, space: ProductSpace, requests, inputs: int, slots=None, mean: bool = False):
-        self.inputs, self.slots, self.mean, self.count = inputs, slots, mean, len(requests)
+    def __init__(self, space: ProductSpace, requests, slots=(0,), mean: bool = False):
+        self.inputs, self.count = max(slots) + 1, len(requests)
+        self.fold = None  # the slot sum of a stack or a block of logs, where a request reads it
+        if len(slots) > 1 and any(row is None for row, _ in requests):
+            self.fold = functools.partial(_fold, slots, mean)
+        sum_row = self.inputs if self.fold else slots[0]
         group = []  # (output index, row, float columns)
         for i, (row, spec) in enumerate(requests):
             spec.validate_for(space)
-            group.append((i, row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
+            group.append((i, sum_row if row is None else row, tuple((aid, to_float(p)) for p, aid in spec.columns)))
         self.plan, width = _compile(group, space.ids, 0)
-        self.height = inputs + (slots is not None)  # a set's rows in the stack: its inputs, then its slot sum
+        self.height = self.inputs + (self.fold is not None)  # a set's rows in the stack: its inputs, then its slot sum
         self.width = max(width, self.height)  # the most rows of one set a stacked array holds
 
     def run(self, arrays, logw, log: bool = True) -> list[list[float]]:
@@ -231,11 +241,8 @@ class Pass:
         chunk = _BATCH_BYTES // (self.width * one.nbytes)
         with np.errstate(divide="ignore", over="ignore"):
             if not chunk:
-                fold = None
-                if self.slots:  # the slot sum of one block of logs, formed when a head reads it
-                    fold = lambda logs: _fold(logs, self.slots, self.mean)
                 for values, norms in zip(sets, out):
-                    _stream_plan(self.plan, values, logw, norms, log, fold)
+                    _stream_plan(self.plan, values, logw, norms, log, self.fold)
                 return out
             for k in range(0, len(sets), chunk):
                 part = sets[k : k + chunk]
@@ -247,13 +254,13 @@ class Pass:
                         np.log(values, out=row)
                     else:
                         row[...] = values
-                if self.slots:
-                    _fold(stack.swapaxes(0, 1), self.slots, self.mean, out=stack[:, n])
+                if self.fold:
+                    self.fold(stack.swapaxes(0, 1), out=stack[:, n])
                 _run_plan(self.plan, stack, logw, out[k : k + chunk])
         return out
 
 
-def _fold(logs, slots, mean: bool, out=None) -> np.ndarray:
+def _fold(slots, mean: bool, logs, out=None) -> np.ndarray:
     """The slots' logs, logs[row] for each slot's row, summed in slot order
     into out (a new array where out is None), and divided by the slot count
     when mean is set."""
@@ -336,53 +343,44 @@ def _stream_plan(plan, arrays, logw, out, log: bool = False, fold=None) -> None:
     The arrays share one shape and have no row axis; they hold raw values
     when log is set, else log values.  Each (row, exponent) pair of a child
     is one _reduce_blocks head, and fold is handed on to _reduce_blocks.
-    Once a child's reduced rows fit in _BATCH_BYTES together, they are
-    stacked and the child's plan runs on the stack.  The arrays are not
-    written; the caller holds np.errstate(divide="ignore", over="ignore").
+    Once a child's reduced rows fit in _BATCH_BYTES together, or are 0-d
+    (the child is a leaf), they are stacked and the child's plan runs on the
+    stack.  The arrays are not written; the caller holds
+    np.errstate(divide="ignore", over="ignore").
     """
-    children, outputs = plan
-    for i, pos in outputs:
-        out[i] = float(arrays[pos])
-    heads = [(pos, ax, p, aid, lead) for ax, _, _, aid, lead, pairs, _ in children for pos, p in pairs]
-    if not heads:
-        return
+    children, _ = plan
+    heads = [(pos, ax, p, aid) for ax, _, _, aid, _, pairs, _ in children for pos, p in pairs]
     reduced = iter(_reduce_blocks(arrays, heads, logw, log, fold))
     for *_, pairs, sub in children:
         rows = [next(reduced) for _ in pairs]
-        if 8 * len(rows) * rows[0].size <= _BATCH_BYTES:
+        if not rows[0].ndim or 8 * len(rows) * rows[0].size <= _BATCH_BYTES:
             _run_plan(sub, np.stack(rows)[None], logw, [out])
         else:
             _stream_plan(sub, rows, logw, out)
 
 
 def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
-    """Each (row, axis, exponent or None, axis id, log weight shape) head's
-    reduction of arrays[row], logged first when log is set.  A row past the
-    arrays is the slot sum: fold(logs) forms it from the logs of each
-    array's block that a head reads, and no more of it is kept.
+    """Each (row, axis, exponent or None, axis id) head's reduction of
+    arrays[row], logged first when log is set.  A row past the arrays is the
+    slot sum: fold(logs) forms it from the logs of each array's block that a
+    head reads, and no more of it is kept.
 
-    A 1-D array, or one within _BATCH_BYTES, is reduced whole.  A larger one
-    is reduced in blocks of at most _BATCH_BYTES where the shape allows, and
-    each block's reduction is written into its part of the head's output.
-    Blocks are ranges of columns of the arrays seen as (n0, rest) matrices,
-    whole runs of every axis a head reduces, so one log of a block serves
-    every head.  A head whose run of columns over all n0 rows would pass
-    _BATCH_BYTES (never a slot sum's: it starts at axis 0) takes blocks of
-    rows of its array seen as a matrix instead, after the blocks of columns,
-    along the axes before the first axis such heads reduce.  Either way
-    numpy sums each output cell in the same order as for the whole array,
-    provided a block of columns is never one column wide while the matrix
-    has more: axis 0 would then be its only axis, which numpy sums pairwise
-    rather than row by row.
+    The arrays are reduced in blocks of at most _BATCH_BYTES where the shape
+    allows, and each block's reduction is written into its part of the
+    head's output.  Blocks are ranges of columns of the arrays seen as (n0,
+    rest) matrices, whole runs of every axis a head reduces, so one log of a
+    block serves every head; an array within _BATCH_BYTES is one block, and
+    so is a 1-D array, an (n0, 1) matrix.  A head whose run of columns over
+    all n0 rows would pass _BATCH_BYTES (never a slot sum's: it starts at
+    axis 0) takes blocks of rows of its array seen as a matrix instead,
+    after the blocks of columns, along the axes before the first axis such
+    heads reduce.  Either way numpy sums each output cell in the same order
+    as for the whole array, provided a block of columns is never one column
+    wide while the matrix has more: axis 0 would then be its only axis,
+    which numpy sums pairwise rather than row by row.
     """
     shape = arrays[0].shape
     n0, size = shape[0], math.prod(shape)
-    if len(shape) == 1 or 8 * size <= _BATCH_BYTES:
-        used = range(len(arrays)) if fold else {h[0] for h in heads}
-        logs = {r: _logged(arrays[r], log) for r in used}
-        if fold:
-            logs[len(arrays)] = fold(list(logs.values()))
-        return [_reduce_column(logs[r], pf, ax, logw[aid].reshape(lead)) for r, ax, pf, aid, lead in heads]
     reduced = [np.empty(shape[:ax] + shape[ax + 1 :]) for _, ax, *_ in heads]
     columns, rows = [], []
     for k, (_, ax, *_) in enumerate(heads):
@@ -398,7 +396,7 @@ def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
             if fold:
                 logs[len(arrays)] = fold(list(logs.values()))
             for k in columns:
-                r, ax, pf, aid, _ = heads[k]
+                r, ax, pf, aid = heads[k]
                 if ax == 0:
                     reduced[k].reshape(-1)[start:stop] = _reduce_column(logs[r], pf, 0, logw[aid][:, None])
                 else:
@@ -415,7 +413,7 @@ def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
         def row_block(start, stop):
             logs = {r: _logged(matrices[r][start:stop], log) for r in used}
             for k in rows:
-                r, ax, pf, aid, _ = heads[k]
+                r, ax, pf, aid = heads[k]
                 cells = _reduce_run(logs[r], pf, shape[ax], shape[ax + 1 :], logw[aid])
                 reduced[k].reshape(outer, -1)[start:stop] = cells
         _map(row_block, list(_bounds(outer, max(1, _BATCH_BYTES * outer // (8 * size)))), 8 * size * len(used))
@@ -456,11 +454,11 @@ def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]
 
     logv holds log values with zeros as -inf; it is not modified.
     """
-    return Pass(space, [(0, s) for s in specs], 1).run((logv,), log_weights(space), log=False)[0]
+    return Pass(space, [(0, s) for s in specs]).run((logv,), log_weights(space), log=False)[0]
 
 
 def mixed_norm_log(f: Tensor, spec: NormSpec) -> float:
-    return Pass(f.space, [(0, spec)], 1).run((f.values,), log_weights(f.space))[0][0]
+    return Pass(f.space, [(0, spec)]).run((f.values,), log_weights(f.space))[0][0]
 
 
 def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
@@ -507,11 +505,9 @@ def integrate_product(tensors, method: str = "log") -> float:
     space = tensors[0].space
     if any(t.space != space for t in tensors[1:]):
         raise ValidationError("tensors live on different spaces")
-    if method == "log":  # by Fubini, the L^1 norm of the product: of the slot sum for two or more slots
+    if method == "log":  # by Fubini, the L^1 norm of the product: of the slot sum
         slots, arrays = distinct_inputs(tensors)
-        summed = len(slots) > 1
-        request = (len(arrays) if summed else 0, NormSpec.uniform(1, space.ids))
-        evaluation = Pass(space, [request], len(arrays), slots if summed else None)
+        evaluation = Pass(space, [(None, NormSpec.uniform(1, space.ids))], slots)
         return exp_or_inf(evaluation.run(arrays, log_weights(space))[0][0])
     acc = tensors[0].values.copy()
     with np.errstate(over="ignore"):  # a product past the float range is inf

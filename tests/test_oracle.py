@@ -10,8 +10,10 @@ weights e^±30 and values e^±40 with about a fifth of the cells zero, on
 grids of at most 5^4 cells.  The norms are checked at the default batch
 budget and at a 256-byte one, under which most draws stream in blocks and
 form the geometric mean's slot sum block by block.  Every kind's right side,
-the weighted sum of its factors' log norms, and SortedSandwich's lower side
-are checked the same way, through `evaluate_instance` and `batch_log_sides`.
+the weighted sum of its factors' log norms, its left side and
+SortedSandwich's lower side are checked the same way, through
+`evaluate_instance` and `batch_log_sides`, and so is its ratio, through
+`evaluate_instance` and `evaluate_batch`.
 """
 
 import math
@@ -30,11 +32,13 @@ from mixednorm import (
     ProductSpace,
     Tensor,
     build_instance,
+    evaluate_batch,
     evaluate_instance,
     integrate_product,
     mixed_norm_log,
 )
 from mixednorm import spaces
+from mixednorm.catalog import GmLpNorm, MixedNorm
 from mixednorm.evaluation import batch_log_sides
 from mixednorm.search import random_params
 
@@ -55,9 +59,8 @@ def _tensor(rng, space):
     return Tensor(space, np.exp(rng.uniform(-40, 40, shape)) * (rng.random(shape) >= 0.2))
 
 
-def _assert_near_log_integral(got: float, tensors) -> None:
-    """got is within the error bound of log ∫ f_1 ... f_m, summed in 50
-    digits; a zero integral must give -inf."""
+def _mp_log_integral(tensors):
+    """log ∫ f_1 ... f_m, summed cell by cell in 50 digits."""
     space = tensors[0].space
     with mpmath.workdps(50):
         total = mpmath.mpf(0)
@@ -68,7 +71,14 @@ def _assert_near_log_integral(got: float, tensors) -> None:
             for axis, a in zip(space.axes, cell):
                 term *= mpmath.mpf(float(axis.weights[a]))
             total += term
-        _assert_near(got, mpmath.log(total))
+        return mpmath.log(total)
+
+
+def _assert_near_log_integral(got: float, tensors) -> None:
+    """got is within the error bound of the 50-digit log of the product
+    integral; a zero integral must give -inf."""
+    with mpmath.workdps(50):
+        _assert_near(got, _mp_log_integral(tensors))
 
 
 def _assert_near(got: float, want, scale=None) -> None:
@@ -112,6 +122,21 @@ def _mp_norm(arr: np.ndarray, space, columns) -> object:
     return arr
 
 
+def _mp_log_lhs(inst, space, tensors, mp_values):
+    """The 50-digit log of inst's left side on the slots' tensors, whose mpf
+    values are mp_values: a mixed norm of the first slot, the uniform norm
+    of the slots' geometric mean, or the product integral."""
+    if isinstance(inst.lhs, MixedNorm):
+        return mpmath.log(_mp_norm(mp_values[0], space, inst.lhs.spec.columns))
+    if isinstance(inst.lhs, GmLpNorm):
+        product = mp_values[0]
+        for v in mp_values[1:]:
+            product = product * v
+        mean = np.vectorize(lambda v: mpmath.root(v, inst.arity), otypes=[object])(product)
+        return mpmath.log(_mp_norm(mean, space, NormSpec.uniform(inst.lhs.exponent, space.ids).columns))
+    return _mp_log_integral(tensors)
+
+
 _NORM_POOL = ("1/3", "1/2", "2/3", "1", "3/2", "2", "3", "4", "12", "inf")
 
 
@@ -143,11 +168,7 @@ def test_geometric_mean_left_side_matches_a_50_digit_sum(seed):
     tensors = [distinct[s] for s in slots]
     with mpmath.workdps(50):
         values = [_mp_values(t) for t in distinct]
-        product = values[slots[0]]
-        for s in slots[1:]:
-            product = product * values[s]
-        mean = np.vectorize(lambda v: mpmath.root(v, inst.arity), otypes=[object])(product)
-        want = mpmath.log(_mp_norm(mean, space, NormSpec.uniform(inst.lhs.exponent, space.ids).columns))
+        want = _mp_log_lhs(inst, space, tensors, [values[s] for s in slots])
         for got in _at_both_budgets(lambda: evaluate_instance(inst, tensors).trial["log_lhs"]):
             _assert_near(got, want)
 
@@ -184,7 +205,9 @@ def test_holder_mixed_left_side_matches_a_50_digit_sum(seed, broadcast):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_right_and_lower_sides_match_50_digit_nested_reductions(kind, seed):
     # the right side is sum_i w_i log N_i over the factors' norms, each
-    # reduced in 50 digits; its error bound scales with sum_i |w_i log N_i|
+    # reduced in 50 digits; its error bound scales with sum_i |w_i log N_i|.
+    # The left side (SortedSandwich's middle) is the 50-digit norm, mean's
+    # norm or cell sum, and a ratio's bound adds the bounds of its two sides.
     rng = np.random.default_rng(seed)
     inst = build_instance(kind, random_params(kind, rng, max_axes=4))
     space = _space(rng, inst.axis_ids)
@@ -197,20 +220,29 @@ def test_right_and_lower_sides_match_50_digit_nested_reductions(kind, seed):
             * mpmath.log(_mp_norm(mp_values[f.input_index], space, f.spec.columns))
             for f in inst.rhs
         ]
-        want = {"rhs": mpmath.fsum(terms)}
+        want = {"lhs": _mp_log_lhs(inst, space, tensors, mp_values), "rhs": mpmath.fsum(terms)}
         if inst.lower is not None:
             want["lower"] = mpmath.log(_mp_norm(mp_values[0], space, inst.lower.columns))
-        scale = {"rhs": mpmath.fsum(abs(t) for t in terms), "lower": abs(want.get("lower", 0))}
+        scale = {"lhs": abs(want["lhs"]), "rhs": mpmath.fsum(abs(t) for t in terms), "lower": abs(want.get("lower", 0))}
+        # the ratio is the worse of lhs/rhs and, for a sandwich, lower/lhs
+        pairs = [("lhs", "rhs")] + [("lower", "lhs")] * (inst.lower is not None)
+        exact = max(mpmath.mpf(0) if want[a] == -mpmath.inf else mpmath.exp(want[a] - want[b]) for a, b in pairs)
+        ratio_bound = max(1e-14 * (max(1, scale[a]) + max(1, scale[b])) for a, b in pairs)
 
         def sides():
-            trial = evaluate_instance(inst, tensors).trial
-            (_, rhs, lower), = batch_log_sides(inst, space, values)
+            rep = evaluate_instance(inst, tensors)
+            (lhs, rhs, lower), = batch_log_sides(inst, space, values)
+            ratios = (rep.ratio, evaluate_batch(inst, space, values)[0])
             if inst.lower is None:
-                return [{"rhs": trial["log_rhs"]}, {"rhs": rhs}]
-            return [{"rhs": trial["log_upper"], "lower": trial["log_lower"]}, {"rhs": rhs, "lower": lower}]
+                return ratios, [{"lhs": rep.trial["log_lhs"], "rhs": rep.trial["log_rhs"]}, {"lhs": lhs, "rhs": rhs}]
+            trial = {"lhs": rep.trial["log_middle"], "rhs": rep.trial["log_upper"], "lower": rep.trial["log_lower"]}
+            return ratios, [trial, {"lhs": lhs, "rhs": rhs, "lower": lower}]
 
-        for got in _at_both_budgets(sides):
+        for ratios, got in _at_both_budgets(sides):
             for fields in got:
                 assert fields.keys() == want.keys()
                 for side, value in fields.items():
                     _assert_near(value, want[side], scale[side])
+            if mpmath.mpf("1e-300") < exact < mpmath.mpf("1e300"):
+                for ratio in ratios:
+                    assert abs(ratio / exact - 1) <= ratio_bound, (ratio, exact)

@@ -251,24 +251,84 @@ def low_blei21():
     return build_instance("Blei21", {"J": 3, "K": 1, "lhs_exponent": str(pbar * Fraction(19, 20))})
 
 
+def _with_specs(sound, specs):
+    """sound with its right-side factors' specs replaced, in order."""
+    return dataclasses.replace(sound, rhs=tuple(dataclasses.replace(f, spec=s) for f, s in zip(sound.rhs, specs)))
+
+
 def swapped_blei_qp():
     """BleiQP (J = 3, K = 1) with q = 3 on each subset and 3/2 on its
     complement: p > q, which build_instance rejects."""
     sound = build_instance("BleiQP", {"J": 3, "K": 1, "q": 3, "p": "3/2"})
-    specs = _subset_specs(sound.axis_ids, size_k_subsets(3, 1), [Fraction(3, 2)] * 3, [Fraction(3)] * 3)
-    return dataclasses.replace(sound, rhs=tuple(dataclasses.replace(f, spec=s) for f, s in zip(sound.rhs, specs)))
+    return _with_specs(sound, _subset_specs(sound.axis_ids, size_k_subsets(3, 1), [Fraction(3, 2)] * 3, [Fraction(3)] * 3))
 
 
 def increasing_symmetric_gm():
     """SymmetricGM on [2, 1] with its orbit listed with increasing
     exponents, which orbit() rejects as unsorted."""
     sound = build_instance("SymmetricGM", {"spec": NormSpec(((2, "x1"), (1, "x2"))).to_doc()})
-    orbit = (NormSpec(((1, "x1"), (2, "x2"))), NormSpec(((1, "x2"), (2, "x1"))))
-    return dataclasses.replace(sound, rhs=tuple(dataclasses.replace(f, spec=s) for f, s in zip(sound.rhs, orbit)))
+    return _with_specs(sound, (NormSpec(((1, "x1"), (2, "x2"))), NormSpec(((1, "x2"), (2, "x1")))))
+
+
+def _blei_ps_with_outer(outer):
+    """BleiPS n = 3, k = 1, q = [6, 6, 6] with outer exponents `outer` on its
+    subsets: 1/p_i = 1/6 + c_i / 2 for coefficients c_i that build_instance rejects."""
+    sound = build_instance("BleiPS", {"n": 3, "k": 1, "q": [6, 6, 6]})
+    return _with_specs(sound, _subset_specs(sound.axis_ids, size_k_subsets(3, 1), [Fraction(6)] * 3, outer))
+
+
+def uncovered_blei_ps():
+    """c = (1, 1, 1/2): the coefficients do not cover the third axis."""
+    return _blei_ps_with_outer([Fraction(3, 2), Fraction(3, 2), Fraction(12, 5)])
+
+
+def low_p_blei_ps():
+    """c = (2, 1, 1): p_1 = 6/7 < 1."""
+    return _blei_ps_with_outer([Fraction(6, 7), Fraction(3, 2), Fraction(3, 2)])
+
+
+def high_p_blei_ps():
+    """c = (-1/6, 1, 1): p_1 = 12 > q_1 = 6."""
+    return _blei_ps_with_outer([Fraction(12), Fraction(3, 2), Fraction(3, 2)])
+
+
+def _holder_with_order(specs, one_order):
+    """HolderMixed built from one_order, specs with their columns in one
+    order, and then given specs, the same columns in other orders."""
+    return _with_specs(build_instance("HolderMixed", {"specs": [s.to_doc() for s in one_order]}), specs)
+
+
+def reversed_holder():
+    """HolderMixed whose third spec reduces x2 first and the others x1."""
+    a, b = NormSpec(((2, "x1"), (4, "x2"))), NormSpec(((4, "x1"), (4, "x2")))
+    return _holder_with_order(
+        (a, b, NormSpec(((2, "x2"), (4, "x1")))), (a, b, NormSpec(((4, "x1"), (2, "x2"))))
+    )
+
+
+def swapped_outer_holder():
+    """HolderMixed on three axes whose second spec swaps its outer pair."""
+    a = NormSpec(((2, "x1"), ("3/2", "x2"), (3, "x3")))
+    return _holder_with_order(
+        (a, NormSpec(((2, "x1"), ("3/2", "x3"), (3, "x2")))), (a, NormSpec(((2, "x1"), (3, "x2"), ("3/2", "x3"))))
+    )
 
 
 @pytest.mark.parametrize(
-    "make", [swapped_minkowski, shrunk_blei_ps, short_holder, low_blei21, swapped_blei_qp, increasing_symmetric_gm]
+    "make",
+    [
+        swapped_minkowski,
+        shrunk_blei_ps,
+        short_holder,
+        low_blei21,
+        swapped_blei_qp,
+        increasing_symmetric_gm,
+        uncovered_blei_ps,
+        low_p_blei_ps,
+        high_p_blei_ps,
+        reversed_holder,
+        swapped_outer_holder,
+    ],
 )
 def test_climb_finds_the_violation_of_known_false_variants(make):
     # each variant breaks one hypothesis of a sound kind, and the climb on a

@@ -485,6 +485,21 @@ def test_streamed_pass_is_bit_identical_to_the_one_spec_loop(monkeypatch):
         assert integrate_product([f, g, f]) == math.exp(_reference_log_integral([f, g, f]))
 
 
+def test_streamed_leaf_with_more_outputs_than_the_budget_keeps_its_bits(monkeypatch):
+    # 20 exponents on x1 reduce to 20 rows, too many to stack in 256 bytes,
+    # and each row's two exponents on x2 to 40 scalars: a leaf of 40 outputs
+    monkeypatch.setattr(spaces, "_BATCH_BYTES", 256)
+    streamed = []
+    stream = spaces._stream_plan
+    monkeypatch.setattr(spaces, "_stream_plan", lambda plan, *args: streamed.append(plan) or stream(plan, *args))
+    rng = np.random.default_rng(40)
+    space = ProductSpace((Axis("x1", tuple(rng.uniform(0.5, 2, 3))), Axis("x2", tuple(rng.uniform(0.5, 2, 2)))))
+    f = Tensor(space, np.exp(rng.uniform(-4, 4, space.shape)))
+    specs = [NormSpec(((Fraction(k, 3), "x1"), (q, "x2"))) for k in range(1, 21) for q in (2, 3)]
+    assert mixed_norm_logs(log_values(f), space, specs) == [_reference_log_norm(f, s) for s in specs]
+    assert streamed
+
+
 def test_kernel_agrees_with_scipy_logsumexp():
     special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(77)
