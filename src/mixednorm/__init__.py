@@ -13,7 +13,6 @@ from .catalog import (
     InequalityInstance,
     MixedNorm,
     ProductIntegral,
-    SubsetSystem,
     build_instance,
     check_holder_system,
     instance_from_doc,
@@ -52,8 +51,8 @@ from .specs import Axis, NormSpec, ProductSpace
 # The numeric layer's names, by module; each module, and numpy with it, is
 # imported on the first access to one of its names.
 _NUMERIC = {
-    "documents": ("load_validated", "space_from_doc", "space_to_doc", "tensor_from_csv",
-                  "tensor_from_doc", "tensor_to_doc"),
+    "documents": ("space_from_doc", "space_to_doc", "tensor_from_csv", "tensor_from_doc",
+                  "tensor_to_doc"),
     "evaluation": ("VerificationReport", "evaluate_batch", "evaluate_instance"),
     "search": ("ScalingProbe", "SearchResult", "TrialConfig", "maximize_ratio", "random_inputs",
                "scaling_probe", "sweep"),
@@ -93,7 +92,6 @@ __all__ = [
     "RaiseTrace",
     "ScalingProbe",
     "SearchResult",
-    "SubsetSystem",
     "Tensor",
     "TrialConfig",
     "ValidationError",
@@ -114,7 +112,6 @@ __all__ = [
     "integrate_product",
     "inversion_count",
     "json_float",
-    "load_validated",
     "lowers",
     "maximize_ratio",
     "mixed_norm_log",

@@ -106,7 +106,7 @@ def size_k_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n + 1), k))
 
 
-def _validate_coefficients(n, k, subsets, coeffs):
+def _validate_coefficients(n, subsets, coeffs):
     if len(coeffs) != len(subsets):
         raise ValidationError(f"need {len(subsets)} coefficients, got {len(coeffs)}")
     for i, c in enumerate(coeffs):
@@ -156,7 +156,9 @@ def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
         coeffs = []
         try:
             for v in coefficients:
-                if isinstance(v, str) or isinstance(v, int):
+                if isinstance(v, bool):  # JSON true is not the coefficient 1
+                    raise TypeError
+                if isinstance(v, (str, int)):
                     coeffs.append(Fraction(v))
                 elif isinstance(v, Fraction):
                     coeffs.append(v)
@@ -164,10 +166,10 @@ def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
                     coeffs.append(float(v))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a coefficient: {v!r}") from exc
-        _validate_coefficients(n, k, subsets, coeffs)
+        _validate_coefficients(n, subsets, coeffs)
         return tuple(coeffs)
     if strategy == "random":
-        if not isinstance(seed, int) or seed < 0:
+        if type(seed) is not int or seed < 0:  # a bool is not a seed
             raise ValidationError(f"random strategy needs a nonnegative integer seed, got {seed!r}")
         import numpy as np  # the one numeric step of the exact layer
         uniform = np.full(len(subsets), 1.0 / math.comb(n - 1, k - 1))
@@ -192,34 +194,9 @@ def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
         c = uniform + 0.5 * step_cap * direction
         c = np.maximum(c, 0.0)
         coeffs = tuple(float(v) for v in c)
-        _validate_coefficients(n, k, subsets, coeffs)
+        _validate_coefficients(n, subsets, coeffs)
         return coeffs
     raise ValidationError(f"unknown coefficient strategy {strategy!r}")
-
-
-@dataclass(frozen=True)
-class SubsetSystem:
-    """The combinatorial data behind the subset-indexed inequalities."""
-
-    n: int
-    k: int
-    subsets: tuple[tuple[int, ...], ...]
-    c: tuple
-
-    def __post_init__(self):
-        expected = size_k_subsets(self.n, self.k)
-        if list(self.subsets) != expected:
-            raise ValidationError("subsets must be the k-subsets of {1..n} in lex order")
-        _validate_coefficients(self.n, self.k, self.subsets, self.c)
-
-    def to_doc(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "subsets": [list(s) for s in self.subsets],
-            "c": [_rational_doc(v) for v in self.c],
-            "c_float": [float(v) for v in self.c],
-        }
 
 
 def _rational_doc(v):
@@ -368,7 +345,7 @@ def _subset_specs(axes, subsets, inner_exps, outer_exps):
 
 def _build_subset_gm(kind, J, K, q, p, params_norm, params):
     """Blei21 / BleiQP: single function, orbit indexed by the K-subsets."""
-    if not (isinstance(J, int) and isinstance(K, int)):
+    if not (type(J) is int and type(K) is int):  # a bool is not a count
         raise ValidationError("J and K must be integers")
     if not 0 < K < J:
         raise ValidationError(f"need 0 < K < J, got K={K}, J={J}")
@@ -515,7 +492,7 @@ def _build_popa_sinnamon(kind, params):
 
 def _build_blei_ps(params, kind="BleiPS"):
     n, k = params.get("n"), params.get("k")
-    if not (isinstance(n, int) and isinstance(k, int) and 0 < k < n):
+    if not (type(n) is int and type(k) is int and 0 < k < n):  # a bool is not a count
         raise ValidationError(f"need integers 0 < k < n, got k={k!r}, n={n!r}")
     subsets = size_k_subsets(n, k)
     m = len(subsets)

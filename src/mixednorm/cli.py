@@ -20,7 +20,7 @@ import sys
 
 from .catalog import (
     KINDS,
-    SubsetSystem,
+    _rational_doc,
     build_instance,
     instance_from_doc,
     instance_to_doc,
@@ -200,9 +200,14 @@ def _cmd_coeffs(args) -> int:
     c = solve_subset_coefficients(
         args.n, args.k, strategy=args.strategy, seed=args.seed, coefficients=coefficients
     )
-    system = SubsetSystem(args.n, args.k, tuple(size_k_subsets(args.n, args.k)), c)
-    doc = system.to_doc()
-    doc["strategy"] = args.strategy
+    doc = {
+        "n": args.n,
+        "k": args.k,
+        "subsets": [list(s) for s in size_k_subsets(args.n, args.k)],
+        "c": [_rational_doc(v) for v in c],
+        "c_float": [float(v) for v in c],
+        "strategy": args.strategy,
+    }
     if args.seed is not None:
         doc["seed"] = args.seed
     _emit(doc)

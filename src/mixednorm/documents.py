@@ -110,10 +110,3 @@ def tensor_from_doc(doc, space: ProductSpace | None = None) -> Tensor:
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
             raise ValidationError(f"tensor value at flat index {i} is not a finite number")
     return Tensor(space, np.asarray(values, dtype=float).reshape(shape))
-
-
-def load_validated(space_doc, tensor_doc) -> tuple[ProductSpace, Tensor]:
-    """Parse and fully validate a (space, tensor) document pair."""
-    space = space_from_doc(space_doc) if space_doc is not None else None
-    t = tensor_from_doc(tensor_doc, space)
-    return t.space, t

@@ -2,7 +2,9 @@
 
 Everything here is deterministic given a master seed: per-trial generators
 are derived from (seed, kind index, trial index), so a sweep's report is a
-pure function of its config.  The violation search climbs by populations
+pure function of its config.  Every trial draws from the same fixed ranges
+of axis sizes, weights and values (the module constants below), which the
+report's config echoes.  The violation search climbs by populations
 of multiplicative perturbations (exponents may be infinite, so there is no
 gradient to follow) and always starts from the indicator family that makes
 the geometric-mean inequalities tight.
@@ -26,8 +28,13 @@ from .perms import _kept_pairs, orbit
 from .spaces import Tensor, mixed_norm_logs
 from .specs import Axis, NormSpec, ProductSpace
 
-# Values of random tensors, in sweeps and as climb starts.
+# The sweep's draws: atoms per axis, axis weights and tensor values (both
+# log-uniform; the values are the climb's random starts too), and the most
+# axes of a random parameterization.
+_AXIS_SIZE_RANGE = (1, 5)
+_WEIGHT_RANGE = (1e-3, 1e3)
 _VALUE_RANGE = (1e-2, 1e2)
+_MAX_AXES = 5
 # Population climb: candidates per step, first and largest log-step (a
 # growing step let values drift towards the float range's end), its factors
 # when more than 1/5 of a population beats the current point and otherwise,
@@ -43,47 +50,37 @@ _MAX_CELLS = 1 << 24
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Shared knobs for randomized trials."""
+    """What a randomized run is keyed by: the master seed, the trials per
+    kind, the pass tolerance and the kinds to run (None for all).  The draw
+    ranges are the module constants, echoed by to_doc."""
 
     seed: int = 0
     trials: int = 500
-    axis_size_range: tuple[int, int] = (1, 5)
-    weight_range: tuple[float, float] = (1e-3, 1e3)
-    value_range: tuple[float, float] = _VALUE_RANGE
     tolerance: float = 1e-8
     kinds: tuple[str, ...] | None = None
-    max_axes: int = 5
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("trial count must be positive")
-        lo, hi = self.axis_size_range
-        if not (1 <= lo <= hi):
-            raise ValidationError(f"bad axis size range {self.axis_size_range}")
-        if self.max_axes < 4:
-            raise ValidationError(
-                f"max_axes must be at least 4 (Quad6 has 4 axes), got {self.max_axes}"
-            )
-        for name in ("weight_range", "value_range"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= hi) or not math.isfinite(hi):
-                raise ValidationError(f"bad {name} {getattr(self, name)}")
         if self.kinds is not None:
-            unknown = [k for k in self.kinds if k not in KINDS]
+            kinds = tuple(self.kinds)
+            if not kinds:
+                raise ValidationError("the kind list is empty")
+            unknown = [k for k in kinds if k not in KINDS]
             if unknown:
                 raise ValidationError(f"unknown kinds {unknown}")
-            object.__setattr__(self, "kinds", tuple(self.kinds))
+            object.__setattr__(self, "kinds", kinds)
 
     def to_doc(self) -> dict:
         return {
             "seed": self.seed,
             "trials": self.trials,
-            "axis_size_range": list(self.axis_size_range),
-            "weight_range": list(self.weight_range),
-            "value_range": list(self.value_range),
+            "axis_size_range": list(_AXIS_SIZE_RANGE),
+            "weight_range": list(_WEIGHT_RANGE),
+            "value_range": list(_VALUE_RANGE),
             "tolerance": self.tolerance,
             "kinds": list(self.kinds) if self.kinds is not None else None,
-            "max_axes": self.max_axes,
+            "max_axes": _MAX_AXES,
         }
 
 
@@ -94,26 +91,21 @@ def _rng(seed, *key) -> np.random.Generator:
 
 
 def _log_uniform(rng, lo, hi, shape):
-    if lo == hi:
-        return np.full(shape, lo)
     return np.exp(rng.uniform(math.log(lo), math.log(hi), shape))
 
 
-def _draw_space(rng, cfg: TrialConfig, axis_ids) -> ProductSpace:
-    lo, hi = cfg.axis_size_range
+def _draw_space(rng, axis_ids) -> ProductSpace:
+    lo, hi = _AXIS_SIZE_RANGE
     axes = []
     for aid in axis_ids:
         size = int(rng.integers(lo, hi + 1))
-        weights = _log_uniform(rng, *cfg.weight_range, size)
+        weights = _log_uniform(rng, *_WEIGHT_RANGE, size)
         axes.append(Axis(aid, tuple(float(w) for w in weights)))
     return ProductSpace(tuple(axes))
 
 
-def _draw_tensors(rng, cfg: TrialConfig, space: ProductSpace, count: int) -> list[Tensor]:
-    return [
-        Tensor(space, _log_uniform(rng, *cfg.value_range, space.shape))
-        for _ in range(count)
-    ]
+def _draw_tensors(rng, space: ProductSpace, count: int) -> list[Tensor]:
+    return [Tensor(space, _log_uniform(rng, *_VALUE_RANGE, space.shape)) for _ in range(count)]
 
 
 def random_inputs(
@@ -130,8 +122,8 @@ def random_inputs(
     if len(axis_ids) != n:
         raise ValidationError(f"expected {n} axis ids, got {len(axis_ids)}")
     rng = _rng(cfg.seed, trial_index)
-    space = _draw_space(rng, cfg, axis_ids)
-    return space, _draw_tensors(rng, cfg, space, arity)
+    space = _draw_space(rng, axis_ids)
+    return space, _draw_tensors(rng, space, arity)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +283,6 @@ def maximize_ratio(
     Deterministic in the seed; re-evaluating the returned witnesses with
     evaluate_instance reproduces best_ratio exactly.
     """
-    if set(space.ids) != set(inst.axis_ids):
-        raise ValidationError("space axes do not match the instance")
     if max_evals < 1:
         raise ValidationError("max_evals must be positive")
     if restarts < 0:
@@ -392,7 +382,7 @@ def _monotone_images(spec: NormSpec, direction: str) -> list[tuple[int, ...]]:
     ]
 
 
-def random_params(kind: str, rng: np.random.Generator, max_axes: int = 5) -> dict:
+def random_params(kind: str, rng: np.random.Generator, max_axes: int = _MAX_AXES) -> dict:
     """A valid random parameterization for the given catalog kind, with at
     most max_axes axes."""
     if kind in ("Littlewood43", "Quad6"):
@@ -468,14 +458,14 @@ def random_params(kind: str, rng: np.random.Generator, max_axes: int = 5) -> dic
 
 def _run_trial(cfg: TrialConfig, kind: str, kind_index: int, t: int) -> dict:
     rng = _rng(cfg.seed, kind_index, t)
-    params = random_params(kind, rng, cfg.max_axes)
+    params = random_params(kind, rng)
     inst = build_instance(kind, params)
-    space = _draw_space(rng, cfg, inst.axis_ids)
+    space = _draw_space(rng, inst.axis_ids)
     if inst.arity > 1 and rng.integers(2):
         count = 1  # exercise the broadcast path
     else:
         count = inst.arity
-    tensors = _draw_tensors(rng, cfg, space, count)
+    tensors = _draw_tensors(rng, space, count)
     report = evaluate_instance(
         inst, tensors, tolerance=cfg.tolerance, seed=cfg.seed, trial={"index": t}
     )

@@ -201,9 +201,10 @@ def test_criterion_3_soundness_sweep(announce):
         t0 = time.monotonic()
         cfg = TrialConfig(seed=20260816, trials=500)
         # the default envelope is the one the gate requires
-        assert cfg.axis_size_range == (1, 5) and cfg.max_axes == 5
-        assert cfg.weight_range == (1e-3, 1e3)
-        assert cfg.value_range == (1e-2, 1e2)
+        doc = cfg.to_doc()
+        assert doc["axis_size_range"] == [1, 5] and doc["max_axes"] == 5
+        assert doc["weight_range"] == [1e-3, 1e3]
+        assert doc["value_range"] == [1e-2, 1e2]
         assert cfg.tolerance == 1e-8
 
         report = sweep(cfg)

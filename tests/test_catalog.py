@@ -25,7 +25,6 @@ from mixednorm import (
     NormSpec,
     ProductIntegral,
     ProductSpace,
-    SubsetSystem,
     Tensor,
     ValidationError,
     build_instance,
@@ -139,14 +138,6 @@ def test_user_coefficients_validated():
         solve_subset_coefficients(3, 2, "user", coefficients=["1/2", "1/2"])
     with pytest.raises(ValidationError):
         solve_subset_coefficients(3, 2, "user")
-
-
-def test_subset_system_validation():
-    subs = tuple(size_k_subsets(3, 1))
-    doc = SubsetSystem(3, 1, subs, (Fraction(1),) * 3).to_doc()
-    assert doc["c_float"] == [1.0, 1.0, 1.0]
-    with pytest.raises(ValidationError, match="lex order"):
-        SubsetSystem(3, 1, tuple(reversed(subs)), (Fraction(1),) * 3)
 
 
 # ---------------------------------------------------------------------------

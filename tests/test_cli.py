@@ -175,6 +175,7 @@ def test_coeffs_uniform(capsys):
     assert rc == 0
     assert doc["n"] == 4 and doc["k"] == 2
     assert all(c == "1/3" for c in doc["c"])
+    assert doc["c_float"] == [1 / 3] * 6
     assert len(doc["subsets"]) == 6
 
 
@@ -473,6 +474,20 @@ HOSTILE_INPUTS = {
         ["plan", "--kind", "BleiPS", "--params",
          '{"n": 4, "k": 2, "q": [12, 12, 12, 12, 12, 12], "strategy": "random", "seed": -1}'],
     ),
+    # a JSON boolean is not a count, a coefficient or a seed
+    "plan-blei-ps-bool-k": (
+        2, ["plan", "--kind", "BleiPS", "--params", '{"n": 3, "k": true, "q": [3, 3, 3]}']
+    ),
+    "plan-blei21-bool-K": (2, ["plan", "--kind", "Blei21", "--params", '{"J": 3, "K": true}']),
+    "plan-blei-qp-bool-K": (
+        2, ["plan", "--kind", "BleiQP", "--params", '{"J": 3, "K": true, "q": "inf", "p": "2"}']
+    ),
+    "plan-bool-random-seed": (
+        2, ["plan", "--kind", "BleiPS", "--params", BLEI_PS_3 % '"strategy": "random", "seed": true']
+    ),
+    "plan-bool-coefficient": (
+        2, ["plan", "--kind", "BleiPS", "--params", BLEI_PS_3 % '"c": [true, 1, 1]']
+    ),
     "verify-gm1-all-inf": (
         0, ["verify", "--kind", "SymmetricGM1", "--params", INF_GM1, *RANDOM_1]
     ),
@@ -497,6 +512,7 @@ HOSTILE_INPUTS = {
     "coeffs-wrong-type": (2, [*USER_COEFFS, '{"a": 1}']),
     "coeffs-nan": (2, [*USER_COEFFS, "[NaN, 1, 1]"]),
     "coeffs-nested": (2, [*USER_COEFFS, "[[1], 1, 1]"]),
+    "coeffs-bool": (2, [*USER_COEFFS, "[true, 1, 1]"]),
     "coeffs-not-an-int": (2, ["coeffs", "--n", "x", "--k", "1"]),
     "coeffs-beyond-column-limit": (2, ["coeffs", "--n", "26", "--k", "13"]),
     "coeffs-k-near-n-beyond-column-limit": (2, ["coeffs", "--n", "100000", "--k", "99999"]),
@@ -538,6 +554,7 @@ HOSTILE_INPUTS = {
          "--restarts", "-1"],
     ),
     "sweep-no-trials": (2, ["sweep", "--seed", "1", "--trials", "0"]),
+    "sweep-empty-kind-list": (2, ["sweep", "--seed", "1", "--kinds", ","]),
     "sweep-negative-seed": (
         2, ["sweep", "--seed", "-1", "--trials", "1", "--kinds", "Quad6"]
     ),

@@ -9,7 +9,6 @@ from mixednorm import (
     ProductSpace,
     Tensor,
     ValidationError,
-    load_validated,
     space_from_doc,
     space_to_doc,
     tensor_from_csv,
@@ -111,8 +110,8 @@ def test_csv_rejections(space):
 def test_load_validated(space):
     sdoc = space_to_doc(space)
     tdoc = tensor_to_doc(Tensor.from_flat(space, range(1, 7)), inline_space=False)
-    got_space, got = load_validated(sdoc, tdoc)
-    assert got_space == space
+    got = tensor_from_doc(tdoc, space_from_doc(sdoc))
+    assert got.space == space
     assert got.values[0, 1] == 2.0
 
 
