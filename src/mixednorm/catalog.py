@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ValidationError
+from .errors import ValidationError, as_count
 from .exponents import (
     INF,
     Exponent,
@@ -51,6 +51,7 @@ from .exponents import (
     exponent_to_doc,
     harmonic_mean,
     json_float,
+    parse_rational,
     reciprocal,
     to_float,
 )
@@ -63,7 +64,7 @@ from .perms import (
     raises,
     sorting_permutations,
 )
-from .specs import _MAX_COLUMNS, NormSpec
+from .specs import NormSpec, as_axis_id, check_family_size
 
 _RESIDUAL_TOL = 1e-12
 
@@ -94,15 +95,12 @@ def check_holder_system(specs) -> tuple[bool, dict[str, Fraction]]:
 
 def size_k_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {1..n} in lexicographic order; a family whose M
-    specs would hold more than _MAX_COLUMNS columns is rejected before it is
-    enumerated."""
+    specs of n columns would hold more than _MAX_COLUMNS columns is rejected
+    by specs.check_family_size, before its size is computed."""
+    n, k = as_count(n, "n"), as_count(k, "k")
     if not 0 < k < n:
         raise ValidationError(f"need 0 < k < n, got k={k}, n={n}")
-    m = math.comb(n, k)
-    if m * n > _MAX_COLUMNS:
-        raise ValidationError(
-            f"{m} {k}-subsets of {n} axes hold {m * n} columns, over {_MAX_COLUMNS}"
-        )
+    check_family_size((k, n - k), n)
     return list(combinations(range(1, n + 1), k))
 
 
@@ -154,23 +152,20 @@ def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
         if not isinstance(coefficients, (list, tuple)):
             raise ValidationError("user strategy needs an explicit list of coefficients")
         coeffs = []
-        try:
-            for v in coefficients:
+        for v in coefficients:
+            if isinstance(v, str):
+                coeffs.append(parse_rational(v, "coefficient"))
+                continue
+            try:
                 if isinstance(v, bool):  # JSON true is not the coefficient 1
                     raise TypeError
-                if isinstance(v, (str, int)):
-                    coeffs.append(Fraction(v))
-                elif isinstance(v, Fraction):
-                    coeffs.append(v)
-                else:
-                    coeffs.append(float(v))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a coefficient: {v!r}") from exc
+                coeffs.append(Fraction(v) if isinstance(v, (int, Fraction)) else float(v))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"not a coefficient: {v!r}") from exc
         _validate_coefficients(n, subsets, coeffs)
         return tuple(coeffs)
     if strategy == "random":
-        if type(seed) is not int or seed < 0:  # a bool is not a seed
-            raise ValidationError(f"random strategy needs a nonnegative integer seed, got {seed!r}")
+        seed = as_count(seed, "the random strategy's seed")
         import numpy as np  # the one numeric step of the exact layer
         uniform = np.full(len(subsets), 1.0 / math.comb(n - 1, k - 1))
         incidence = np.zeros((n, len(subsets)))
@@ -180,10 +175,8 @@ def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
         # orthonormal null-space basis of the incidence constraints
         _, sing, vt = np.linalg.svd(incidence)
         rank = int(np.sum(sing > 1e-12 * sing[0]))
-        null_basis = vt[rank:]
-        if null_basis.shape[0] == 0:
-            return tuple(Fraction(1, math.comb(n - 1, k - 1)) for _ in subsets)
-        rng = np.random.default_rng([int(seed), 0x5EED])
+        null_basis = vt[rank:]  # may be empty: then the direction is 0
+        rng = np.random.default_rng([seed, 0x5EED])
         direction = null_basis.T @ (null_basis @ rng.standard_normal(len(subsets)))
         peak = np.max(np.abs(direction))
         if peak < 1e-12:
@@ -257,7 +250,7 @@ def _default_axes(n: int, given=None) -> tuple[str, ...]:
         return tuple(f"x{i}" for i in range(1, n + 1))
     if not isinstance(given, (list, tuple)):
         raise ValidationError(f"axes must be a list of ids, got {given!r}")
-    axes = tuple(str(a) for a in given)
+    axes = tuple(as_axis_id(a) for a in given)
     if len(axes) != n:
         raise ValidationError(f"expected {n} axis ids, got {len(axes)}")
     if len(set(axes)) != n:
@@ -343,12 +336,13 @@ def _subset_specs(axes, subsets, inner_exps, outer_exps):
     return specs
 
 
-def _build_subset_gm(kind, J, K, q, p, params_norm, params):
+def _build_subset_gm(kind, q, p, params_norm, params):
     """Blei21 / BleiQP: single function, orbit indexed by the K-subsets."""
-    if not (type(J) is int and type(K) is int):  # a bool is not a count
-        raise ValidationError("J and K must be integers")
+    J, K = as_count(params.get("J"), "J"), as_count(params.get("K"), "K")
+    params_norm = {"J": J, "K": K, **params_norm}
     if not 0 < K < J:
         raise ValidationError(f"need 0 < K < J, got K={K}, J={J}")
+    subsets = size_k_subsets(J, K)
     if not p < q:
         raise ValidationError(f"need p < q, got p={p}, q={q}")
     if p is INF:
@@ -356,7 +350,6 @@ def _build_subset_gm(kind, J, K, q, p, params_norm, params):
     axes = _default_axes(J, params.get("axes"))
     if params.get("axes") is not None:
         params_norm["axes"] = list(axes)
-    subsets = size_k_subsets(J, K)
     m = len(subsets)
     specs = _subset_specs(axes, subsets, [q] * m, [p] * m)
     pbar = harmonic_mean([q] * (J - K) + [p] * K)
@@ -367,16 +360,13 @@ def _build_subset_gm(kind, J, K, q, p, params_norm, params):
 
 
 def _build_blei21(params):
-    J, K = params.get("J"), params.get("K")
-    return _build_subset_gm("Blei21", J, K, Fraction(2), Fraction(1), {"J": J, "K": K}, params)
+    return _build_subset_gm("Blei21", Fraction(2), Fraction(1), {}, params)
 
 
 def _build_blei_qp(params):
-    J, K = params.get("J"), params.get("K")
     q = as_exponent(params.get("q"))
     p = as_exponent(params.get("p"))
-    params_norm = {"J": J, "K": K, "q": exponent_to_doc(q), "p": exponent_to_doc(p)}
-    return _build_subset_gm("BleiQP", J, K, q, p, params_norm, params)
+    return _build_subset_gm("BleiQP", q, p, {"q": exponent_to_doc(q), "p": exponent_to_doc(p)}, params)
 
 
 def _build_holder_mixed(params):
@@ -491,9 +481,7 @@ def _build_popa_sinnamon(kind, params):
 
 
 def _build_blei_ps(params, kind="BleiPS"):
-    n, k = params.get("n"), params.get("k")
-    if not (type(n) is int and type(k) is int and 0 < k < n):  # a bool is not a count
-        raise ValidationError(f"need integers 0 < k < n, got k={k!r}, n={n!r}")
+    n, k = as_count(params.get("n"), "n"), as_count(params.get("k"), "k")
     subsets = size_k_subsets(n, k)
     m = len(subsets)
     if "q" not in params or not isinstance(params["q"], list) or len(params["q"]) != m:
@@ -504,12 +492,14 @@ def _build_blei_ps(params, kind="BleiPS"):
     if epsilon < 0:
         raise ValidationError(f"reciprocal q sum {total} exceeds 1")
     axes = _default_axes(n, params.get("axes"))
-    if "c" in params and params["c"] is not None:
+    seed = None if params.get("seed") is None else as_count(params["seed"], "seed")
+    if params.get("c") is not None:
+        if seed is not None or params.get("strategy") is not None:
+            raise ValidationError(f"{kind} takes either 'c' or a 'strategy' and 'seed', not both")
         coeffs = _solve_coefficients(n, k, subsets, "user", None, params["c"])
         c_params = {"c": [_rational_doc(c) for c in coeffs]}
     else:
         strategy = params.get("strategy", "uniform")
-        seed = params.get("seed")
         coeffs = _solve_coefficients(n, k, subsets, strategy, seed, None)
         c_params = {"strategy": strategy}
         if seed is not None:

@@ -66,7 +66,7 @@ def _load_doc(arg: str):
     if stripped.startswith(("{", "[")):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
             raise ValidationError(f"invalid JSON in {arg!r}: {exc}")
     return text  # CSV tensor text
 
@@ -123,8 +123,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_orbit(args) -> int:
     spec = NormSpec.from_doc(_load_doc(args.spec))
+    specs = orbit(spec, args.mode)  # checks the orbit's size before orbit_info computes it
     info = orbit_info(spec)
-    specs = orbit(spec, args.mode)
     _emit(
         {
             "mode": args.mode,

@@ -9,11 +9,7 @@ Documents are rejected, never repaired; messages name the offending entry.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from .errors import ValidationError
+from .errors import ValidationError, as_count
 from .spaces import Tensor
 from .specs import Axis, ProductSpace
 
@@ -68,10 +64,7 @@ def tensor_from_csv(text: str, space: ProductSpace) -> Tensor:
                 values.append(float(tok))
             except ValueError as exc:
                 raise ValidationError(f"bad CSV value {tok!r}") from exc
-    expected = int(np.prod(shape))
-    if len(values) != expected:
-        raise ValidationError(f"CSV has {len(values)} values, expected {expected}")
-    return Tensor(space, np.asarray(values).reshape(shape))
+    return Tensor.from_flat(space, values)
 
 
 def tensor_from_doc(doc, space: ProductSpace | None = None) -> Tensor:
@@ -94,19 +87,9 @@ def tensor_from_doc(doc, space: ProductSpace | None = None) -> Tensor:
         )
     if "shape" not in doc or "values" not in doc:
         raise ValidationError("tensor document must have 'shape' and 'values'")
-    try:
-        shape = tuple(int(d) for d in doc["shape"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("tensor 'shape' must be a list of integers") from exc
+    if not isinstance(doc["shape"], list) or not isinstance(doc["values"], list):
+        raise ValidationError("tensor 'shape' and 'values' must be lists")
+    shape = tuple(as_count(d, "tensor shape entry") for d in doc["shape"])
     if shape != space.shape:
         raise ValidationError(f"tensor shape {shape} does not match space shape {space.shape}")
-    values = doc["values"]
-    if not isinstance(values, list):
-        raise ValidationError("tensor 'values' must be a flat row-major list")
-    expected = int(np.prod(shape))
-    if len(values) != expected:
-        raise ValidationError(f"tensor has {len(values)} values, expected {expected}")
-    for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise ValidationError(f"tensor value at flat index {i} is not a finite number")
-    return Tensor(space, np.asarray(values, dtype=float).reshape(shape))
+    return Tensor.from_flat(space, doc["values"])

@@ -161,17 +161,14 @@ def evaluate_instance(
     reported as inf.
     """
     fs = _resolve_inputs(inst, tensors)
+    slot_rows, arrays = distinct_inputs(fs)
     space = fs[0].space
-    for t in fs[1:]:
-        if t.space != space:
-            raise ValidationError("all tensors must live on one space")
     _check_space(inst, space)
     meta = dict(trial or {})
     meta["kind"] = inst.kind
     if inst.derived.get("notes"):
         meta["notes"] = list(inst.derived["notes"])
 
-    slot_rows, arrays = distinct_inputs(fs)
     log_lhs, log_rhs, log_lo = _log_sides(inst, space, slot_rows, arrays)[0]
     ratio, hard, log_num, log_den = _ratio(log_lhs, log_rhs, log_lo, tolerance)
     lhs_v, rhs_v = exp_or_inf(log_num), exp_or_inf(log_den)

@@ -31,11 +31,7 @@ def as_exponent(value) -> Exponent:
         text = value.strip().lower()
         if text in ("inf", "+inf", "infinity", "oo", "∞"):
             return INF
-        _check_decimal_exponent(text, value)
-        try:
-            frac = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not an exponent: {value!r}") from exc
+        frac = parse_rational(value, "exponent")
     elif isinstance(value, Fraction):
         frac = value  # immutable, so it needs no copy
     elif isinstance(value, int):
@@ -56,25 +52,28 @@ def as_exponent(value) -> Exponent:
     return frac
 
 
-def _check_decimal_exponent(text: str, value) -> None:
-    """Reject a decimal string whose exponent part puts it outside the float
-    range, before Fraction spends time growing its power of ten.
-
-    A float lies between about 1e-324 and 1.8e308, and a string of n
-    characters has at most n significant digits, so a nonzero decimal whose
-    exponent part exceeds n + 330 in size is certainly outside that range.
-    """
+def parse_rational(value: str, what: str) -> Fraction:
+    """The exact value of a decimal or 'a/b' string: an exponent's or a subset
+    coefficient's text (`what` names it in messages).  A nonzero decimal of n
+    characters whose exponent part exceeds n + 330 in size is certainly
+    outside the float range (about 1e-324 to 1.8e308), and is rejected before
+    Fraction spends time growing its power of ten."""
+    text = value.strip().lower()
     mantissa, e, exponent = text.rpartition("e")
     digits = exponent.lstrip("+-").replace("_", "")
-    if not (e and digits.isdigit()):
-        return  # no exponent part; Fraction judges the rest
     size = digits.lstrip("0")
-    if len(size) <= 7 and int(size or "0") <= len(text) + 330:
-        return
-    if mantissa.startswith("-") or not any(c in "123456789" for c in mantissa):
-        raise ValidationError(f"exponent must be positive, got {value!r}")
-    where = "below" if exponent.startswith("-") else "beyond"
-    raise ValidationError(f"exponent {value!r} is {where} the float range")
+    if e and digits.isdigit() and (len(size) > 7 or int(size or "0") > len(text) + 330):
+        if not any(c in "123456789" for c in mantissa):
+            text = mantissa + "e0"  # a zero mantissa is 0 at any exponent; Fraction checks its text
+        elif mantissa.startswith("-"):
+            raise ValidationError(f"{what} {value!r} is not positive")
+        else:
+            where = "below" if exponent.startswith("-") else "beyond"
+            raise ValidationError(f"{what} {value!r} is {where} the float range")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{what} {value!r} is not a number") from exc
 
 
 def reciprocal(e: Exponent) -> Fraction:

@@ -21,9 +21,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, as_count
 from .exponents import Exponent, harmonic_mean
-from .specs import _MAX_COLUMNS, NormSpec
+from .specs import NormSpec, check_family_size
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        imgs = tuple(self.images)
-        for v in imgs:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"permutation image {v!r} is not an integer")
+        imgs = tuple(as_count(v, "permutation image", 1) for v in self.images)
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValidationError(f"not a permutation of 1..{n}: {list(imgs)}")
@@ -266,17 +263,6 @@ def _multiset_permutations(seq_sorted):
         yield list(seq)
 
 
-def _check_orbit_size(exps) -> None:
-    """Reject an orbit whose specs hold more than _MAX_COLUMNS columns
-    before enumerating it."""
-    size, placed = 1, 0
-    for count in Counter(exps).values():  # the multinomial n!/(n_1!...n_r!)
-        placed += count
-        size *= math.comb(placed, count)
-        if size * len(exps) > _MAX_COLUMNS:
-            raise ValidationError(f"the orbit's specs hold over {_MAX_COLUMNS} columns")
-
-
 def orbit(spec: NormSpec, mode: str = "exponents") -> list[NormSpec]:
     """All distinct specs reachable by permuting one row of spec.
 
@@ -293,7 +279,7 @@ def orbit(spec: NormSpec, mode: str = "exponents") -> list[NormSpec]:
     the norm).  The specs are listed in lexicographic order of axis-id rows.
     """
     exps = spec.exponents
-    _check_orbit_size(exps)
+    check_family_size(Counter(exps).values(), len(exps))
     if mode == "variables":
         if not spec.is_nonincreasing():
             raise ValidationError(

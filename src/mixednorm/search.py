@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import KINDS, InequalityInstance, build_instance, instance_to_doc
 from .documents import space_to_doc, tensor_to_doc
-from .errors import ValidationError
+from .errors import ValidationError, as_count
 from .evaluation import evaluate_batch, evaluate_instance
 from .exponents import INF, as_exponent, harmonic_mean, json_float, reciprocal
 from .perms import _kept_pairs, orbit
@@ -50,9 +50,10 @@ _MAX_CELLS = 1 << 24
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """What a randomized run is keyed by: the master seed, the trials per
-    kind, the pass tolerance and the kinds to run (None for all).  The draw
-    ranges are the module constants, echoed by to_doc."""
+    """What a randomized run is keyed by: the master seed (an integer >= 0)
+    and the trials per kind (>= 1), both checked here, the pass tolerance
+    and the kinds to run (None for all).  The draw ranges are the module
+    constants, echoed by to_doc."""
 
     seed: int = 0
     trials: int = 500
@@ -60,8 +61,8 @@ class TrialConfig:
     kinds: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trial count must be positive")
+        object.__setattr__(self, "seed", as_count(self.seed, "seed"))
+        object.__setattr__(self, "trials", as_count(self.trials, "trial count", 1))
         if self.kinds is not None:
             kinds = tuple(self.kinds)
             if not kinds:
@@ -85,9 +86,7 @@ class TrialConfig:
 
 
 def _rng(seed, *key) -> np.random.Generator:
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-    return np.random.default_rng([int(k) for k in (seed, *key)])
+    return np.random.default_rng([seed, *key])
 
 
 def _log_uniform(rng, lo, hi, shape):
@@ -121,7 +120,7 @@ def random_inputs(
         axis_ids = tuple(f"x{i}" for i in range(1, n + 1))
     if len(axis_ids) != n:
         raise ValidationError(f"expected {n} axis ids, got {len(axis_ids)}")
-    rng = _rng(cfg.seed, trial_index)
+    rng = _rng(cfg.seed, as_count(trial_index, "trial_index"))
     space = _draw_space(rng, axis_ids)
     return space, _draw_tensors(rng, space, arity)
 
@@ -283,10 +282,9 @@ def maximize_ratio(
     Deterministic in the seed; re-evaluating the returned witnesses with
     evaluate_instance reproduces best_ratio exactly.
     """
-    if max_evals < 1:
-        raise ValidationError("max_evals must be positive")
-    if restarts < 0:
-        raise ValidationError(f"restarts must be nonnegative, got {restarts}")
+    seed = as_count(seed, "seed")
+    max_evals = as_count(max_evals, "max_evals", 1)
+    restarts = as_count(restarts, "restarts")
 
     evals = 0
 
@@ -485,8 +483,7 @@ def sweep(cfg: TrialConfig, threads: int = 1) -> dict:
     of cfg.  Trials run in order on the calling thread: they hold the
     interpreter lock, and a thread pool measured slower.  `threads` must be
     a positive integer and has no effect."""
-    if not isinstance(threads, int) or threads < 1:
-        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
+    as_count(threads, "threads", 1)
     kinds = [k for k in KINDS if cfg.kinds is None or k in cfg.kinds]
     report: dict = {"config": cfg.to_doc(), "kinds": {}, "pass": True}
     for kind in kinds:

@@ -76,31 +76,36 @@ class Tensor:
 
     @classmethod
     def from_flat(cls, space: ProductSpace, flat) -> "Tensor":
+        """A tensor from a flat sequence of its values in row-major order."""
         arr = as_float_array(list(flat))
-        expected = int(np.prod(space.shape))
-        if arr.size != expected:
-            raise ValidationError(
-                f"expected {expected} values for shape {space.shape}, got {arr.size}"
-            )
+        expected = math.prod(space.shape)
+        if arr.shape != (expected,):
+            raise ValidationError(f"expected {expected} values in a flat list for shape {space.shape}, got shape {arr.shape}")
         return cls(space, arr.reshape(space.shape))
 
 
 def as_float_array(values, copy: bool = False) -> np.ndarray:
     """values as a C-ordered float array, a new one when copy is set.  Values
-    that numpy cannot convert to floats, text, booleans and complex values
-    are a ValidationError rather than a numpy error, a cast or a silently
-    dropped part."""
+    that numpy cannot convert to floats, text, booleans, complex values and
+    integers past the float range are a ValidationError rather than a numpy
+    error, a cast or a silently dropped part; a text or boolean value is
+    named by its flat index."""
     try:
         arr = np.asarray(values)
         kind = arr.dtype.kind
+        bad = 0 if kind in "USb" else None
         if kind == "O" or not isinstance(values, np.ndarray):  # numpy casts a bool among numbers, text among objects
-            if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
-                kind = "b"
-        if kind not in "cUSb":
+            flat = enumerate(np.asarray(values, dtype=object).flat)
+            bad = next((i for i, v in flat if isinstance(v, (str, bytes, bool, np.bool_))), None)
+        if bad is None and kind != "c":
             return np.array(arr, dtype=float, order="C") if copy else np.ascontiguousarray(arr, dtype=float)
+    except OverflowError:
+        raise ValidationError("tensor values are beyond the float range") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"tensor values are not real numbers: {exc}") from None
-    raise ValidationError("tensor values are complex" if kind == "c" else "tensor values are not real numbers")
+    if bad is None:
+        raise ValidationError("tensor values are complex")
+    raise ValidationError(f"tensor values are not real numbers: text or a boolean at flat index {bad}")
 
 
 def check_values(arr: np.ndarray, shape, lead: int = 0) -> None:
@@ -443,10 +448,14 @@ def _bounds(n: int, width: int):
 def distinct_inputs(tensors) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """Each tensor's row among the distinct ones, numbered in order of first
     use (a repeated slot holds the same Tensor object), and the distinct
-    tensors' values by row."""
+    tensors' values by row.  This is the one check that the tensors of a
+    call live on one space."""
     row_of: dict = {}
     slots = tuple(row_of.setdefault(id(t), len(row_of)) for t in tensors)
-    return slots, [tensors[slots.index(row)].values for row in range(len(row_of))]
+    distinct = [tensors[slots.index(row)] for row in range(len(row_of))]
+    if any(t.space != distinct[0].space for t in distinct[1:]):
+        raise ValidationError("all tensors must live on one space")
+    return slots, [t.values for t in distinct]
 
 
 def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]:
@@ -502,11 +511,9 @@ def integrate_product(tensors, method: str = "log") -> float:
         raise ValidationError(f"unknown evaluation method {method!r}")
     if not tensors:
         raise ValidationError("at least one tensor required")
+    slots, arrays = distinct_inputs(tensors)
     space = tensors[0].space
-    if any(t.space != space for t in tensors[1:]):
-        raise ValidationError("tensors live on different spaces")
     if method == "log":  # by Fubini, the L^1 norm of the product: of the slot sum
-        slots, arrays = distinct_inputs(tensors)
         evaluation = Pass(space, [(None, NormSpec.uniform(1, space.ids))], slots)
         return exp_or_inf(evaluation.run(arrays, log_weights(space))[0][0])
     acc = tensors[0].values.copy()

@@ -21,6 +21,30 @@ from .exponents import Exponent, as_exponent, exponent_to_doc
 _MAX_COLUMNS = 100_000
 
 
+def check_family_size(counts, columns: int) -> None:
+    """Reject a family of specs of `columns` columns, one per arrangement of
+    a row with these multiplicities (an orbit, or the k-subsets of n axes as
+    the arrangements of (k, n - k)), holding over _MAX_COLUMNS columns.  The
+    multinomial grows by factors of at least 2, so none far past it is formed."""
+    total, placed = columns, 0
+    for count in counts:
+        low = min(count, placed)
+        for i in range(1, low + 1):
+            total = total * (placed + count - low + i) // i
+            if total > _MAX_COLUMNS:
+                break
+        placed += count
+        if total > _MAX_COLUMNS:
+            raise ValidationError(f"the family's specs hold over {_MAX_COLUMNS} columns together")
+
+
+def as_axis_id(value) -> str:
+    """An axis id: a nonempty str, never converted from another type."""
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"axis id must be a nonempty string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Axis:
     """One factor of a product space: finitely many atoms with positive weights."""
@@ -29,8 +53,7 @@ class Axis:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError("axis id must be a nonempty string")
+        as_axis_id(self.id)
         try:
             if isinstance(self.weights, (str, bytes, bytearray)):  # text, or bytes read as their codes
                 raise TypeError
@@ -41,6 +64,8 @@ class Axis:
             ws = tuple(map(float, ws))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"axis {self.id!r}: weights must be numbers") from exc
+        except OverflowError:
+            raise ValidationError(f"axis {self.id!r}: a weight is beyond the float range") from None
         if not ws:
             raise ValidationError(f"axis {self.id!r} has no atoms")
         for i, w in enumerate(ws):
@@ -105,7 +130,7 @@ class NormSpec:
                 raise ValidationError(
                     f"norm spec column {col!r} is not an (exponent, axis) pair"
                 ) from exc
-            cols.append((as_exponent(p_raw), str(aid)))
+            cols.append((as_exponent(p_raw), as_axis_id(aid)))
         if not cols:
             raise ValidationError("norm spec needs at least one column")
         ids = [a for _, a in cols]

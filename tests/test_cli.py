@@ -558,6 +558,58 @@ HOSTILE_INPUTS = {
     "sweep-negative-seed": (
         2, ["sweep", "--seed", "-1", "--trials", "1", "--kinds", "Quad6"]
     ),
+    # a family size is rejected without being computed (C(2000000, 1000000)
+    # took 37 s, then a ValueError formatting its 600,000 digits)
+    "coeffs-huge-family": (2, ["coeffs", "--n", "2000000", "--k", "1000000"]),
+    "coeffs-large-family": (2, ["coeffs", "--n", "200000", "--k", "100000"]),
+    "plan-blei21-huge-family": (
+        2, ["plan", "--kind", "Blei21", "--params", '{"J": 1000000, "K": 500000}']
+    ),
+    "plan-blei-ps-huge-family": (
+        2, ["plan", "--kind", "BleiPS", "--params", '{"n": 200000, "k": 100000, "q": [3]}']
+    ),
+    # a coefficient string goes through the exponents' parser
+    "coeffs-coefficient-1e999999999": (2, [*USER_COEFFS, '["1e999999999", 1, 1]']),
+    "coeffs-coefficient-1e99999": (2, [*USER_COEFFS, '["1e99999", 1, 1]']),
+    "plan-coefficient-1e9999999": (
+        2, ["plan", "--kind", "BleiPS", "--params", BLEI_PS_3 % '"c": ["1e9999999", 1, 1]']
+    ),
+    # a shape entry is an integer; a value or a weight past the float range is rejected
+    "eval-text-shape": (2, ["eval", "--tensor", T_13.replace('"shape": [2]', '"shape": ["2"]'), "--spec", _spec(2)]),
+    "eval-float-shape": (2, ["eval", "--tensor", T_13.replace('"shape": [2]', '"shape": [2.7]'), "--spec", _spec(2)]),
+    "eval-value-10e400": (2, ["eval", "--tensor", _tensor([10**400, 3.0], [1.0, 2.0]), "--spec", _spec(2)]),
+    "eval-weight-10e400": (2, ["eval", "--tensor", _tensor([1.0, 3.0], [10**400, 2.0]), "--spec", _spec(2)]),
+    "search-weight-10e400": (
+        2,
+        ["search", "--kind", "Littlewood43", "--space", SPACE_2x1.replace("2.0", "1" + "0" * 400),
+         "--seed", "1"],
+    ),
+    # an axis id is a nonempty string, never converted
+    "plan-axis-ids-not-strings": (
+        2, ["plan", "--kind", "Littlewood43", "--params", '{"axes": [1, 1.0]}']
+    ),
+    "orbit-axis-id-object": (2, ["orbit", "--spec", '{"columns": [{"p": 2, "axis": {"a": 1}}]}']),
+    "orbit-empty-axis-id": (2, ["orbit", "--spec", '{"columns": [{"p": 2, "axis": ""}]}']),
+    # a JSON integer literal too long to convert is invalid JSON
+    "plan-5000-digit-count": (
+        2, ["plan", "--kind", "BleiPS", "--params", '{"n": %s, "k": 1, "q": [3]}' % ("1" * 5000)]
+    ),
+    "orbit-5000-digit-exponent": (
+        2, ["orbit", "--spec", '{"columns": [{"p": %s, "axis": "x1"}]}' % ("1" * 5000)]
+    ),
+    "eval-5000-digit-shape": (
+        2, ["eval", "--tensor", T_13.replace('"shape": [2]', '"shape": [%s]' % ("1" * 5000)), "--spec", _spec(2)]
+    ),
+    # BleiPS checks a seed it echoes, and takes either 'c' or a strategy and seed
+    "plan-blei-ps-text-seed": (
+        2, ["plan", "--kind", "BleiPS", "--params", '{"n": 3, "k": 1, "q": [3, 3, 3], "seed": "abc"}']
+    ),
+    "plan-coefficients-and-strategy": (
+        2, ["plan", "--kind", "BleiPS", "--params", BLEI_PS_3 % '"c": [1, 1, 1], "strategy": "random", "seed": 5']
+    ),
+    "plan-coefficients-and-seed": (
+        2, ["plan", "--kind", "BleiPS", "--params", BLEI_PS_3 % '"c": [1, 1, 1], "seed": 5']
+    ),
 }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mixednorm import INF, ValidationError, as_exponent, harmonic_mean, reciprocal, to_float
+from mixednorm.catalog import solve_subset_coefficients
 from mixednorm.exponents import exponent_to_doc
 
 
@@ -123,6 +124,9 @@ def test_huge_decimal_exponents_are_rejected_before_fraction():
     for text in ("0e10000000", "-1e10000000"):
         with pytest.raises(ValidationError, match="positive"):
             as_exponent(text)
+    # a coefficient string goes through the same parser
+    with pytest.raises(ValidationError, match="float range"):
+        solve_subset_coefficients(3, 1, "user", coefficients=["1e999999999", 1, 1])
     assert time.perf_counter() - start < 1.0
     assert as_exponent("1e-0000000000000000000000000005") == Fraction(1, 10**5)
 

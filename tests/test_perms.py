@@ -42,9 +42,11 @@ def test_permutation_basics():
     assert Permutation.transposition(4, 2).images == (1, 3, 2, 4)
     with pytest.raises(ValidationError):
         Permutation((1, 1, 3))
-    for images in ((1.9, 2), (1.0, 2), (True, 2), ("a", 2)):
+    for images in ((1.9, 2), (1.0, 2), (True, 2), ("a", 2), (np.bool_(True), 2)):
         with pytest.raises(ValidationError, match="not an integer"):
             Permutation(images)
+    assert Permutation((np.int64(2), 1)).images == (2, 1)  # a numpy integer is stored as an int
+    assert type(Permutation((np.int64(2), 1)).images[0]) is int
     with pytest.raises(ValidationError):
         Permutation.transposition(3, 3)
 

@@ -43,6 +43,13 @@ def test_trial_config_validation_and_round_trip():
         TrialConfig(kinds=("NoSuchKind",))
     with pytest.raises(ValidationError, match="empty"):
         TrialConfig(kinds=())
+    # a count or seed is an integer, never a bool, and checked at construction
+    for bad in ({"trials": True}, {"seed": True}, {"seed": 1.5}, {"trials": 2.0}, {"seed": -1}):
+        with pytest.raises(ValidationError):
+            TrialConfig(**bad)
+    numpy_seeded = TrialConfig(seed=np.int64(9), trials=np.int32(12))
+    assert type(numpy_seeded.seed) is int and type(numpy_seeded.trials) is int
+    assert numpy_seeded.to_doc() == TrialConfig(seed=9, trials=12).to_doc()
 
 
 def test_random_inputs_are_deterministic_and_in_range():
@@ -370,6 +377,12 @@ def test_maximize_ratio_validates_space():
     good = ProductSpace((Axis("x1", (1.0,)), Axis("x2", (1.0,))))
     with pytest.raises(ValidationError):
         maximize_ratio(inst, good, seed=1, max_evals=0)
+    for max_evals in (True, 2.5):
+        with pytest.raises(ValidationError, match="max_evals"):
+            maximize_ratio(inst, good, seed=1, max_evals=max_evals)
+    for seed in (True, 1.5, -1):
+        with pytest.raises(ValidationError, match="seed"):
+            maximize_ratio(inst, good, seed=seed, max_evals=5)
 
 
 def test_maximize_ratio_draws_only_the_starts_it_runs(wide_space):
@@ -379,8 +392,9 @@ def test_maximize_ratio_draws_only_the_starts_it_runs(wide_space):
     assert time.perf_counter() - t0 < 1.0
     assert res.evaluations == 20
     assert res.starts == len(search._indicator_starts(wide_space, 1)) + 10**6
-    with pytest.raises(ValidationError, match="restarts"):
-        maximize_ratio(perturbed_gm1(), wide_space, seed=4, restarts=-1)
+    for restarts in (-1, False, 1.5):
+        with pytest.raises(ValidationError, match="restarts"):
+            maximize_ratio(perturbed_gm1(), wide_space, seed=4, restarts=restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +474,7 @@ def test_sweep_is_thread_count_invariant():
 
 def test_sweep_rejects_bad_threads_through_the_api():
     cfg = TrialConfig(seed=1, trials=1, kinds=("Quad6",))
-    for threads in (0, -3, 1.5):
+    for threads in (0, -3, 1.5, True, "2"):
         with pytest.raises(ValidationError, match="threads"):
             sweep(cfg, threads=threads)
 

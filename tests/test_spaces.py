@@ -54,6 +54,8 @@ def test_axis_rejects_bad_weights():
         with pytest.raises(ValidationError, match="must be numbers"):
             Axis("x", weights)
     assert Axis("x", (np.float64(0.5), np.int64(2), Fraction(1, 4), 3)).weights == (0.5, 2.0, 0.25, 3.0)
+    with pytest.raises(ValidationError, match="float range"):
+        Axis("x", (10**400, 2.0))
 
 
 def test_product_space_rejects_duplicate_ids():
@@ -115,6 +117,9 @@ def test_norm_spec_validation():
         NormSpec(())
     with pytest.raises(ValidationError):
         NormSpec((("0", "a"),))
+    for aid in ("", None, 1, ("a",)):  # an axis id is a nonempty str, never converted
+        with pytest.raises(ValidationError, match="axis id"):
+            NormSpec((("2", aid),))
 
 
 def test_norm_spec_is_nonincreasing():
@@ -270,8 +275,9 @@ def test_integrate_product_oracle():
 def test_integrate_product_requires_shared_space():
     f = Tensor(unit_space(2), [1.0, 2.0])
     g = Tensor(unit_space(3), [1.0, 2.0, 3.0])
-    with pytest.raises(ValidationError):
-        integrate_product([f, g])
+    for method in ("log", "direct"):
+        with pytest.raises(ValidationError, match="one space"):
+            integrate_product([f, g], method=method)
 
 
 def _old_direct(f: Tensor, spec: NormSpec) -> float:
