@@ -107,18 +107,16 @@ def size_k_subsets(n: int, k: int) -> list[tuple[int, ...]]:
 def _validate_coefficients(n, subsets, coeffs):
     if len(coeffs) != len(subsets):
         raise ValidationError(f"need {len(subsets)} coefficients, got {len(coeffs)}")
-    for i, c in enumerate(coeffs):
-        if not c >= 0:
-            raise ValidationError(f"coefficient c_{i + 1} = {c} is negative or not a number")
+    for i, c in enumerate(coeffs):  # over 1, a coefficient overfills its subset's axes
+        if not 0 <= c <= 1 + _RESIDUAL_TOL:
+            raise ValidationError(f"coefficient c_{i + 1} is negative, over 1 or not a number")
     exact = all(isinstance(c, (Fraction, int)) for c in coeffs)
     for j in range(1, n + 1):
         total = sum(c for c, s in zip(coeffs, subsets) if j in s)
         residual = total - 1
         if exact:
             if residual != 0:
-                raise ValidationError(
-                    f"coefficients do not cover axis {j}: sum is {total}, want 1"
-                )
+                raise ValidationError(f"coefficients do not cover axis {j}: their sum is not 1")
         elif abs(residual) > _RESIDUAL_TOL:
             raise ValidationError(
                 f"coefficients do not cover axis {j}: residual {float(residual):.3e}"

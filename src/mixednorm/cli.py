@@ -227,9 +227,8 @@ def _cmd_probe(args) -> int:
     result = scaling_probe(spec, as_exponent(args.p), t_grid)
     if args.format == "csv":
         print("t,empirical,analytic,rel_err")
-        for t, e, a in zip(result.ts, result.empirical, result.analytic):
-            rel = abs(e - a) / abs(a) if a != 0 else abs(e)
-            print(f"{t!r},{e!r},{a!r},{rel!r}")
+        for row in zip(result.ts, result.empirical, result.analytic, result.rel_errs):
+            print(",".join(map(repr, row)))
     else:
         _emit(result.to_doc())
     return 0 if result.max_rel_err <= PROBE_RTOL else 1

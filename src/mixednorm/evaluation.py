@@ -158,7 +158,7 @@ def evaluate_instance(
 
     pass <=> ratio <= 1 + tolerance; a zero right side with a left side above
     tolerance is flagged as a hard failure.  A side beyond the float range is
-    reported as inf.
+    reported as inf; when both are, the ratio is NaN and ValidationError is raised.
     """
     fs = _resolve_inputs(inst, tensors)
     slot_rows, arrays = distinct_inputs(fs)
@@ -171,6 +171,8 @@ def evaluate_instance(
 
     log_lhs, log_rhs, log_lo = _log_sides(inst, space, slot_rows, arrays)[0]
     ratio, hard, log_num, log_den = _ratio(log_lhs, log_rhs, log_lo, tolerance)
+    if math.isnan(ratio):  # inf / inf: both sides are beyond the float range
+        raise ValidationError("both sides are beyond the float range: their ratio is undefined")
     lhs_v, rhs_v = exp_or_inf(log_num), exp_or_inf(log_den)
     if log_lo is not None:
         meta["log_lower"], meta["log_middle"], meta["log_upper"] = log_lo, log_lhs, log_rhs

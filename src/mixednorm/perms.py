@@ -199,7 +199,8 @@ def decompose(perm: Permutation, spec: NormSpec, direction: str = "raise") -> Ra
     The factorization has exactly one swap per inversion of perm, and every
     intermediate swap raises (lowers) the spec it is applied to.  Raises
     ValidationError, naming a witnessing column pair, if perm does not
-    raise/lower spec in the first place.
+    raise/lower spec in the first place.  Bubble-sorting perm's images at
+    the first descent picks the swaps, replayed in reverse on spec's columns.
     """
     if direction not in ("raise", "lower"):
         raise ValidationError(f"direction must be 'raise' or 'lower', got {direction!r}")
@@ -211,19 +212,14 @@ def decompose(perm: Permutation, spec: NormSpec, direction: str = "raise") -> Ra
             f"(exponents {spec.exponents[i - 1]} and {spec.exponents[j - 1]}) "
             f"are reversed the wrong way"
         )
-    n = perm.n
-    current = perm
-    picked: list[int] = []
-    while not current.is_identity:
-        imgs = current.images
-        k = next(j for j in range(1, n) if imgs[j - 1] > imgs[j])
+    imgs, picked = list(perm.images), []
+    while k := next((j for j in range(1, perm.n) if imgs[j - 1] > imgs[j]), 0):
         picked.append(k)
-        current = current.compose(Permutation.transposition(n, k))
-    steps = []
-    state = spec
+        imgs[k - 1], imgs[k] = imgs[k], imgs[k - 1]
+    cols, steps = list(spec.columns), []
     for k in reversed(picked):
-        state = apply_permutation(state, Permutation.transposition(n, k), "both")
-        steps.append(RaiseStep(k, state))
+        cols[k - 1], cols[k] = cols[k], cols[k - 1]
+        steps.append(RaiseStep(k, NormSpec(tuple(cols))))
     return RaiseTrace(direction, spec, perm, tuple(steps))
 
 

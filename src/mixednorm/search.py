@@ -139,12 +139,13 @@ class ScalingProbe:
     analytic: tuple[float, ...]
 
     @property
+    def rel_errs(self) -> tuple[float, ...]:
+        """|empirical - analytic| / analytic per t; scaling_probe keeps both positive."""
+        return tuple(abs(e - a) / a for e, a in zip(self.empirical, self.analytic))
+
+    @property
     def max_rel_err(self) -> float:
-        worst = 0.0
-        for e, a in zip(self.empirical, self.analytic):
-            if a != 0:
-                worst = max(worst, abs(e - a) / abs(a))
-        return worst
+        return max(self.rel_errs, default=0.0)
 
     def to_doc(self) -> dict:
         return {
@@ -270,12 +271,12 @@ def maximize_ratio(
 ) -> SearchResult:
     """Multi-start population climb for the largest lhs/rhs ratio.
 
-    The box-indicator starts are evaluated first, then `restarts` seeded
-    random starts are drawn as the climb reaches them, so a large
-    `restarts` costs nothing beyond the budget.  Each start climbs with an
-    even share of the budget left, so all of it is spent: a (1+λ) step
-    scores _POPULATION log-normal perturbations of the current tensors in
-    one evaluate_batch call and moves to the best if it beats them, and
+    The box-indicator starts are scored first, then `restarts` seeded random
+    starts are drawn in start order as the climb reaches them, so a large
+    `restarts` costs nothing beyond the budget.  Each start takes, where it
+    begins, an even share of the budget left and spends all of it: a (1+λ)
+    step scores _POPULATION log-normal perturbations of the current tensors
+    in one evaluate_batch call and moves to the best if it beats them, and
     the step size follows the 1/5 success rule, up to _INIT_STEP.  A step
     below _MIN_STEP is reset to _INIT_STEP at the current point, which is
     the start's best; fresh random points are the `restarts` starts' job.
@@ -286,17 +287,11 @@ def maximize_ratio(
     max_evals = as_count(max_evals, "max_evals", 1)
     restarts = as_count(restarts, "restarts")
 
-    evals = 0
-
-    def ratios(population: np.ndarray) -> list[float]:
-        nonlocal evals
-        evals += len(population)
-        return evaluate_batch(inst, space, population, tolerance)
-
     indicators = _indicator_starts(space, inst.arity)
     n_starts = len(indicators) + restarts
     indicators = indicators[:max_evals]
-    indicator_ratios = ratios(indicators)
+    indicator_ratios = evaluate_batch(inst, space, indicators, tolerance)
+    evals = len(indicators)
     rng_init = _rng(seed, 1)
     best_ratio, best_set, best_start = -math.inf, None, 0
     for si in range(n_starts):
@@ -304,34 +299,29 @@ def maximize_ratio(
             current, current_ratio = indicators[si], indicator_ratios[si]
         elif evals < max_evals:
             current = _log_uniform(rng_init, *_VALUE_RANGE, indicators.shape[1:])
-            current_ratio = ratios(current[None])[0]
+            current_ratio = evaluate_batch(inst, space, current[None], tolerance)[0]
+            evals += 1
         else:
             break
         budget = (max_evals - evals) // (n_starts - si)
-        current, current_ratio = _climb(ratios, _rng(seed, 2, si), current, current_ratio, budget)
+        evals += budget
+        rng, step = _rng(seed, 2, si), _INIT_STEP
+        while budget > 0:
+            size = min(_POPULATION, budget)
+            budget -= size
+            population = current * np.exp(step * rng.standard_normal((size, *current.shape)))
+            found = evaluate_batch(inst, space, population, tolerance)
+            wins = [j for j, r in enumerate(found) if r > current_ratio]
+            if wins:
+                top = max(wins, key=found.__getitem__)
+                current, current_ratio = population[top], found[top]
+            step = min(_INIT_STEP, step * (_STEP_GROW if len(wins) > size / 5 else _STEP_DECAY))
+            if step < _MIN_STEP:
+                step = _INIT_STEP
         if best_set is None or current_ratio > best_ratio:
             best_ratio, best_set, best_start = current_ratio, current, si
     witnesses = tuple(Tensor(space, a) for a in best_set)
     return SearchResult(best_ratio, witnesses, evals, n_starts, best_start, seed)
-
-
-def _climb(ratios, rng, current: np.ndarray, current_ratio: float, budget: int):
-    """The (1+λ) climb from one start with `budget` evaluations: the best
-    input set found and its ratio."""
-    step = _INIT_STEP
-    while budget > 0:
-        size = min(_POPULATION, budget)
-        population = current * np.exp(step * rng.standard_normal((size, *current.shape)))
-        found = ratios(population)
-        budget -= size
-        wins = [j for j, r in enumerate(found) if r > current_ratio]
-        if wins:
-            top = max(wins, key=found.__getitem__)
-            current, current_ratio = population[top], found[top]
-        step = min(_INIT_STEP, step * (_STEP_GROW if len(wins) > size / 5 else _STEP_DECAY))
-        if step < _MIN_STEP:
-            step = _INIT_STEP
-    return current, current_ratio
 
 
 # ---------------------------------------------------------------------------

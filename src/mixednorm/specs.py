@@ -88,6 +88,8 @@ class ProductSpace:
         axes = tuple(self.axes)
         if not axes:
             raise ValidationError("a product space needs at least one axis")
+        if len(axes) > 62:  # numpy's 64 dimensions, less the kernel's set and row axes
+            raise ValidationError(f"a product space has at most 62 axes, got {len(axes)}")
         ids = [a.id for a in axes]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate axis ids: {ids}")

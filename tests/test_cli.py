@@ -415,6 +415,22 @@ POPA_INF = '{"q": [1, "inf"]}'
 BLEI_PS_3 = '{"n": 3, "k": 1, "q": [4, 4, 4], %s}'
 RANDOM_1 = ["--random", "1", "--seed", "1"]
 USER_COEFFS = ["coeffs", "--n", "3", "--k", "1", "--strategy", "user", "--coefficients"]
+USER_PAIR_COEFFS = ["coeffs", "--n", "3", "--k", "2", "--strategy", "user", "--coefficients"]
+RANDOM_2 = ["--random", "2", "--seed", "1"]
+
+
+def _unit_space(n):
+    return {"axes": [{"id": f"x{i}", "weights": [1.0]} for i in range(1, n + 1)]}
+
+
+def _unit_tensor(n):
+    return json.dumps({"shape": [1] * n, "values": [1.0], "space": _unit_space(n)})
+
+
+def _nan_ratio(kind, p):
+    """verify of a kind on the spec [2, p]; at p = 1e308 or 1e-320 both log
+    sides come out inf, and their ratio NaN."""
+    return ["verify", "--kind", kind, "--params", '{"spec": %s}' % _spec(2, p), *RANDOM_2]
 
 # name: (expected exit code, argv)
 HOSTILE_INPUTS = {
@@ -610,6 +626,29 @@ HOSTILE_INPUTS = {
     "plan-coefficients-and-seed": (
         2, ["plan", "--kind", "BleiPS", "--params", BLEI_PS_3 % '"c": [1, 1, 1], "seed": 5']
     ),
+    # a space has at most 62 axes: numpy's 64 dimensions less the kernel's set and row axes
+    "eval-62-axes": (0, ["eval", "--tensor", _unit_tensor(62), "--spec", _spec(*[2] * 62)]),
+    "eval-63-axes": (2, ["eval", "--tensor", _unit_tensor(63), "--spec", _spec(*[2] * 63)]),
+    "eval-65-axes": (2, ["eval", "--tensor", _unit_tensor(65), "--spec", _spec(*[2] * 65)]),
+    "search-63-axes": (
+        2,
+        ["search", "--kind", "SymmetricHolder", "--params", '{"spec": %s}' % _spec(*[2] * 63),
+         "--space", json.dumps(_unit_space(63)), "--seed", "1", "--max-evals", "20"],
+    ),
+    "verify-blei-qp-100-axes": (
+        2, ["verify", "--kind", "BleiQP", "--params", '{"J": 100, "K": 1, "q": 3, "p": 0.5}', *RANDOM_2]
+    ),
+    # a coefficient outside [0, 1] is rejected before any sum is formed or printed
+    "coeffs-4300-digit-coefficients": (2, [*USER_PAIR_COEFFS, "[%s, %s, 1]" % ("9" * 4300, "9" * 4300)]),
+    "coeffs-400-digit-and-float": (2, [*USER_PAIR_COEFFS, "[%s, 0.5, 1]" % ("9" * 400)]),
+    "coeffs-sum-denominator-over-4300-digits": (
+        2, [*USER_PAIR_COEFFS, '["1/%s", "2/%s1", "1/3"]' % ("7" * 4290, "7" * 4290)]
+    ),
+    # both sides beyond the float range: a NaN ratio is no verdict
+    "verify-sandwich-nan-ratio-1e308": (2, _nan_ratio("SortedSandwich", 1e308)),
+    "verify-sandwich-nan-ratio-1e-320": (2, _nan_ratio("SortedSandwich", 1e-320)),
+    "verify-holder-nan-ratio-1e-320": (2, _nan_ratio("SymmetricHolder", 1e-320)),
+    "verify-gm-nan-ratio-1e-320": (2, _nan_ratio("SymmetricGM", 1e-320)),
 }
 
 

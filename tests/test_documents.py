@@ -38,6 +38,7 @@ def test_space_round_trip(space):
         {"axes": [{"id": "a", "weights": ["1", "2"]}]},
         {"axes": [{"id": "a", "weights": [True, 2]}]},
         {"axes": [{"id": "a", "weights": [1.0]}, {"id": "a", "weights": [1.0]}]},
+        {"axes": [{"id": f"x{i}", "weights": [1.0]} for i in range(63)]},  # over 62 axes
     ],
 )
 def test_space_from_doc_rejects(doc):

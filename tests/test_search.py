@@ -127,10 +127,15 @@ def test_scaling_probe_cell_limit_message_is_short():
 
 def test_scaling_probe_doc():
     spec = NormSpec(((2, "x1"), (1, "x2")))
-    doc = scaling_probe(spec, 2, [1.0, 4.0]).to_doc()
+    probe = scaling_probe(spec, 2, [1.0, 4.0, 16.0])
+    doc = probe.to_doc()
     assert doc["p"] == "2"
-    assert len(doc["rows"]) == 2
+    assert len(doc["rows"]) == 3
     json.dumps(doc)
+    # one relative error per t, the largest of them reported
+    assert probe.rel_errs == tuple(abs(e - a) / a for e, a in zip(probe.empirical, probe.analytic))
+    assert doc["max_rel_err"] == max(probe.rel_errs) > 0
+    assert scaling_probe(spec, 2, []).max_rel_err == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +388,85 @@ def test_maximize_ratio_validates_space():
     for seed in (True, 1.5, -1):
         with pytest.raises(ValidationError, match="seed"):
             maximize_ratio(inst, good, seed=seed, max_evals=5)
+
+
+def _reference_search(inst, space, seed, max_evals, restarts):
+    """maximize_ratio's trajectory written out on its own, with its constants
+    spelled out: the indicator starts scored first, then random starts drawn
+    from one generator in start order, each start's climb from its own
+    generator with an even share of the budget left where it begins, in
+    populations of 8, with the 1/5 rule on a step of at most 0.5 and the
+    reset below 1e-4, and the first best start kept on a tie."""
+    evals = 0
+
+    def score(population):
+        nonlocal evals
+        evals += len(population)
+        return evaluate_batch(inst, space, population)
+
+    indicators = search._indicator_starts(space, inst.arity)
+    n_starts = len(indicators) + restarts
+    indicators = indicators[:max_evals]
+    indicator_ratios = score(indicators)
+    draws = np.random.default_rng([seed, 1])
+    best = None
+    for si in range(n_starts):
+        if si < len(indicators):
+            current, ratio = indicators[si], indicator_ratios[si]
+        elif evals < max_evals:
+            current = np.exp(draws.uniform(math.log(1e-2), math.log(1e2), indicators.shape[1:]))
+            ratio = score(current[None])[0]
+        else:
+            break
+        budget = (max_evals - evals) // (n_starts - si)
+        rng, step = np.random.default_rng([seed, 2, si]), 0.5
+        while budget > 0:
+            size = min(8, budget)
+            population = current * np.exp(step * rng.standard_normal((size, *current.shape)))
+            found = score(population)
+            budget -= size
+            wins = [j for j, r in enumerate(found) if r > ratio]
+            if wins:
+                top = max(wins, key=found.__getitem__)
+                current, ratio = population[top], found[top]
+            step = min(0.5, step * (1.5 if len(wins) > size / 5 else 0.7))
+            if step < 1e-4:
+                step = 0.5
+        if best is None or ratio > best[0]:
+            best = (ratio, current, si)
+    ratio, witness, start = best
+    return search.SearchResult(
+        ratio, tuple(Tensor(space, a) for a in witness), evals, n_starts, start, seed
+    ).to_doc()
+
+
+def _random_space(inst, atoms, seed):
+    rng = np.random.default_rng(seed)
+    return ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-3, 3, atoms)))) for a in inst.axis_ids))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("max_evals, restarts", [(300, 6), (20, 10**6), (3, 6)])
+def test_climb_follows_the_reference_trajectory(wide_space, seed, max_evals, restarts):
+    quad6 = build_instance("Quad6")
+    cases = [
+        (perturbed_gm1(), wide_space),
+        (crossed_holder(), _random_space(crossed_holder(), 3, 1)),
+        (swapped_minkowski(), _random_space(swapped_minkowski(), 2, 2)),
+        (quad6, ProductSpace(tuple(Axis(a, (1.0, 2.0)) for a in quad6.axis_ids))),
+    ]
+    for inst, space in cases:
+        got = maximize_ratio(inst, space, seed, max_evals=max_evals, restarts=restarts)
+        assert got.to_doc() == _reference_search(inst, space, seed, max_evals, restarts)
+
+
+def test_climb_follows_the_reference_through_step_resets():
+    # here the five starts' steps collapse and are reset, and the result
+    # depends on the value they are reset to
+    inst = crossed_holder()
+    space = _random_space(inst, 2, 7)
+    got = maximize_ratio(inst, space, 0, max_evals=2000, restarts=0)
+    assert got.to_doc() == _reference_search(inst, space, 0, 2000, 0)
 
 
 def test_maximize_ratio_draws_only_the_starts_it_runs(wide_space):
