@@ -143,9 +143,9 @@ def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
     strategy = {"seeded-random-feasible": "random", "user-supplied": "user"}.get(
         strategy, strategy
     )
+    uniform = (Fraction(1, math.comb(n - 1, k - 1)),) * len(subsets)
     if strategy == "uniform":
-        c = Fraction(1, math.comb(n - 1, k - 1))
-        return tuple(c for _ in subsets)
+        return uniform
     if strategy == "user":
         if not isinstance(coefficients, (list, tuple)):
             raise ValidationError("user strategy needs an explicit list of coefficients")
@@ -165,7 +165,7 @@ def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
     if strategy == "random":
         seed = as_count(seed, "the random strategy's seed")
         import numpy as np  # the one numeric step of the exact layer
-        uniform = np.full(len(subsets), 1.0 / math.comb(n - 1, k - 1))
+        center = np.full(len(subsets), float(uniform[0]))
         incidence = np.zeros((n, len(subsets)))
         for i, s in enumerate(subsets):
             for j in s:
@@ -178,11 +178,11 @@ def _solve_coefficients(n, k, subsets, strategy, seed, coefficients):
         direction = null_basis.T @ (null_basis @ rng.standard_normal(len(subsets)))
         peak = np.max(np.abs(direction))
         if peak < 1e-12:
-            return tuple(Fraction(1, math.comb(n - 1, k - 1)) for _ in subsets)
+            return uniform
         direction /= peak
         negative = direction < 0
-        step_cap = np.min(uniform[negative] / -direction[negative]) if negative.any() else 1.0
-        c = uniform + 0.5 * step_cap * direction
+        step_cap = np.min(center[negative] / -direction[negative]) if negative.any() else 1.0
+        c = center + 0.5 * step_cap * direction
         c = np.maximum(c, 0.0)
         coeffs = tuple(float(v) for v in c)
         _validate_coefficients(n, subsets, coeffs)

@@ -21,11 +21,11 @@ import sys
 from .catalog import (
     KINDS,
     _rational_doc,
+    _solve_coefficients,
     build_instance,
     instance_from_doc,
     instance_to_doc,
     size_k_subsets,
-    solve_subset_coefficients,
 )
 from .errors import ValidationError
 from .exponents import as_exponent, exponent_to_doc, json_float, to_float
@@ -197,13 +197,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     coefficients = _load_doc(args.coefficients) if args.coefficients is not None else None
-    c = solve_subset_coefficients(
-        args.n, args.k, strategy=args.strategy, seed=args.seed, coefficients=coefficients
-    )
+    subsets = size_k_subsets(args.n, args.k)
+    c = _solve_coefficients(args.n, args.k, subsets, args.strategy, args.seed, coefficients)
     doc = {
         "n": args.n,
         "k": args.k,
-        "subsets": [list(s) for s in size_k_subsets(args.n, args.k)],
+        "subsets": [list(s) for s in subsets],
         "c": [_rational_doc(v) for v in c],
         "c_float": [float(v) for v in c],
         "strategy": args.strategy,

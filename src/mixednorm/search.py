@@ -44,7 +44,7 @@ _INIT_STEP = 0.5
 _STEP_GROW = 1.5
 _STEP_DECAY = 0.7
 _MIN_STEP = 1e-4
-# The most cells a probe grid may hold (2^24 float64 cells are 128 MiB).
+# The most cells a probe grid or a drawn space may hold (2^24 float64 cells are 128 MiB).
 _MAX_CELLS = 1 << 24
 
 
@@ -100,7 +100,10 @@ def _draw_space(rng, axis_ids) -> ProductSpace:
         size = int(rng.integers(lo, hi + 1))
         weights = _log_uniform(rng, *_WEIGHT_RANGE, size)
         axes.append(Axis(aid, tuple(float(w) for w in weights)))
-    return ProductSpace(tuple(axes))
+    space = ProductSpace(tuple(axes))
+    if math.prod(space.shape) > _MAX_CELLS:  # before any tensor of that size is drawn
+        raise ValidationError(f"a random space of shape {space.shape} holds more than {_MAX_CELLS} cells")
+    return space
 
 
 def _draw_tensors(rng, space: ProductSpace, count: int) -> list[Tensor]:

@@ -26,10 +26,12 @@ sum), and each plan node collapses one axis for every set and every (row,
 exponent) pair reducing it at that depth, by one in-place shifted
 log-sum-exp (a maximum for an infinite exponent); more sets run in chunks
 of as many as stack.  A set too large to stack alone streams: each pair is
-reduced from the raw inputs in blocks of columns or of rows of at most
-`_BATCH_BYTES`, each block logged once for every pair that shares it, and
-the block's slot sum formed from those logs, until a node's outputs fit
-the budget, or are scalars, and stack again.  No array the size of an
+reduced from the raw inputs by one block loop, which sees the inputs as
+(lead, rest) matrices and takes blocks of at most `_BATCH_BYTES` as ranges
+of their columns (columns of an (n0, rest) matrix, or whole rows of an
+(outer, rest) one seen as a single row), each block logged once for every
+pair that shares it, and the block's slot sum formed from those logs,
+until a node's outputs fit the budget, or are scalars, and stack again.  No array the size of an
 input is made.  A block is the unit of work of `_map`, which
 runs a large loop on threads of its own, one per CPU up to 8, and joins
 them before it returns; no result depends on the count.
@@ -252,13 +254,10 @@ class Pass:
             for k in range(0, len(sets), chunk):
                 part = sets[k : k + chunk]
                 stack = np.empty((len(part), self.height, *one.shape))
-                # an array of sets is logged in one call, a list of one set's inputs row by row
-                rows = [(stack[:, :n], part)] if sets is arrays else zip(stack[0], arrays)
-                for row, values in rows:
-                    if log:
-                        np.log(values, out=row)
-                    else:
-                        row[...] = values
+                if log:
+                    np.log(part, out=stack[:, :n])
+                else:
+                    stack[:, :n] = part
                 if self.fold:
                     self.fold(stack.swapaxes(0, 1), out=stack[:, n])
                 _run_plan(self.plan, stack, logw, out[k : k + chunk])
@@ -370,19 +369,19 @@ def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
     slot sum: fold(logs) forms it from the logs of each array's block that a
     head reads, and no more of it is kept.
 
-    The arrays are reduced in blocks of at most _BATCH_BYTES where the shape
-    allows, and each block's reduction is written into its part of the
-    head's output.  Blocks are ranges of columns of the arrays seen as (n0,
-    rest) matrices, whole runs of every axis a head reduces, so one log of a
-    block serves every head; an array within _BATCH_BYTES is one block, and
-    so is a 1-D array, an (n0, 1) matrix.  A head whose run of columns over
-    all n0 rows would pass _BATCH_BYTES (never a slot sum's: it starts at
-    axis 0) takes blocks of rows of its array seen as a matrix instead,
-    after the blocks of columns, along the axes before the first axis such
-    heads reduce.  Either way numpy sums each output cell in the same order
-    as for the whole array, provided a block of columns is never one column
-    wide while the matrix has more: axis 0 would then be its only axis,
-    which numpy sums pairwise rather than row by row.
+    One loop reduces the arrays in blocks of at most _BATCH_BYTES where the
+    shape allows, and writes each block's reduction into its part of each
+    head's output.  A group of heads sees the arrays as (lead, rest)
+    matrices and takes ranges of their columns, whole runs of every axis its
+    heads reduce, so one log of a block serves every head of the group.
+    Heads of axis 0, and heads whose run over all n0 rows fits _BATCH_BYTES,
+    have lead n0: one block for an array within _BATCH_BYTES or a 1-D
+    array.  The others (never a slot sum's: it starts at axis 0) have lead
+    1, and their ranges are whole rows of (outer, rest) matrices over the
+    axes before the first axis they reduce.  Either way numpy sums each
+    output cell in the same order as for the whole array, provided a block
+    of n0 rows is never one column wide while the matrix has more: axis 0
+    would then be its only axis, which numpy sums pairwise, not row by row.
     """
     shape = arrays[0].shape
     n0, size = shape[0], math.prod(shape)
@@ -390,50 +389,35 @@ def _reduce_blocks(arrays, heads, logw, log: bool, fold) -> list[np.ndarray]:
     columns, rows = [], []
     for k, (_, ax, *_) in enumerate(heads):
         (columns if 8 * n0 * math.prod(shape[ax:]) <= _BATCH_BYTES or ax == 0 else rows).append(k)
+    groups = []  # (heads, lead, (start, stop) column ranges)
     if columns:
         run = max((math.prod(shape[heads[k][1] :]) for k in columns if heads[k][1]), default=1)
         width = max(2, _BATCH_BYTES // (8 * n0 * run) * run)
-        matrices = [a.reshape(n0, -1) for a in arrays]
-        used = range(len(arrays)) if fold else {heads[k][0] for k in columns}
-
-        def column_block(start, stop):
-            logs = {r: _logged(matrices[r][:, start:stop], log) for r in used}
-            if fold:
-                logs[len(arrays)] = fold(list(logs.values()))
-            for k in columns:
-                r, ax, pf, aid = heads[k]
-                if ax == 0:
-                    reduced[k].reshape(-1)[start:stop] = _reduce_column(logs[r], pf, 0, logw[aid][:, None])
-                else:
-                    n = shape[ax]
-                    cells = _reduce_run(logs[r], pf, n, shape[ax + 1 :], logw[aid])
-                    reduced[k].reshape(n0, -1)[:, start // n : stop // n] = cells
-        _map(column_block, list(_bounds(size // n0, width)), 8 * size * len(used))
+        groups.append((columns, n0, list(_bounds(size // n0, width))))
     if rows:
-        first = min(heads[k][1] for k in rows)
-        outer = math.prod(shape[:first])
-        matrices = [a.reshape(outer, -1) for a in arrays]
-        used = {heads[k][0] for k in rows}
+        outer = math.prod(shape[: min(heads[k][1] for k in rows)])
+        width, tail = max(1, _BATCH_BYTES * outer // (8 * size)), size // outer
+        groups.append((rows, 1, [(start * tail, stop * tail) for start, stop in _bounds(outer, width)]))
+    for group, lead, bounds in groups:
+        matrices = [a.reshape(lead, -1) for a in arrays]
+        sums = fold is not None and group is columns
+        used = range(len(arrays)) if sums else {heads[k][0] for k in group}
 
-        def row_block(start, stop):
-            logs = {r: _logged(matrices[r][start:stop], log) for r in used}
-            for k in rows:
+        def block(start, stop):
+            logs = {r: np.log(matrices[r][:, start:stop]) if log else matrices[r][:, start:stop] for r in used}
+            if sums:
+                logs[len(arrays)] = fold(list(logs.values()))
+            for k in group:
                 r, ax, pf, aid = heads[k]
-                cells = _reduce_run(logs[r], pf, shape[ax], shape[ax + 1 :], logw[aid])
-                reduced[k].reshape(outer, -1)[start:stop] = cells
-        _map(row_block, list(_bounds(outer, max(1, _BATCH_BYTES * outer // (8 * size)))), 8 * size * len(used))
+                if ax:  # lead rows of runs of n atoms, each holding the axes after ax
+                    n = shape[ax]
+                    runs = logs[r].reshape(lead, -1, n, math.prod(shape[ax + 1 :]))
+                    cells = _reduce_column(runs, pf, 2, logw[aid][:, None])
+                    reduced[k].reshape(lead, -1)[:, start // n : stop // n] = cells.reshape(lead, -1)
+                else:
+                    reduced[k].reshape(-1)[start:stop] = _reduce_column(logs[r], pf, 0, logw[aid][:, None])
+        _map(block, bounds, 8 * size * len(used))
     return reduced
-
-
-def _logged(block: np.ndarray, log: bool) -> np.ndarray:
-    return np.log(block) if log else block
-
-
-def _reduce_run(block: np.ndarray, pf, n: int, tail, logw: np.ndarray) -> np.ndarray:
-    """Collapse an axis of n atoms in a 2-D block whose columns hold whole
-    runs of that axis and the `tail` axes after it; returns a 2-D block."""
-    runs = block.reshape(block.shape[0], -1, n, math.prod(tail))
-    return _reduce_column(runs, pf, 2, logw[:, None]).reshape(block.shape[0], -1)
 
 
 def _bounds(n: int, width: int):

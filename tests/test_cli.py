@@ -638,6 +638,10 @@ HOSTILE_INPUTS = {
     "verify-blei-qp-100-axes": (
         2, ["verify", "--kind", "BleiQP", "--params", '{"J": 100, "K": 1, "q": 3, "p": 0.5}', *RANDOM_2]
     ),
+    # a drawn space over search._MAX_CELLS cells: this one is 6.7e9 cells, 54 GB a tensor
+    "verify-blei21-random-space-over-the-cell-limit": (
+        2, ["verify", "--kind", "Blei21", "--params", '{"J": 24, "K": 1}', "--random", "1", "--seed", "1"]
+    ),
     # a coefficient outside [0, 1] is rejected before any sum is formed or printed
     "coeffs-4300-digit-coefficients": (2, [*USER_PAIR_COEFFS, "[%s, %s, 1]" % ("9" * 4300, "9" * 4300)]),
     "coeffs-400-digit-and-float": (2, [*USER_PAIR_COEFFS, "[%s, 0.5, 1]" % ("9" * 400)]),
