@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .catalog import GmLpNorm, InequalityInstance, MixedNorm
 from .errors import ValidationError
 from .exponents import json_float
-from .spaces import Pass, Tensor, as_float_array, check_values, distinct_inputs, exp_or_inf, log_weights
+from .spaces import Pass, Tensor, as_float_array, check_values, distinct_inputs, exp_or_inf
 from .specs import NormSpec
 
 
@@ -99,7 +99,7 @@ def _log_sides(inst: InequalityInstance, space, slot_rows, arrays) -> list[tuple
         cached = inst._passes[key] = _compile_pass(inst, space, slot_rows)
     evaluation, weights = cached
     lhs, sides = len(inst.rhs), []
-    for values in evaluation.run(arrays, log_weights(space)):
+    for values in evaluation.run(arrays, space):
         log_rhs = 0.0
         for weight, v in zip(weights, values):
             log_rhs += weight * v

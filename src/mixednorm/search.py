@@ -25,7 +25,7 @@ from .errors import ValidationError, as_count
 from .evaluation import evaluate_batch, evaluate_instance
 from .exponents import INF, as_exponent, harmonic_mean, json_float, reciprocal
 from .perms import _kept_pairs, orbit
-from .spaces import Tensor, mixed_norm_logs
+from .spaces import Pass, Tensor
 from .specs import Axis, NormSpec, ProductSpace
 
 # The sweep's draws: atoms per axis, axis weights and tensor values (both
@@ -202,7 +202,8 @@ def scaling_probe(spec: NormSpec, p, t_grid) -> ScalingProbe:
     empirical, analytic = [], []
     for t in ts:
         space = _indicator_space(spec.axis_ids, t)
-        log_lhs, *log_orbit = mixed_norm_logs(np.zeros(space.shape), space, specs)
+        ones = np.broadcast_to(1.0, space.shape)  # a read-only view: no grid-sized array is made
+        log_lhs, *log_orbit = Pass(space, [(0, s) for s in specs]).run((ones,), space)[0]
         log_rhs = sum(log_orbit) / len(orbit_specs)
         empirical.append(_ratio_in_range(t, "empirical", math.exp, log_lhs - log_rhs))
         analytic.append(_ratio_in_range(t, "analytic", pow, t, expo))
@@ -247,21 +248,19 @@ class SearchResult:
 def _indicator_starts(space: ProductSpace, arity: int) -> np.ndarray:
     """Box indicators aligned with the weight order — the scaling family's
     counterpart on a fixed space.  Small boxes of light atoms and large boxes
-    of heavy atoms are where power-law violations live.  One input set per
-    distinct box, the box in every slot: a read-only (boxes, arity, *shape)
-    view of one array per box."""
-    boxes: dict = {}  # the distinct boxes in order of first appearance
-    max_size = max(a.size for a in space.axes)
-    for ascending in (True, False):
-        orders = [
-            np.argsort(np.asarray(a.weights))[:: 1 if ascending else -1] for a in space.axes
-        ]
-        for level in range(1, max_size + 1):
-            vals = np.zeros(space.shape)
-            picks = [order[: min(level, len(order))] for order in orders]
-            vals[np.ix_(*picks)] = 1.0
-            boxes.setdefault(vals.tobytes(), vals)
-    return np.broadcast_to(np.array(list(boxes.values()))[:, None], (len(boxes), arity, *space.shape))
+    of heavy atoms are where power-law violations live.  With L the largest
+    axis size, the box of the k lightest atoms per axis (all of an axis
+    with fewer) for k = 1..L, then of the k heaviest for k = 1..L - 1 (at
+    k = L it is the full box again): 2L - 1 distinct boxes, each in every
+    slot, as a read-only (2L - 1, arity, *shape) view of one array."""
+    orders = [np.argsort(np.asarray(a.weights)) for a in space.axes]
+    size = max(space.shape)
+    boxes = np.zeros((2 * size - 1, *space.shape))
+    for k in range(1, size + 1):
+        boxes[k - 1][np.ix_(*(order[:k] for order in orders))] = 1.0
+        if k < size:
+            boxes[size + k - 1][np.ix_(*(order[::-1][:k] for order in orders))] = 1.0
+    return np.broadcast_to(boxes[:, None], (len(boxes), arity, *space.shape))
 
 
 def maximize_ratio(
@@ -289,6 +288,9 @@ def maximize_ratio(
     seed = as_count(seed, "seed")
     max_evals = as_count(max_evals, "max_evals", 1)
     restarts = as_count(restarts, "restarts")
+    sets = max(2 * max(space.shape) - 1, _POPULATION)  # the most input sets one evaluate_batch call holds
+    if sets * inst.arity * math.prod(space.shape) > _MAX_CELLS:  # before any box is built
+        raise ValidationError(f"the climb's {sets} x {inst.arity} tensors of shape {space.shape} hold over {_MAX_CELLS} cells")
 
     indicators = _indicator_starts(space, inst.arity)
     n_starts = len(indicators) + restarts
@@ -381,23 +383,14 @@ def random_params(kind: str, rng: np.random.Generator, max_axes: int = _MAX_AXES
     if kind == "HolderMixed":
         n = int(rng.integers(1, max_axes + 1))
         m = int(rng.integers(2, 5))
-        axes = [f"x{i}" for i in range(1, n + 1)]
-        recips = np.zeros((m, n), dtype=object)
-        for j in range(n):
+        specs = [{"columns": []} for _ in range(m)]
+        for j in range(1, n + 1):  # axis j's exponents: their reciprocals u_i / total sum to 1
             u = rng.integers(0, 7, m)
             if u.sum() == 0:
                 u[int(rng.integers(m))] = 1
             total = int(u.sum())
-            for i in range(m):
-                recips[i, j] = Fraction(int(u[i]), total)
-        specs = []
-        for i in range(m):
-            cols = []
-            for j in range(n):
-                r = recips[i, j]
-                p = "inf" if r == 0 else str(1 / r)
-                cols.append({"p": p, "axis": axes[j]})
-            specs.append({"columns": cols})
+            for spec, ui in zip(specs, u.tolist()):
+                spec["columns"].append({"p": str(Fraction(total, ui)) if ui else "inf", "axis": f"x{j}"})
         return {"specs": specs}
     if kind == "MinkowskiRaise":
         n = int(rng.integers(2, max_axes + 1))

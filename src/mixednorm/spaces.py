@@ -19,24 +19,25 @@ L^p norm is the L^p norm of the sum over the slot count), compiled by a
 trie walk over the specs' columns so each distinct (input, column prefix)
 is reduced once.  A caller names the slot sum and lists the slots; the
 pass forms the sum only for two or more slots, and reads a lone slot's
-input for it otherwise.  Each `run` runs that one plan on K input sets,
-and chooses how.  Within `_BATCH_BYTES` the logs stack into one C-ordered
-array with a leading set axis and a row per input (and one for the slot
-sum), and each plan node collapses one axis for every set and every (row,
-exponent) pair reducing it at that depth, by one in-place shifted
-log-sum-exp (a maximum for an infinite exponent); more sets run in chunks
-of as many as stack.  A set too large to stack alone streams: each pair is
-reduced from the raw inputs by one block loop, which sees the inputs as
-(lead, rest) matrices and takes blocks of at most `_BATCH_BYTES` as ranges
-of their columns (columns of an (n0, rest) matrix, or whole rows of an
-(outer, rest) one seen as a single row), each block logged once for every
-pair that shares it, and the block's slot sum formed from those logs,
-until a node's outputs fit the budget, or are scalars, and stack again.  No array the size of an
-input is made.  A block is the unit of work of `_map`, which
-runs a large loop on threads of its own, one per CPU up to 8, and joins
-them before it returns; no result depends on the count.
-`mixed_norm_logs`, `mixed_norm_log`, `integrate_product` and
-`evaluation.evaluate_instance` all run a `Pass` on one set;
+input for it otherwise.  Each `run` takes K sets of raw values and the
+space, logs the values and the space's weights itself, runs that one plan
+on the sets, and chooses how.  Within `_BATCH_BYTES` the logs stack into
+one C-ordered array with a leading set axis and a row per input (and one
+for the slot sum), and each plan node collapses one axis for every set and
+every (row, exponent) pair reducing it at that depth, by one in-place
+shifted log-sum-exp (a maximum for an infinite exponent); more sets run in
+chunks of as many as stack.  A set too large to stack alone streams:
+each pair is reduced from the raw inputs by one block loop, which sees the
+inputs as (lead, rest) matrices and takes blocks of at most `_BATCH_BYTES`
+as ranges of their columns (columns of an (n0, rest) matrix, or whole rows
+of an (outer, rest) one seen as a single row), each block logged once for
+every pair that shares it, and the block's slot sum formed from those
+logs, until a node's outputs fit the budget, or are scalars, and stack
+again.  No array the size of an input is made.  A block is the unit of
+work of `_map`, which runs a large loop on threads of its own, one per CPU
+up to 8, and joins them before it returns; no result depends on the count.
+`mixed_norm_log`, `integrate_product`, `evaluation.evaluate_instance` and
+`search.scaling_probe` all run a `Pass` on one set of raw values;
 `evaluation.evaluate_batch` runs the same pass on K sets, one per candidate
 of a search population.
 `Tensor` stores its values in C order, so a stacked row or a block sums
@@ -123,11 +124,6 @@ def check_values(arr: np.ndarray, shape, lead: int = 0) -> None:
     if (flat < 0).any():
         idx = int(np.flatnonzero(flat < 0)[0])
         raise ValidationError(f"tensor value at flat index {idx % math.prod(shape)} is negative ({flat[idx]})")
-
-
-def log_weights(space: ProductSpace) -> dict[str, np.ndarray]:
-    """The log of each axis's atom weights, keyed by axis id."""
-    return {a.id: np.log(np.asarray(a.weights, dtype=float)) for a in space.axes}
 
 
 def exp_or_inf(x: float) -> float:
@@ -232,16 +228,17 @@ class Pass:
         self.height = self.inputs + (self.fold is not None)  # a set's rows in the stack: its inputs, then its slot sum
         self.width = max(width, self.height)  # the most rows of one set a stacked array holds
 
-    def run(self, arrays, logw, log: bool = True) -> list[list[float]]:
-        """Each input set's log norms, in request order.  arrays is a
-        (K, inputs, *shape) array of K sets, or a list of one set's input
-        arrays, arrays[r] for row r; they hold raw values when log is set,
-        else logs with zeros as -inf.  logw is the space's log_weights.  The
-        arrays are not written.
+    def run(self, arrays, space: ProductSpace) -> list[list[float]]:
+        """Each input set's log norms, in request order.  arrays holds raw
+        values on space (or on any space of the same axis order): a (K,
+        inputs, *shape) array of K sets, or a list of one set's input
+        arrays, arrays[r] for row r.  The pass logs the values and the
+        space's weights itself, and does not write the arrays.
 
         Up to as many sets as stack within _BATCH_BYTES stack into one
         (sets, height, *shape) array, and more run in chunks of that many; a
         set too large to stack alone streams on its own."""
+        logw = {a.id: np.log(np.asarray(a.weights, dtype=float)) for a in space.axes}
         sets = arrays if isinstance(arrays, np.ndarray) else [arrays]
         one, n = sets[0][0], self.inputs
         out = [[0.0] * self.count for _ in range(len(sets))]
@@ -249,15 +246,12 @@ class Pass:
         with np.errstate(divide="ignore", over="ignore"):
             if not chunk:
                 for values, norms in zip(sets, out):
-                    _stream_plan(self.plan, values, logw, norms, log, self.fold)
+                    _stream_plan(self.plan, values, logw, norms, True, self.fold)
                 return out
             for k in range(0, len(sets), chunk):
                 part = sets[k : k + chunk]
                 stack = np.empty((len(part), self.height, *one.shape))
-                if log:
-                    np.log(part, out=stack[:, :n])
-                else:
-                    stack[:, :n] = part
+                np.log(part, out=stack[:, :n])
                 if self.fold:
                     self.fold(stack.swapaxes(0, 1), out=stack[:, n])
                 _run_plan(self.plan, stack, logw, out[k : k + chunk])
@@ -442,16 +436,8 @@ def distinct_inputs(tensors) -> tuple[tuple[int, ...], list[np.ndarray]]:
     return slots, [t.values for t in distinct]
 
 
-def mixed_norm_logs(logv: np.ndarray, space: ProductSpace, specs) -> list[float]:
-    """Logs of the mixed norms of one log-domain array under several specs.
-
-    logv holds log values with zeros as -inf; it is not modified.
-    """
-    return Pass(space, [(0, s) for s in specs]).run((logv,), log_weights(space), log=False)[0]
-
-
 def mixed_norm_log(f: Tensor, spec: NormSpec) -> float:
-    return Pass(f.space, [(0, spec)]).run((f.values,), log_weights(f.space))[0][0]
+    return Pass(f.space, [(0, spec)]).run((f.values,), f.space)[0][0]
 
 
 def _mixed_norm_direct(f: Tensor, spec: NormSpec) -> float:
@@ -499,7 +485,7 @@ def integrate_product(tensors, method: str = "log") -> float:
     space = tensors[0].space
     if method == "log":  # by Fubini, the L^1 norm of the product: of the slot sum
         evaluation = Pass(space, [(None, NormSpec.uniform(1, space.ids))], slots)
-        return exp_or_inf(evaluation.run(arrays, log_weights(space))[0][0])
+        return exp_or_inf(evaluation.run(arrays, space)[0][0])
     acc = tensors[0].values.copy()
     with np.errstate(over="ignore"):  # a product past the float range is inf
         for t in tensors[1:]:

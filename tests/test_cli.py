@@ -642,6 +642,13 @@ HOSTILE_INPUTS = {
     "verify-blei21-random-space-over-the-cell-limit": (
         2, ["verify", "--kind", "Blei21", "--params", '{"J": 24, "K": 1}', "--random", "1", "--seed", "1"]
     ),
+    # the climb's starts over search._MAX_CELLS cells: 1999 boxes of 10^6 cells, 16 GB
+    "search-starts-over-the-cell-limit": (
+        2,
+        ["search", "--kind", "Littlewood43",
+         "--space", json.dumps({"axes": [{"id": f"x{i}", "weights": [1.0] * 1000} for i in (1, 2)]}),
+         "--seed", "1", "--max-evals", "20"],
+    ),
     # a coefficient outside [0, 1] is rejected before any sum is formed or printed
     "coeffs-4300-digit-coefficients": (2, [*USER_PAIR_COEFFS, "[%s, %s, 1]" % ("9" * 4300, "9" * 4300)]),
     "coeffs-400-digit-and-float": (2, [*USER_PAIR_COEFFS, "[%s, 0.5, 1]" % ("9" * 400)]),

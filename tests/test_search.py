@@ -229,6 +229,35 @@ def test_climb_finds_the_violation_the_indicator_starts_miss():
     assert found >= 7
 
 
+def _reference_indicator_starts(space, arity):
+    """The boxes built the long way: a full grid per level in both weight
+    orders, each distinct box kept once in order of first appearance."""
+    boxes = {}
+    for step in (1, -1):
+        orders = [np.argsort(np.asarray(a.weights))[::step] for a in space.axes]
+        for level in range(1, max(space.shape) + 1):
+            vals = np.zeros(space.shape)
+            vals[np.ix_(*(order[:level] for order in orders))] = 1.0
+            boxes.setdefault(vals.tobytes(), vals)
+    return np.broadcast_to(np.array(list(boxes.values()))[:, None], (len(boxes), arity, *space.shape))
+
+
+def test_indicator_starts_are_the_2l_minus_1_distinct_boxes():
+    # tied weights (drawn from {1, 2}) and size-1 axes included
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        axes = []
+        for j in range(int(rng.integers(1, 5))):
+            size = int(rng.integers(1, 7))
+            weights = rng.integers(1, 3, size) if rng.integers(2) else np.exp(rng.uniform(-2, 2, size))
+            axes.append(Axis(f"x{j + 1}", tuple(float(w) for w in weights)))
+        space = ProductSpace(tuple(axes))
+        arity = int(rng.integers(1, 4))
+        starts = search._indicator_starts(space, arity)
+        assert starts.shape == (2 * max(space.shape) - 1, arity, *space.shape)
+        assert np.array_equal(starts, _reference_indicator_starts(space, arity))
+
+
 def swapped_minkowski():
     """MinkowskiRaise with its sides swapped: the raised norm bounds the original."""
     spec = NormSpec(((1, "x1"), (2, "x2"), (3, "x3")))

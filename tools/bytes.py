@@ -9,6 +9,8 @@ its exit code:
 - `sweep` at --seed 99 and 20260816, each at --threads 1 and 8;
 - the README commands (a 2x2 CSV tensor on a 2x2 space stands in for the
   `tensor.csv` and `space.json` the README names);
+- `probe` of the README spec at --p 2 --t-grid 1,1000,4000 (16M cells at
+  t = 4000, so the probe's grid streams and its loops run on threads);
 - `verify --kind Quad6 --random 20 --seed 7`;
 - `search` on the README instance, and on Quad6 with --seed 3
   --max-evals 4000 on a 3x2x2x3 space.
@@ -67,6 +69,7 @@ COMMANDS = [
     ("README coeffs random", ["coeffs", "--n", "4", "--k", "2", "--strategy", "random", "--seed", "3"]),
     ("coeffs --n 6 --k 3 random", ["coeffs", "--n", "6", "--k", "3", "--strategy", "random", "--seed", "1"]),
     ("README probe", ["probe", "--spec", SPEC, "--p", "2", "--t-grid", "1,4,16", "--format", "csv"]),
+    ("probe --t-grid 1,1000,4000", ["probe", "--spec", SPEC, "--p", "2", "--t-grid", "1,1000,4000"]),
     ("README search", ["search", "--kind", "SymmetricGM1", "--params", GM1_PARAMS, "--space", GM1_SPACE, "--seed", "5"]),
     ("README sweep", ["sweep", "--seed", "99", "--trials", "500"]),
     ("verify Quad6 --random 20", ["verify", "--kind", "Quad6", "--random", "20", "--seed", "7"]),
