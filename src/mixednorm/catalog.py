@@ -259,10 +259,7 @@ def _default_axes(n: int, given=None) -> tuple[str, ...]:
 def _spec_from_params(params, key="spec") -> NormSpec:
     if key not in params:
         raise ValidationError(f"missing parameter {key!r}")
-    doc = params[key]
-    if isinstance(doc, NormSpec):
-        return doc
-    return NormSpec.from_doc(doc)
+    return NormSpec.from_doc(params[key])
 
 
 def _gm_builder(kind, axes, orbit_specs, pbar, multi_input, params_norm, params, **extra_derived):
@@ -343,8 +340,6 @@ def _build_subset_gm(kind, q, p, params_norm, params):
     subsets = size_k_subsets(J, K)
     if not p < q:
         raise ValidationError(f"need p < q, got p={p}, q={q}")
-    if p is INF:
-        raise ValidationError("p must be finite")
     axes = _default_axes(J, params.get("axes"))
     if params.get("axes") is not None:
         params_norm["axes"] = list(axes)
@@ -370,7 +365,7 @@ def _build_blei_qp(params):
 def _build_holder_mixed(params):
     if "specs" not in params or not isinstance(params["specs"], list):
         raise ValidationError("HolderMixed needs a 'specs' list")
-    specs = [s if isinstance(s, NormSpec) else NormSpec.from_doc(s) for s in params["specs"]]
+    specs = [NormSpec.from_doc(s) for s in params["specs"]]
     ok, residuals = check_holder_system(specs)
     if not ok:
         bad = {a: str(r) for a, r in residuals.items() if r != 0}
@@ -396,8 +391,7 @@ def _build_holder_mixed(params):
 
 def _build_minkowski_raise(params):
     spec = _spec_from_params(params)
-    perm_doc = params.get("perm")
-    perm = perm_doc if isinstance(perm_doc, Permutation) else Permutation.from_doc(perm_doc)
+    perm = Permutation.from_doc(params.get("perm"))
     direction = params.get("direction", "raise")
     if direction not in ("raise", "lower"):
         raise ValidationError(f"direction must be 'raise' or 'lower', got {direction!r}")

@@ -71,8 +71,22 @@ def _load_doc(arg: str):
     return text  # CSV tensor text
 
 
+def _write(text: str) -> None:
+    """Write text to stdout.  Once the reader has closed the pipe, stdout is
+    pointed at os.devnull, so the rest of the output and the interpreter's
+    flush at exit go nowhere instead of raising BrokenPipeError; the command
+    still exits with its own code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_kind(name: str) -> str:
@@ -225,9 +239,9 @@ def _cmd_probe(args) -> int:
         raise ValidationError("empty t grid")
     result = scaling_probe(spec, as_exponent(args.p), t_grid)
     if args.format == "csv":
-        print("t,empirical,analytic,rel_err")
-        for row in zip(result.ts, result.empirical, result.analytic, result.rel_errs):
-            print(",".join(map(repr, row)))
+        rows = zip(result.ts, result.empirical, result.analytic, result.rel_errs)
+        lines = ["t,empirical,analytic,rel_err", *(",".join(map(repr, row)) for row in rows)]
+        _write("\n".join(lines) + "\n")
     else:
         _emit(result.to_doc())
     return 0 if result.max_rel_err <= PROBE_RTOL else 1
@@ -238,8 +252,6 @@ def _cmd_search(args) -> int:
     from .search import maximize_ratio
 
     inst = _instance_from_args(args)
-    if args.space is None:
-        raise ValidationError("search needs a --space document")
     space = space_from_doc(_load_doc(args.space))
     result = maximize_ratio(
         inst,
@@ -281,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "and inequality verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol = _default_tolerance()
 
     p = sub.add_parser("eval", help="evaluate a mixed norm of one tensor")
     p.add_argument("--tensor", required=True, help="tensor document (JSON or CSV)")
@@ -314,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensors", nargs="+", default=[], help="tensor documents")
     p.add_argument("--random", type=int, metavar="N", help="number of random trials")
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("coeffs", help="solve subset coefficients")
@@ -348,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-evals", type=int, default=10_000)
     p.add_argument("--restarts", type=int, default=6)
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("sweep", help="randomized soundness sweep over catalog kinds")
@@ -356,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--kinds", help="comma-separated kind names (default: all)")
     p.add_argument("--threads", type=int, default=1, help="positive; has no effect on output")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -382,8 +393,8 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
-        if hasattr(args, "tol"):
-            _check_tolerance(args.tol, "--tol")
+        if hasattr(args, "tol"):  # only the commands that take --tol read MIXEDNORM_TOL
+            args.tol = _default_tolerance() if args.tol is None else _check_tolerance(args.tol, "--tol")
         _require_seed(args)
         return args.func(args)
     except ValidationError as exc:

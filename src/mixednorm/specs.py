@@ -96,10 +96,6 @@ class ProductSpace:
         object.__setattr__(self, "axes", axes)
 
     @property
-    def n(self) -> int:
-        return len(self.axes)
-
-    @property
     def ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.axes)
 

@@ -660,6 +660,54 @@ HOSTILE_INPUTS = {
     "verify-sandwich-nan-ratio-1e-320": (2, _nan_ratio("SortedSandwich", 1e-320)),
     "verify-holder-nan-ratio-1e-320": (2, _nan_ratio("SymmetricHolder", 1e-320)),
     "verify-gm-nan-ratio-1e-320": (2, _nan_ratio("SymmetricGM", 1e-320)),
+    # one row per builder check
+    "plan-holder-mixed-no-specs": (2, ["plan", "--kind", "HolderMixed", "--params", "{}"]),
+    "plan-holder-mixed-empty-specs": (2, ["plan", "--kind", "HolderMixed", "--params", '{"specs": []}']),
+    "plan-holder-mixed-not-a-holder-system": (
+        2, ["plan", "--kind", "HolderMixed", "--params", '{"specs": [%s, %s]}' % (_spec(2, 2), _spec(3, 3))]
+    ),
+    "plan-symmetric-holder-no-spec": (2, ["plan", "--kind", "SymmetricHolder"]),
+    "plan-symmetric-gm-unsorted": (2, ["plan", "--kind", "SymmetricGM", "--params", '{"spec": %s}' % _spec(1, 2)]),
+    "plan-blei-qp-infinite-p": (
+        2, ["plan", "--kind", "BleiQP", "--params", '{"J": 3, "K": 1, "q": "inf", "p": "inf"}']
+    ),
+    "plan-minkowski-direction-up": (
+        2, ["plan", "--kind", "MinkowskiRaise", "--params", '{"spec": %s, "perm": [2, 1], "direction": "up"}' % SPEC_21]
+    ),
+    "plan-popa-sinnamon-no-q": (2, ["plan", "--kind", "PopaSinnamonFirst"]),
+    "plan-popa-sinnamon-one-exponent": (2, ["plan", "--kind", "PopaSinnamonFirst", "--params", '{"q": [2]}']),
+    "plan-blei21-axes-wrong-length": (
+        2, ["plan", "--kind", "Blei21", "--params", '{"J": 3, "K": 1, "axes": ["a", "b"]}']
+    ),
+    "plan-blei21-repeated-axis": (
+        2, ["plan", "--kind", "Blei21", "--params", '{"J": 3, "K": 1, "axes": ["a", "a", "b"]}']
+    ),
+    "plan-blei-ps-unknown-strategy": (2, ["plan", "--kind", "BleiPS", "--params", BLEI_PS_3 % '"strategy": "bogus"']),
+    # a float coefficient may pass 1 by 1e-12, and then its p_i falls below 1
+    "plan-blei-ps-derived-exponent-below-1": (
+        2,
+        ["plan", "--kind", "BleiPS", "--params",
+         '{"n": 3, "k": 1, "q": [2, "inf", "inf"], "c": [1.0000000000001, 1, 1]}'],
+    ),
+    "coeffs-float-coefficients-miss-an-axis": (2, [*USER_PAIR_COEFFS, "[0.5, 0.5, 0.6]"]),
+    # one row per command-line check
+    "verify-instance-and-kind": (2, ["verify", "--instance", '{"kind": "Quad6"}', "--kind", "Quad6", *RANDOM_1]),
+    "verify-instance-not-an-object": (2, ["verify", "--instance", "[1]", *RANDOM_1]),
+    "verify-instance-without-kind": (2, ["verify", "--instance", "{}", *RANDOM_1]),
+    "verify-no-instance": (2, ["verify", *RANDOM_1]),
+    "verify-tensors-and-random": (2, ["verify", "--kind", "Littlewood43", "--tensors", T_13, *RANDOM_1]),
+    "verify-no-inputs": (2, ["verify", "--kind", "Littlewood43"]),
+    "verify-random-without-seed": (2, ["verify", "--kind", "Littlewood43", "--random", "1"]),
+    "search-without-seed": (2, ["search", "--kind", "Littlewood43", "--space", SPACE_2x1]),
+    "probe-t-grid-only-commas": (2, ["probe", "--spec", SPEC_21, "--p", "2", "--t-grid", ","]),
+    "eval-unreadable-document": (2, ["eval", "--tensor", T_13, "--spec", "no/such/spec.json"]),
+    "eval-tensor-a-list": (2, ["eval", "--tensor", "[1, 2]", "--spec", _spec(2)]),
+    "eval-tensor-without-shape": (2, ["eval", "--tensor", T_13.replace('"shape": [2], ', ""), "--spec", _spec(2)]),
+    "eval-tensor-shape-not-a-list": (
+        2, ["eval", "--tensor", T_13.replace('"shape": [2]', '"shape": 2'), "--spec", _spec(2)]
+    ),
+    "orbit-columns-not-a-list": (2, ["orbit", "--spec", '{"columns": 3}']),
+    "decompose-perm-size-mismatch": (2, ["decompose", "--spec", SPEC_21, "--perm", "[1, 2, 3]"]),
 }
 
 
@@ -682,3 +730,54 @@ def test_hostile_inputs_exit_cleanly_with_strict_json(capsys, expected, argv):
         assert "error:" in out.err and out.out == ""
     if out.out:
         json.loads(out.out, parse_constant=_reject_constant)
+
+
+# ---------------------------------------------------------------------------
+# the environment and the output pipe
+
+@pytest.mark.parametrize("argv", [["plan", "--kind", "Quad6"], ["orbit", "--spec", SPEC_21]], ids=lambda v: v[0])
+def test_commands_without_tol_ignore_the_env_var(capsys, monkeypatch, argv):
+    monkeypatch.delenv("MIXEDNORM_TOL", raising=False)
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setenv("MIXEDNORM_TOL", "abc")
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--kind", "Littlewood43", "--space", SPACE_2x1, "--seed", "1", "--max-evals", "20"],
+        ["sweep", "--seed", "1", "--trials", "1", "--kinds", "Quad6"],
+    ],
+    ids=lambda v: v[0],
+)
+def test_commands_with_tol_check_the_env_var(capsys, monkeypatch, argv):
+    monkeypatch.setenv("MIXEDNORM_TOL", "abc")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "MIXEDNORM_TOL is not a number" in err
+    monkeypatch.setenv("MIXEDNORM_TOL", "-1")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "MIXEDNORM_TOL must be a finite nonnegative number" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["plan", "--kind", "Blei21", "--params", '{"J": 12, "K": 6}'], 0),
+        (["probe", "--spec", SPEC_21, "--p", "2", "--t-grid", "1,4,16", "--format", "csv"], 0),
+        (["verify", "--kind", "SymmetricGM1", "--params", '{"spec": %s, "lhs_exponent": "1/2"}' % SPEC_21,
+          "--random", "2", "--seed", "1"], 1),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(argv, code):
+    # the reader is gone before the command writes its first byte
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mixednorm", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (code, b"")

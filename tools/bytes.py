@@ -8,7 +8,8 @@ The list is fixed.  Each command's digest covers its stdout, its stderr and
 its exit code:
 - `sweep` at --seed 99 and 20260816, each at --threads 1 and 8;
 - the README commands (a 2x2 CSV tensor on a 2x2 space stands in for the
-  `tensor.csv` and `space.json` the README names);
+  `tensor.csv` and `space.json` the README names), and `eval --method
+  direct` on the README tensor;
 - `probe` of the README spec at --p 2 --t-grid 1,1000,4000 (16M cells at
   t = 4000, so the probe's grid streams and its loops run on threads);
 - `verify --kind Quad6 --random 20 --seed 7`;
@@ -19,6 +20,9 @@ HolderMixed, MinkowskiRaise or SymmetricGM1 with one tensor in every slot
 (and HolderMixed with distinct tensors too), on 32^4 and on 48x40x36x64
 (33.75 MiB, so its large loops run on threads), at the default
 spaces._BATCH_BYTES and at 256 bytes.
+The "public names" digest covers each name of `sorted(mixednorm.__all__)`
+with the `__module__` and `__qualname__` of what it resolves to, or the
+`repr` of a constant.
 
 Every command runs as `python -m mixednorm` on the checkout's `src`, in a
 temporary directory; the list takes about a minute a checkout on a
@@ -60,6 +64,7 @@ COMMANDS = [
         for threads in ("1", "8")
     ),
     ("README eval", ["eval", "--tensor", TENSOR, "--spec", SPEC]),
+    ("README eval --method direct", ["eval", "--tensor", TENSOR, "--spec", SPEC, "--method", "direct"]),
     ("README orbit", ["orbit", "--spec", SPEC]),
     ("README decompose", ["decompose", "--spec", SPEC, "--perm", "[2, 1]", "--direction", "lower"]),
     ("README plan", ["plan", "--kind", "Quad6"]),  # its stdout is quad6.json for the next command
@@ -122,6 +127,15 @@ for shape in ((32, 32, 32, 32), (48, 40, 36, 64)):
 print(json.dumps(out))
 """
 
+# Run in a child on one checkout; prints one line per public name.
+SURFACE = r"""
+import mixednorm
+for name in sorted(mixednorm.__all__):
+    value = getattr(mixednorm, name)
+    where = f"{value.__module__}.{value.__qualname__}" if hasattr(value, "__qualname__") else repr(value)
+    print(name, where)
+"""
+
 
 def _sha(*parts: bytes) -> str:
     h = hashlib.sha256()
@@ -145,6 +159,8 @@ def digests(src: Path) -> dict[str, str]:
         run = subprocess.run([sys.executable, "-c", FLOATS], cwd=tmp, env=env, capture_output=True, check=True)
         for label, text in json.loads(run.stdout).items():
             out[label] = _sha(text.encode())
+        run = subprocess.run([sys.executable, "-c", SURFACE], cwd=tmp, env=env, capture_output=True)
+        out["public names"] = _sha(str(run.returncode).encode(), run.stdout, run.stderr)
     return out
 
 
