@@ -497,11 +497,13 @@ def _build_blei_ps(params, kind="BleiPS"):
         if seed is not None:
             c_params["seed"] = seed
     outer = []
-    for q_i, c_i in zip(qs, coeffs):
+    for i, (q_i, c_i) in enumerate(zip(qs, coeffs), 1):
         r = reciprocal(q_i) + (c_i * epsilon if isinstance(c_i, Fraction) else Fraction(c_i) * epsilon)
         e = INF if r == 0 else 1 / r
-        if not (1 <= e and e <= q_i):
-            raise ValidationError(f"derived exponent {e} violates 1 <= p_i <= q_i = {q_i}")
+        if not (1 <= e and e <= q_i):  # a float c_i may pass 1 by the coefficient check's allowance
+            raise ValidationError(
+                f"coefficient c_{i} = {c_i} gives p_{i} = {to_float(e)!r}, outside 1 <= p_{i} <= q_{i} = {q_i}"
+            )
         outer.append(e)
     specs = _subset_specs(axes, subsets, qs, outer)
     params_norm = {"n": n, "k": k, "q": [exponent_to_doc(e) for e in qs], **c_params}

@@ -44,6 +44,9 @@ _INIT_STEP = 0.5
 _STEP_GROW = 1.5
 _STEP_DECAY = 0.7
 _MIN_STEP = 1e-4
+# The most bytes of populations one step of the climb scores in one call:
+# the starts climb in waves of as many as fit (at least one).
+_WAVE_BYTES = 1 << 20
 # The most cells a probe grid or a drawn space may hold (2^24 float64 cells are 128 MiB).
 _MAX_CELLS = 1 << 24
 
@@ -263,6 +266,18 @@ def _indicator_starts(space: ProductSpace, arity: int) -> np.ndarray:
     return np.broadcast_to(boxes[:, None], (len(boxes), arity, *space.shape))
 
 
+@dataclass
+class _Start:
+    """One start's climb; a drawn start's ratio is None until it is scored."""
+
+    index: int
+    current: np.ndarray
+    ratio: float | None
+    budget: int
+    rng: np.random.Generator
+    step: float = _INIT_STEP
+
+
 def maximize_ratio(
     inst: InequalityInstance,
     space: ProductSpace,
@@ -278,17 +293,27 @@ def maximize_ratio(
     `restarts` costs nothing beyond the budget.  Each start takes, where it
     begins, an even share of the budget left and spends all of it: a (1+λ)
     step scores _POPULATION log-normal perturbations of the current tensors
-    in one evaluate_batch call and moves to the best if it beats them, and
-    the step size follows the 1/5 success rule, up to _INIT_STEP.  A step
-    below _MIN_STEP is reset to _INIT_STEP at the current point, which is
-    the start's best; fresh random points are the `restarts` starts' job.
-    Deterministic in the seed; re-evaluating the returned witnesses with
-    evaluate_instance reproduces best_ratio exactly.
+    and moves to the best if it beats them, and the step size follows the
+    1/5 success rule, up to _INIT_STEP.  A step below _MIN_STEP is reset to
+    _INIT_STEP at the current point, which is the start's best; fresh random
+    points are the `restarts` starts' job.
+
+    The starts climb in lockstep waves of consecutive starts, as many as
+    have populations within _WAVE_BYTES (at least one): each step draws
+    every live start's population into one reused buffer and scores it in
+    one evaluate_batch call, so a small space pays for a call once a step,
+    not once a start.  The bound keeps memory flat in `restarts`, where a
+    lockstep of all starts would hold all their tensors at once.  A start
+    reads only its own generator, budget and ratios, and evaluate_batch
+    gives each set the same bits in a call of any size, so the result is
+    that of climbing the starts one after another, the first start of the
+    largest ratio kept.  Deterministic in the seed; re-evaluating the
+    returned witnesses with evaluate_instance reproduces best_ratio exactly.
     """
     seed = as_count(seed, "seed")
     max_evals = as_count(max_evals, "max_evals", 1)
     restarts = as_count(restarts, "restarts")
-    sets = max(2 * max(space.shape) - 1, _POPULATION)  # the most input sets one evaluate_batch call holds
+    sets = max(2 * max(space.shape) - 1, _POPULATION)  # the box starts, or one start's population
     if sets * inst.arity * math.prod(space.shape) > _MAX_CELLS:  # before any box is built
         raise ValidationError(f"the climb's {sets} x {inst.arity} tensors of shape {space.shape} hold over {_MAX_CELLS} cells")
 
@@ -297,34 +322,56 @@ def maximize_ratio(
     indicators = indicators[:max_evals]
     indicator_ratios = evaluate_batch(inst, space, indicators, tolerance)
     evals = len(indicators)
+    shape = indicators.shape[1:]
+    per_wave = max(1, _WAVE_BYTES // (_POPULATION * indicators[0].nbytes))
+    population = np.empty((min(per_wave, n_starts) * _POPULATION, *shape))
     rng_init = _rng(seed, 1)
     best_ratio, best_set, best_start = -math.inf, None, 0
-    for si in range(n_starts):
-        if si < len(indicators):
-            current, current_ratio = indicators[si], indicator_ratios[si]
-        elif evals < max_evals:
-            current = _log_uniform(rng_init, *_VALUE_RANGE, indicators.shape[1:])
-            current_ratio = evaluate_batch(inst, space, current[None], tolerance)[0]
-            evals += 1
-        else:
-            break
-        budget = (max_evals - evals) // (n_starts - si)
-        evals += budget
-        rng, step = _rng(seed, 2, si), _INIT_STEP
-        while budget > 0:
-            size = min(_POPULATION, budget)
-            budget -= size
-            population = current * np.exp(step * rng.standard_normal((size, *current.shape)))
-            found = evaluate_batch(inst, space, population, tolerance)
-            wins = [j for j, r in enumerate(found) if r > current_ratio]
-            if wins:
-                top = max(wins, key=found.__getitem__)
-                current, current_ratio = population[top], found[top]
-            step = min(_INIT_STEP, step * (_STEP_GROW if len(wins) > size / 5 else _STEP_DECAY))
-            if step < _MIN_STEP:
-                step = _INIT_STEP
-        if best_set is None or current_ratio > best_ratio:
-            best_ratio, best_set, best_start = current_ratio, current, si
+    first = 0
+    while first < n_starts:
+        wave, last = [], min(first + per_wave, n_starts)
+        for si in range(first, last):
+            if si < len(indicators):
+                current, ratio = indicators[si], indicator_ratios[si]
+            elif evals < max_evals:
+                current, ratio = _log_uniform(rng_init, *_VALUE_RANGE, shape), None
+                evals += 1
+            else:
+                last = n_starts  # the budget is spent: no later start runs
+                break
+            budget = (max_evals - evals) // (n_starts - si)
+            evals += budget
+            wave.append(_Start(si, current, ratio, budget, _rng(seed, 2, si)))
+        first = last
+        drawn = [s for s in wave if s.ratio is None]  # scored in one call
+        if drawn:
+            ratios = evaluate_batch(inst, space, np.stack([s.current for s in drawn]), tolerance)
+            for s, ratio in zip(drawn, ratios):
+                s.ratio = ratio
+        while live := [s for s in wave if s.budget > 0]:
+            spans, end = [], 0
+            for s in live:
+                size = min(_POPULATION, s.budget)
+                s.budget -= size
+                block = population[end : end + size]
+                s.rng.standard_normal(out=block)
+                block *= s.step
+                np.exp(block, out=block)
+                block *= s.current
+                spans.append(range(end, end + size))
+                end += size
+            found = evaluate_batch(inst, space, population[:end], tolerance)
+            for s, span in zip(live, spans):
+                wins = [j for j in span if found[j] > s.ratio]
+                if wins:
+                    top = max(wins, key=found.__getitem__)
+                    s.current, s.ratio = population[top].copy(), found[top]
+                s.step = min(_INIT_STEP, s.step * (_STEP_GROW if len(wins) > len(span) / 5 else _STEP_DECAY))
+                if s.step < _MIN_STEP:
+                    s.step = _INIT_STEP
+        for s in wave:
+            if best_set is None or s.ratio > best_ratio:
+                best_ratio, best_set, best_start = s.ratio, s.current, s.index
     witnesses = tuple(Tensor(space, a) for a in best_set)
     return SearchResult(best_ratio, witnesses, evals, n_starts, best_start, seed)
 

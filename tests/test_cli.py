@@ -689,6 +689,9 @@ HOSTILE_INPUTS = {
         ["plan", "--kind", "BleiPS", "--params",
          '{"n": 3, "k": 1, "q": [2, "inf", "inf"], "c": [1.0000000000001, 1, 1]}'],
     ),
+    "plan-blei-ps-second-coefficient-over-1": (
+        2, ["plan", "--kind", "BleiPS", "--params", '{"n": 2, "k": 1, "q": ["inf", 2], "c": [1, 1.0000000000005]}'],
+    ),
     "coeffs-float-coefficients-miss-an-axis": (2, [*USER_PAIR_COEFFS, "[0.5, 0.5, 0.6]"]),
     # one row per command-line check
     "verify-instance-and-kind": (2, ["verify", "--instance", '{"kind": "Quad6"}', "--kind", "Quad6", *RANDOM_1]),
@@ -709,6 +712,19 @@ HOSTILE_INPUTS = {
     "orbit-columns-not-a-list": (2, ["orbit", "--spec", '{"columns": 3}']),
     "decompose-perm-size-mismatch": (2, ["decompose", "--spec", SPEC_21, "--perm", "[1, 2, 3]"]),
 }
+
+
+@pytest.mark.parametrize(
+    "row, text",
+    [
+        ("plan-blei-ps-derived-exponent-below-1", "c_1 = 1.0000000000001 gives p_1 = 0.99999999999995, outside 1 <= p_1 <= q_1 = 2"),
+        ("plan-blei-ps-second-coefficient-over-1", "c_2 = 1.0000000000005 gives p_2 = 0.99999999999975, outside 1 <= p_2 <= q_2 = 2"),
+    ],
+)
+def test_blei_ps_names_the_coefficient_that_breaks_an_exponent(capsys, row, text):
+    rc, out, err = run(capsys, *HOSTILE_INPUTS[row][1])
+    assert (rc, out) == (2, "")
+    assert err == f"error: coefficient {text}\n"
 
 
 def _reject_constant(name):

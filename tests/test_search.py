@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -496,6 +497,43 @@ def test_climb_follows_the_reference_through_step_resets():
     space = _random_space(inst, 2, 7)
     got = maximize_ratio(inst, space, 0, max_evals=2000, restarts=0)
     assert got.to_doc() == _reference_search(inst, space, 0, 2000, 0)
+
+
+@pytest.mark.parametrize("max_evals, restarts", [(400, 0), (400, 6), (400, 40), (60, 40)])
+def test_climb_follows_the_reference_across_waves(max_evals, restarts):
+    # Quad6's 8 sets of 6 tensors of 5^4 cells take 240,000 bytes, so a wave
+    # holds 4 of its 9 + restarts starts; each start's last population is
+    # ragged, and at 60 evaluations the later starts have no budget left
+    quad6 = build_instance("Quad6")
+    space = _random_space(quad6, 5, 3)
+    assert search._WAVE_BYTES // (8 * 6 * 5**4 * 8) == 4
+    for seed in (0, 5):
+        got = maximize_ratio(quad6, space, seed, max_evals=max_evals, restarts=restarts)
+        assert got.to_doc() == _reference_search(quad6, space, seed, max_evals, restarts)
+
+
+def test_climb_follows_the_reference_one_start_a_wave(monkeypatch, wide_space):
+    monkeypatch.setattr(search, "_WAVE_BYTES", 1)
+    for seed in (0, 5):
+        for max_evals, restarts in ((300, 6), (20, 10**6), (3, 6)):
+            test_climb_follows_the_reference_trajectory(wide_space, seed, max_evals, restarts)
+    test_climb_follows_the_reference_through_step_resets()
+
+
+def test_climb_memory_does_not_grow_with_restarts():
+    # a wave's population buffer holds at most _WAVE_BYTES, and the pass it
+    # feeds stacks at most _BATCH_BYTES: 200 restarts on Quad6 5^4 stay
+    # within 3 x _WAVE_BYTES, where keeping all 209 starts live takes 60 MiB
+    quad6 = build_instance("Quad6")
+    space = ProductSpace(tuple(Axis(a, (1.0, 2.0, 3.0, 4.0, 5.0)) for a in quad6.axis_ids))
+    tracemalloc.start()
+    try:
+        res = maximize_ratio(quad6, space, seed=1, max_evals=3000, restarts=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.evaluations == 3000
+    assert peak < 3 * search._WAVE_BYTES
 
 
 def test_maximize_ratio_draws_only_the_starts_it_runs(wide_space):

@@ -14,7 +14,10 @@ its exit code:
   t = 4000, so the probe's grid streams and its loops run on threads);
 - `verify --kind Quad6 --random 20 --seed 7`;
 - `search` on the README instance, and on Quad6 with --seed 3
-  --max-evals 4000 on a 3x2x2x3 space.
+  --max-evals 4000 on a 3x2x2x3 space and on a 5^4 space, there at the
+  default --restarts and at 40 (waves of 4 starts, each ending on a
+  ragged population), and at --max-evals 300 --restarts 400 (starts left
+  with no budget).
 Each float digest covers `float.hex` of log_lhs, log_rhs and the ratio of
 HolderMixed, MinkowskiRaise or SymmetricGM1 with one tensor in every slot
 (and HolderMixed with distinct tensors too), on 32^4 and on 48x40x36x64
@@ -52,6 +55,9 @@ GM1_SPACE = '{"axes": [{"id": "x1", "weights": [1e-6, 1, 1e6]}, {"id": "x2", "we
 QUAD6_SPACE = json.dumps(
     {"axes": [{"id": f"x{j + 1}", "weights": [1.0 + 0.5 * i for i in range(n)]} for j, n in enumerate((3, 2, 2, 3))]}
 )
+QUAD6_SPACE_5 = json.dumps(
+    {"axes": [{"id": f"x{j + 1}", "weights": [0.25 * (j + 1) + i for i in range(5)]} for j in range(4)]}
+)
 FILES = {
     "tensor.csv": "# shape: 2,2\n1, 2\n3, 4\n",
     "space.json": '{"axes": [{"id": "x1", "weights": [0.5, 2.0]}, {"id": "x2", "weights": [1.0, 3.0]}]}',
@@ -81,6 +87,14 @@ COMMANDS = [
     (
         "search Quad6 3x2x2x3",
         ["search", "--kind", "Quad6", "--space", QUAD6_SPACE, "--seed", "3", "--max-evals", "4000"],
+    ),
+    *(
+        ("search Quad6 5^4 " + " ".join(extra), ["search", "--kind", "Quad6", "--space", QUAD6_SPACE_5, "--seed", "3", *extra])
+        for extra in (
+            ("--max-evals", "4000"),
+            ("--max-evals", "4000", "--restarts", "40"),
+            ("--max-evals", "300", "--restarts", "400"),
+        )
     ),
 ]
 
