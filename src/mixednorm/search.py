@@ -266,16 +266,21 @@ def _indicator_starts(space: ProductSpace, arity: int) -> np.ndarray:
     return np.broadcast_to(boxes[:, None], (len(boxes), arity, *space.shape))
 
 
-@dataclass
-class _Start:
-    """One start's climb; a drawn start's ratio is None until it is scored."""
-
-    index: int
-    current: np.ndarray
-    ratio: float | None
-    budget: int
-    rng: np.random.Generator
-    step: float = _INIT_STEP
+def _budgets(boxes: int, n_starts: int, max_evals: int):
+    """Each running start's climbing budget, in start order: the first points
+    of the boxes (at most max_evals of them) are counted first, a random start
+    runs only while evaluations are left and its first point costs one, and
+    each start takes an even share of what is left where it begins.  Lazy,
+    so no list grows with n_starts."""
+    evals = boxes = min(boxes, max_evals)
+    for si in range(n_starts):
+        if si >= boxes:
+            if evals >= max_evals:
+                return
+            evals += 1
+        budget = (max_evals - evals) // (n_starts - si)
+        evals += budget
+        yield budget
 
 
 def maximize_ratio(
@@ -288,20 +293,22 @@ def maximize_ratio(
 ) -> SearchResult:
     """Multi-start population climb for the largest lhs/rhs ratio.
 
-    The box-indicator starts are scored first, then `restarts` seeded random
-    starts are drawn in start order as the climb reaches them, so a large
-    `restarts` costs nothing beyond the budget.  Each start takes, where it
-    begins, an even share of the budget left and spends all of it: a (1+λ)
-    step scores _POPULATION log-normal perturbations of the current tensors
-    and moves to the best if it beats them, and the step size follows the
-    1/5 success rule, up to _INIT_STEP.  A step below _MIN_STEP is reset to
-    _INIT_STEP at the current point, which is the start's best; fresh random
-    points are the `restarts` starts' job.
+    The box-indicator starts come first, then `restarts` seeded random
+    starts, drawn in start order only for the starts that run, so a large
+    `restarts` costs nothing beyond the budget.  Each start's budget is fixed
+    before anything climbs (_budgets): an even share of what is left where it
+    begins, all of which it spends.  A (1+λ) step scores _POPULATION
+    log-normal perturbations of the current tensors and moves to the best if
+    it beats them, and the step size follows the 1/5 success rule, up to
+    _INIT_STEP.  A step below _MIN_STEP is reset to _INIT_STEP at the current
+    point, which is the start's best; fresh random points are the `restarts`
+    starts' job.
 
     The starts climb in lockstep waves of consecutive starts, as many as
-    have populations within _WAVE_BYTES (at least one): each step draws
-    every live start's population into one reused buffer and scores it in
-    one evaluate_batch call, so a small space pays for a call once a step,
+    have populations within _WAVE_BYTES (at least one).  One evaluate_batch
+    call scores a wave's first points, boxes and random draws alike; then
+    each step draws every live start's population into one reused buffer
+    and scores it in one call, so a small space pays for a call once a step,
     not once a start.  The bound keeps memory flat in `restarts`, where a
     lockstep of all starts would hold all their tensors at once.  A start
     reads only its own generator, budget and ratios, and evaluate_batch
@@ -319,59 +326,43 @@ def maximize_ratio(
 
     indicators = _indicator_starts(space, inst.arity)
     n_starts = len(indicators) + restarts
-    indicators = indicators[:max_evals]
-    indicator_ratios = evaluate_batch(inst, space, indicators, tolerance)
-    evals = len(indicators)
     shape = indicators.shape[1:]
     per_wave = max(1, _WAVE_BYTES // (_POPULATION * indicators[0].nbytes))
     population = np.empty((min(per_wave, n_starts) * _POPULATION, *shape))
+    schedule = enumerate(_budgets(len(indicators), n_starts, max_evals))
     rng_init = _rng(seed, 1)
-    best_ratio, best_set, best_start = -math.inf, None, 0
-    first = 0
-    while first < n_starts:
-        wave, last = [], min(first + per_wave, n_starts)
-        for si in range(first, last):
-            if si < len(indicators):
-                current, ratio = indicators[si], indicator_ratios[si]
-            elif evals < max_evals:
-                current, ratio = _log_uniform(rng_init, *_VALUE_RANGE, shape), None
-                evals += 1
-            else:
-                last = n_starts  # the budget is spent: no later start runs
-                break
-            budget = (max_evals - evals) // (n_starts - si)
-            evals += budget
-            wave.append(_Start(si, current, ratio, budget, _rng(seed, 2, si)))
-        first = last
-        drawn = [s for s in wave if s.ratio is None]  # scored in one call
-        if drawn:
-            ratios = evaluate_batch(inst, space, np.stack([s.current for s in drawn]), tolerance)
-            for s, ratio in zip(drawn, ratios):
-                s.ratio = ratio
-        while live := [s for s in wave if s.budget > 0]:
+    best_ratio, best_set, best_start, evals = -math.inf, None, 0, 0
+    while wave := list(itertools.islice(schedule, per_wave)):
+        starts, left = [si for si, _ in wave], [budget for _, budget in wave]
+        currents = [indicators[si] if si < len(indicators) else _log_uniform(rng_init, *_VALUE_RANGE, shape) for si in starts]
+        ratios = evaluate_batch(inst, space, np.stack(currents), tolerance)
+        rngs, steps = [_rng(seed, 2, si) for si in starts], [_INIT_STEP] * len(wave)
+        evals += len(wave)
+        while live := [i for i, budget in enumerate(left) if budget > 0]:
             spans, end = [], 0
-            for s in live:
-                size = min(_POPULATION, s.budget)
-                s.budget -= size
+            for i in live:
+                size = min(_POPULATION, left[i])
+                left[i] -= size
                 block = population[end : end + size]
-                s.rng.standard_normal(out=block)
-                block *= s.step
+                rngs[i].standard_normal(out=block)
+                block *= steps[i]
                 np.exp(block, out=block)
-                block *= s.current
+                block *= currents[i]
                 spans.append(range(end, end + size))
                 end += size
             found = evaluate_batch(inst, space, population[:end], tolerance)
-            for s, span in zip(live, spans):
-                wins = [j for j in span if found[j] > s.ratio]
+            evals += end
+            for i, span in zip(live, spans):
+                wins = [j for j in span if found[j] > ratios[i]]
                 if wins:
                     top = max(wins, key=found.__getitem__)
-                    s.current, s.ratio = population[top].copy(), found[top]
-                s.step = min(_INIT_STEP, s.step * (_STEP_GROW if len(wins) > len(span) / 5 else _STEP_DECAY))
-                if s.step < _MIN_STEP:
-                    s.step = _INIT_STEP
-        for s in wave:
-            if best_set is None or s.ratio > best_ratio:
-                best_ratio, best_set, best_start = s.ratio, s.current, s.index
+                    currents[i], ratios[i] = population[top].copy(), found[top]
+                steps[i] = min(_INIT_STEP, steps[i] * (_STEP_GROW if len(wins) > len(span) / 5 else _STEP_DECAY))
+                if steps[i] < _MIN_STEP:
+                    steps[i] = _INIT_STEP
+        for si, ratio, current in zip(starts, ratios, currents):
+            if best_set is None or ratio > best_ratio:
+                best_ratio, best_set, best_start = ratio, current, si
     witnesses = tuple(Tensor(space, a) for a in best_set)
     return SearchResult(best_ratio, witnesses, evals, n_starts, best_start, seed)
 

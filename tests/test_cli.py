@@ -1,5 +1,7 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixednorm import spaces
 from mixednorm.cli import main
@@ -746,6 +750,71 @@ def test_hostile_inputs_exit_cleanly_with_strict_json(capsys, expected, argv):
         assert "error:" in out.err and out.out == ""
     if out.out:
         json.loads(out.out, parse_constant=_reject_constant)
+
+
+# ---------------------------------------------------------------------------
+# generated inputs
+
+
+def _columns(*ps):
+    return {"columns": [{"p": p, "axis": f"x{j}"} for j, p in enumerate(ps, 1)]}
+
+
+def _axes(n, weights=(0.5, 2.0)):
+    return {"axes": [{"id": f"x{j}", "weights": list(weights)} for j in range(1, n + 1)]}
+
+
+# valid `search` inputs as (kind, params, space); the gate mutates their paths
+SEARCH_INPUTS = [
+    ("SymmetricGM1", {"spec": _columns(2, 1), "lhs_exponent": "8/5"}, _axes(2, (1e-6, 1.0, 1e6))),
+    ("HolderMixed", {"specs": [_columns(2, 4), _columns(2, "4/3")]}, _axes(2)),
+    ("Quad6", {}, _axes(4)),
+    ("BleiPS", {"n": 3, "k": 1, "q": [3, 3, "inf"]}, _axes(3)),
+]
+MUTATIONS = [0, -1, 1e308, 1e-320, "nan", True, None, [], {}, "1/0", 10**30, "1e400"]
+
+
+def _paths(doc, prefix=()):
+    """The path of every value below doc's root, children before parents."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+        yield prefix + (key,)
+
+
+@st.composite
+def mutated_search(draw):
+    kind, params, space = draw(st.sampled_from(SEARCH_INPUTS))
+    docs = json.loads(json.dumps({"params": params, "space": space}))  # a deep copy
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([p for p in _paths(docs) if len(p) > 1]))  # the two roots stay objects
+        parent = docs
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.sampled_from(MUTATIONS))
+    return [
+        "search", "--kind", kind, "--params", json.dumps(docs["params"]), "--space", json.dumps(docs["space"]),
+        "--seed", "3", "--max-evals", draw(st.sampled_from(["1", "3", "40"])),
+        "--restarts", draw(st.sampled_from(["0", "2", "6"])),
+    ]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=mutated_search())
+def test_mutated_search_inputs_exit_cleanly(argv):
+    # 1-3 paths of a valid document replaced by a hostile value: `search`
+    # exits 0, 1 or 2 and raises nothing; exit 2 prints no stdout
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2), err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "" and "error:" in err.getvalue()
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -548,6 +548,41 @@ def test_maximize_ratio_draws_only_the_starts_it_runs(wide_space):
             maximize_ratio(perturbed_gm1(), wide_space, seed=4, restarts=restarts)
 
 
+def test_each_wave_scores_its_first_points_in_one_call(monkeypatch, wide_space):
+    # the 5 boxes and 6 random starts of wide_space fit one wave, whose
+    # first points are scored together before any start climbs
+    sizes = []
+
+    def recorded(inst, space, arrays, tolerance=1e-8):
+        sizes.append(len(arrays))
+        return evaluate_batch(inst, space, arrays, tolerance)
+
+    monkeypatch.setattr(search, "evaluate_batch", recorded)
+    res = maximize_ratio(perturbed_gm1(), wide_space, seed=4, max_evals=300, restarts=6)
+    assert sizes[0] == 11 and sum(sizes) == res.evaluations == 300
+
+
+@pytest.mark.parametrize("max_evals", [1, 3, 5, 6, 11, 60, 400])
+@pytest.mark.parametrize("restarts", [0, 6, 10**6])
+def test_budget_schedule_accounts_for_every_evaluation(wide_space, max_evals, restarts):
+    # one first point per running start plus its budget; with max_evals
+    # below the 5 boxes, that many boxes run and none climbs
+    boxes = len(search._indicator_starts(wide_space, 1))
+    budgets = list(search._budgets(boxes, boxes + restarts, max_evals))
+    res = maximize_ratio(perturbed_gm1(), wide_space, seed=1, max_evals=max_evals, restarts=restarts)
+    assert len(budgets) + sum(budgets) == res.evaluations
+    assert len(budgets) <= max_evals and min(budgets) >= 0
+    if max_evals <= boxes:
+        assert budgets == [0] * max_evals
+
+
+def test_budget_schedule_is_lazy():
+    t0 = time.perf_counter()
+    first = list(itertools.islice(search._budgets(5, 10**18, 10**18), 8))  # boxes, then random starts
+    assert time.perf_counter() - t0 < 0.1
+    assert first == [0] * 8
+
+
 # ---------------------------------------------------------------------------
 # random parameters and the sweep
 

@@ -16,8 +16,9 @@ its exit code:
 - `search` on the README instance, and on Quad6 with --seed 3
   --max-evals 4000 on a 3x2x2x3 space and on a 5^4 space, there at the
   default --restarts and at 40 (waves of 4 starts, each ending on a
-  ragged population), and at --max-evals 300 --restarts 400 (starts left
-  with no budget).
+  ragged population), at --max-evals 300 --restarts 400 (starts left
+  with no budget), at --max-evals 5 (5 of the 9 boxes scored, no start
+  climbs) and at --restarts 0 --max-evals 400 (the boxes alone).
 Each float digest covers `float.hex` of log_lhs, log_rhs and the ratio of
 HolderMixed, MinkowskiRaise or SymmetricGM1 with one tensor in every slot
 (and HolderMixed with distinct tensors too), on 32^4 and on 48x40x36x64
@@ -94,6 +95,8 @@ COMMANDS = [
             ("--max-evals", "4000"),
             ("--max-evals", "4000", "--restarts", "40"),
             ("--max-evals", "300", "--restarts", "400"),
+            ("--max-evals", "5"),
+            ("--restarts", "0", "--max-evals", "400"),
         )
     ),
 ]
