@@ -316,18 +316,19 @@ def _build_symmetric_gm(kind, params):
 
 def _build_littlewood43(params):
     axes = _default_axes(2, params.get("axes"))
-    spec = NormSpec(((Fraction(2), axes[0]), (Fraction(1), axes[1])))
+    spec = NormSpec._of(((Fraction(2), axes[0]), (Fraction(1), axes[1])))
     return _orbit_gm("Littlewood43", spec, "variables", False, {"axes": list(axes)}, params)
 
 
 def _subset_specs(axes, subsets, inner_exps, outer_exps):
     """One spec per subset: its inner exponent over the complement, its outer
-    exponent over the subset."""
+    exponent over the subset.  The axes are distinct checked ids and the
+    exponents checked or exactly derived ones, so the specs skip the parse."""
     specs = []
     for s, inner_e, outer_e in zip(subsets, inner_exps, outer_exps):
         inner = [(inner_e, axes[j - 1]) for j in range(1, len(axes) + 1) if j not in s]
         outer = [(outer_e, axes[j - 1]) for j in s]
-        specs.append(NormSpec(tuple(inner + outer)))
+        specs.append(NormSpec._of(tuple(inner + outer)))
     return specs
 
 
@@ -441,8 +442,9 @@ def _build_sorted_sandwich(params):
 
 def _build_popa_sinnamon(kind, params):
     """PopaSinnamonFirst and Second: BleiPS with uniform coefficients at
-    k = 1 and k = n - 1, with the gap as epsilon.  BleiPS lists the
-    (n-1)-subsets leaving out axes n, ..., 1, so Second builds on the
+    k = 1 and k = n - 1, with the gap as epsilon, derived by BleiPS's steps
+    from the q row parsed once, without BleiPS's own document.  BleiPS lists
+    the (n-1)-subsets leaving out axes n, ..., 1, so Second derives on the
     reversed q row and reverses the factors back."""
     if "q" not in params or not isinstance(params["q"], list):
         raise ValidationError(f"{kind} needs a 'q' list")
@@ -453,12 +455,16 @@ def _build_popa_sinnamon(kind, params):
     axes = _default_axes(n, params.get("axes"))
     first = kind == "PopaSinnamonFirst"
     order = slice(None, None, 1 if first else -1)
-    blei = _build_blei_ps({"n": n, "k": 1 if first else n - 1, "q": qs[order], "axes": axes}, kind)
+    k = 1 if first else n - 1
+    subsets = size_k_subsets(n, k)
+    gap = _gap(qs)
+    coeffs = _solve_coefficients(n, k, subsets, "uniform", None, None)
+    outer = _outer_exponents(qs[order], coeffs, gap)
+    specs = _subset_specs(axes, subsets, qs[order], outer)
     key = "p" if first else "s"
-    gap = Fraction(blei.derived["epsilon"])
     derived = {
-        key: blei.derived["p"][order],
-        key + "_float": blei.derived["p_float"][order],
+        key: [str(e) for e in outer[order]],
+        key + "_float": [json_float(to_float(e)) for e in outer[order]],
         "sum_recip_q": str(1 - gap),
         "gap": str(gap),
     }
@@ -468,8 +474,38 @@ def _build_popa_sinnamon(kind, params):
     params_norm = {"q": [exponent_to_doc(e) for e in qs]}
     if params.get("axes") is not None:
         params_norm["axes"] = list(axes)
-    rhs = tuple(RhsFactor(f.spec, f.weight, i) for i, f in enumerate(blei.rhs[order]))
-    return replace(blei, rhs=rhs, params=params_norm, derived=derived)
+    return InequalityInstance(
+        kind=kind,
+        axis_ids=axes,
+        arity=n,
+        lhs=ProductIntegral(),
+        rhs=tuple(RhsFactor(s, Fraction(1), i) for i, s in enumerate(specs[order])),
+        params=params_norm,
+        derived=derived,
+    )
+
+
+def _gap(qs) -> Fraction:
+    """epsilon = 1 - sum_i 1/q_i, which must not be negative."""
+    total = sum((reciprocal(e) for e in qs), Fraction(0))
+    if total > 1:
+        raise ValidationError(f"reciprocal q sum {total} exceeds 1")
+    return 1 - total
+
+
+def _outer_exponents(qs, coeffs, epsilon) -> list:
+    """Each subset's outer exponent p_i, 1/p_i = 1/q_i + c_i epsilon, which
+    must lie in [1, q_i]."""
+    outer = []
+    for i, (q_i, c_i) in enumerate(zip(qs, coeffs), 1):
+        r = reciprocal(q_i) + (c_i * epsilon if isinstance(c_i, Fraction) else Fraction(c_i) * epsilon)
+        e = INF if r == 0 else 1 / r
+        if not (1 <= e and e <= q_i):  # a float c_i may pass 1 by the coefficient check's allowance
+            raise ValidationError(
+                f"coefficient c_{i} = {c_i} gives p_{i} = {to_float(e)!r}, outside 1 <= p_{i} <= q_{i} = {q_i}"
+            )
+        outer.append(e)
+    return outer
 
 
 def _build_blei_ps(params, kind="BleiPS"):
@@ -479,10 +515,7 @@ def _build_blei_ps(params, kind="BleiPS"):
     if "q" not in params or not isinstance(params["q"], list) or len(params["q"]) != m:
         raise ValidationError(f"{kind} needs a 'q' list of length {m}")
     qs = [as_exponent(v) for v in params["q"]]
-    total = sum((reciprocal(e) for e in qs), Fraction(0))
-    epsilon = 1 - total
-    if epsilon < 0:
-        raise ValidationError(f"reciprocal q sum {total} exceeds 1")
+    epsilon = _gap(qs)
     axes = _default_axes(n, params.get("axes"))
     seed = None if params.get("seed") is None else as_count(params["seed"], "seed")
     if params.get("c") is not None:
@@ -496,15 +529,7 @@ def _build_blei_ps(params, kind="BleiPS"):
         c_params = {"strategy": strategy}
         if seed is not None:
             c_params["seed"] = seed
-    outer = []
-    for i, (q_i, c_i) in enumerate(zip(qs, coeffs), 1):
-        r = reciprocal(q_i) + (c_i * epsilon if isinstance(c_i, Fraction) else Fraction(c_i) * epsilon)
-        e = INF if r == 0 else 1 / r
-        if not (1 <= e and e <= q_i):  # a float c_i may pass 1 by the coefficient check's allowance
-            raise ValidationError(
-                f"coefficient c_{i} = {c_i} gives p_{i} = {to_float(e)!r}, outside 1 <= p_{i} <= q_{i} = {q_i}"
-            )
-        outer.append(e)
+    outer = _outer_exponents(qs, coeffs, epsilon)
     specs = _subset_specs(axes, subsets, qs, outer)
     params_norm = {"n": n, "k": k, "q": [exponent_to_doc(e) for e in qs], **c_params}
     if params.get("axes") is not None:

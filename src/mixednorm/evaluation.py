@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .catalog import GmLpNorm, InequalityInstance, MixedNorm
 from .errors import ValidationError
@@ -80,8 +81,8 @@ def _compile_pass(inst: InequalityInstance, space, slot_rows) -> tuple[Pass, tup
     if isinstance(lhs, MixedNorm):
         requests.append((0, lhs.spec))
     else:
-        exponent = lhs.exponent if isinstance(lhs, GmLpNorm) else 1
-        requests.append((None, NormSpec.uniform(exponent, space.ids)))
+        exponent = lhs.exponent if isinstance(lhs, GmLpNorm) else Fraction(1)
+        requests.append((None, NormSpec._of(tuple((exponent, a) for a in space.ids))))
     if inst.lower is not None:
         requests.append((0, inst.lower))
     weights = tuple(float(f.weight) for f in inst.rhs)

@@ -84,13 +84,13 @@ def reciprocal(e: Exponent) -> Fraction:
 
 
 def to_float(e: Exponent) -> float:
-    """The float value of an exponent; a finite one beyond the float range is
-    rejected rather than rounded to inf, and a positive one too small for a
-    float rather than rounded to 0."""
+    """The float value of an exponent (a Fraction or INF; an int works too);
+    a finite one beyond the float range is rejected rather than rounded to
+    inf, and a positive one too small for a float rather than rounded to 0."""
     if e is INF:
         return INF
     try:
-        f = float(e)
+        f = e.numerator / e.denominator  # float(e) without its dispatch: the same correctly rounded division
     except OverflowError:
         f = math.inf
     if f == math.inf or (f == 0.0 and e > 0):
@@ -110,10 +110,11 @@ def exponent_to_doc(e: Exponent):
     """JSON form: 'inf', an int, a float when binary-exact, else 'a/b'."""
     if e is INF:
         return "inf"
-    if e.denominator == 1:
+    d = e.denominator
+    if d == 1:
         return int(e)
     f = to_float(e)
-    if Fraction(f) == e:
+    if d & (d - 1) == 0 and Fraction(f) == e:  # only a power-of-two denominator can be a float's
         return f
     return str(e)
 

@@ -109,15 +109,15 @@ def apply_permutation(spec: NormSpec, perm: Permutation, mode: str = "both") -> 
     """
     if perm.n != spec.n:
         raise ValidationError(f"permutation size {perm.n} does not match spec size {spec.n}")
-    cols = spec.columns
+    cols = spec.columns  # checked already: each mode rearranges them into a valid spec
     if mode == "both":
-        return NormSpec(tuple(cols[perm(k) - 1] for k in range(1, spec.n + 1)))
+        return NormSpec._of(tuple(cols[perm(k) - 1] for k in range(1, spec.n + 1)))
     if mode == "exponents":
-        return NormSpec(
+        return NormSpec._of(
             tuple((cols[perm(k) - 1][0], cols[k - 1][1]) for k in range(1, spec.n + 1))
         )
     if mode == "variables":
-        return NormSpec(
+        return NormSpec._of(
             tuple((cols[k - 1][0], cols[perm(k) - 1][1]) for k in range(1, spec.n + 1))
         )
     raise ValidationError(f"unknown permutation mode {mode!r}")
@@ -219,7 +219,7 @@ def decompose(perm: Permutation, spec: NormSpec, direction: str = "raise") -> Ra
     cols, steps = list(spec.columns), []
     for k in reversed(picked):
         cols[k - 1], cols[k] = cols[k], cols[k - 1]
-        steps.append(RaiseStep(k, NormSpec(tuple(cols))))
+        steps.append(RaiseStep(k, NormSpec._of(tuple(cols))))
     return RaiseTrace(direction, spec, perm, tuple(steps))
 
 
@@ -294,7 +294,7 @@ def orbit(spec: NormSpec, mode: str = "exponents") -> list[NormSpec]:
         cols = range(len(row))
         if mode == "variables":
             cols = sorted(cols, key=row.__getitem__, reverse=True)  # stable
-        result.append(NormSpec(tuple((distinct[row[k]], ids[k]) for k in cols)))
+        result.append(NormSpec._of(tuple((distinct[row[k]], ids[k]) for k in cols)))
     if mode == "variables":
         result.sort(key=lambda s: s.axis_ids)
     return result

@@ -26,7 +26,7 @@ from .evaluation import evaluate_batch, evaluate_instance
 from .exponents import INF, as_exponent, harmonic_mean, json_float, reciprocal
 from .perms import _kept_pairs, orbit
 from .spaces import Pass, Tensor
-from .specs import Axis, NormSpec, ProductSpace
+from .specs import Axis, NormSpec, ProductSpace, as_axis_id
 
 # The sweep's draws: atoms per axis, axis weights and tensor values (both
 # log-uniform; the values are the climb's random starts too), and the most
@@ -102,7 +102,7 @@ def _draw_space(rng, axis_ids) -> ProductSpace:
     for aid in axis_ids:
         size = int(rng.integers(lo, hi + 1))
         weights = _log_uniform(rng, *_WEIGHT_RANGE, size)
-        axes.append(Axis(aid, tuple(float(w) for w in weights)))
+        axes.append(Axis._of(aid, tuple(weights.tolist())))  # positive finite floats: no checks
     space = ProductSpace(tuple(axes))
     if math.prod(space.shape) > _MAX_CELLS:  # before any tensor of that size is drawn
         raise ValidationError(f"a random space of shape {space.shape} holds more than {_MAX_CELLS} cells")
@@ -126,6 +126,8 @@ def random_inputs(
         axis_ids = tuple(f"x{i}" for i in range(1, n + 1))
     if len(axis_ids) != n:
         raise ValidationError(f"expected {n} axis ids, got {len(axis_ids)}")
+    for aid in axis_ids:  # the caller's ids: _draw_space trusts them
+        as_axis_id(aid)
     rng = _rng(cfg.seed, as_count(trial_index, "trial_index"))
     space = _draw_space(rng, axis_ids)
     return space, _draw_tensors(rng, space, arity)
@@ -336,7 +338,8 @@ def maximize_ratio(
         starts, left = [si for si, _ in wave], [budget for _, budget in wave]
         currents = [indicators[si] if si < len(indicators) else _log_uniform(rng_init, *_VALUE_RANGE, shape) for si in starts]
         ratios = evaluate_batch(inst, space, np.stack(currents), tolerance)
-        rngs, steps = [_rng(seed, 2, si) for si in starts], [_INIT_STEP] * len(wave)
+        rngs = [_rng(seed, 2, si) if budget else None for si, budget in wave]  # only for starts that climb
+        steps = [_INIT_STEP] * len(wave)
         evals += len(wave)
         while live := [i for i, budget in enumerate(left) if budget > 0]:
             spans, end = [], 0

@@ -47,7 +47,11 @@ def as_axis_id(value) -> str:
 
 @dataclass(frozen=True)
 class Axis:
-    """One factor of a product space: finitely many atoms with positive weights."""
+    """One factor of a product space: finitely many atoms with positive weights.
+
+    The constructor checks its arguments; `Axis._of` skips the checks for an
+    axis the package draws itself, whose id is a nonempty str and whose
+    weights are a nonempty tuple of positive finite floats."""
 
     id: str
     weights: tuple[float, ...]
@@ -74,6 +78,13 @@ class Axis:
                     f"axis {self.id!r}, atom {i}: weight {w!r} is not a positive finite number"
                 )
         object.__setattr__(self, "weights", ws)
+
+    @classmethod
+    def _of(cls, id: str, weights: tuple[float, ...]) -> "Axis":
+        axis = object.__new__(cls)
+        object.__setattr__(axis, "id", id)
+        object.__setattr__(axis, "weights", weights)
+        return axis
 
     @property
     def size(self) -> int:
@@ -115,7 +126,12 @@ class ProductSpace:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """A mixed-norm specification: ordered (exponent, axis) columns, innermost first."""
+    """A mixed-norm specification: ordered (exponent, axis) columns, innermost first.
+
+    The constructor parses each exponent (as_exponent) and axis id, so it
+    takes any spelling a document may hold; a spec is checked once, where it
+    enters.  `NormSpec._of` skips the parse for columns derived from checked
+    ones: a nonempty tuple of (Fraction or INF, str) pairs with distinct ids."""
 
     columns: tuple[tuple[Exponent, str], ...]
 
@@ -135,6 +151,12 @@ class NormSpec:
         if len(set(ids)) != len(ids):
             raise ValidationError(f"norm spec repeats an axis: {ids}")
         object.__setattr__(self, "columns", tuple(cols))
+
+    @classmethod
+    def _of(cls, columns: tuple[tuple[Exponent, str], ...]) -> "NormSpec":
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "columns", columns)
+        return spec
 
     @property
     def n(self) -> int:

@@ -23,20 +23,25 @@ from mixednorm import (
     InequalityInstance,
     MixedNorm,
     NormSpec,
+    Permutation,
     ProductIntegral,
     ProductSpace,
     Tensor,
+    TrialConfig,
     ValidationError,
     build_instance,
     check_holder_system,
+    decompose,
     evaluate_instance,
     instance_from_doc,
     instance_to_doc,
     integrate_product,
+    random_inputs,
     size_k_subsets,
     solve_subset_coefficients,
+    sorting_permutations,
 )
-from mixednorm import spaces
+from mixednorm import evaluation, search, spaces
 from mixednorm.catalog import RhsFactor
 from mixednorm.evaluation import _pair_ratio, batch_log_sides, evaluate_batch
 from mixednorm.search import maximize_ratio, random_params
@@ -667,6 +672,43 @@ def test_every_exponent_is_a_fraction_or_the_inf_object():
         if INF in exps:
             infinite.add(kind)
     assert len(infinite) >= 10
+
+
+def _assert_parses_to_itself(spec):
+    # a spec built without the parse must be the spec the parse builds, with
+    # the same exponent types (Fraction(1) == 1, so == alone would not tell)
+    parsed = NormSpec(spec.columns)
+    assert spec == parsed
+    assert type(spec.columns) is tuple and all(type(c) is tuple for c in spec.columns)
+    assert [type(p) for p in spec.exponents] == [type(p) for p in parsed.exponents]
+
+
+def test_trusted_specs_and_axes_equal_the_parsed_ones(monkeypatch):
+    # specs derived from checked ones (orbits, permutations, subset families,
+    # decompose steps, the pass's uniform left side) and the axes the sweep
+    # draws skip the parse; each must equal what the parse would build
+    rng = np.random.default_rng(27)
+    cases = [(kind, random_params(kind, rng)) for kind in KINDS for _ in range(20)]
+    monkeypatch.setattr(evaluation, "Pass", lambda space, requests, *args: requests)
+    for kind, params in cases + INF_HEAVY:
+        inst = build_instance(kind, params)
+        space = search._draw_space(rng, inst.axis_ids)
+        for axis in space.axes:
+            assert axis == Axis(axis.id, axis.weights)
+            assert all(type(w) is float for w in axis.weights)
+        requests, _ = evaluation._compile_pass(inst, space, tuple(range(inst.arity)))
+        specs = [s for _, s in requests]  # rhs, the left side's spec, lower
+        assert len(specs) == len(inst.rhs) + 1 + (inst.lower is not None)
+        for spec in specs:
+            _assert_parses_to_itself(spec)
+            for step in decompose(sorting_permutations(spec)[0], spec).steps:
+                _assert_parses_to_itself(step.state)
+        if kind == "MinkowskiRaise":  # the builder's own permutation, raising or lowering
+            trace = decompose(Permutation(tuple(params["perm"])), NormSpec.from_doc(params["spec"]), params["direction"])
+            for step in trace.steps:
+                _assert_parses_to_itself(step.state)
+    with pytest.raises(ValidationError, match="axis id"):
+        random_inputs(TrialConfig(seed=1), 1, 2, axis_ids=(1, 2))
 
 
 @pytest.mark.parametrize("kind", KINDS)

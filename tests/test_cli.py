@@ -782,16 +782,23 @@ def _paths(doc, prefix=()):
         yield prefix + (key,)
 
 
-@st.composite
-def mutated_search(draw):
-    kind, params, space = draw(st.sampled_from(SEARCH_INPUTS))
-    docs = json.loads(json.dumps({"params": params, "space": space}))  # a deep copy
+def _mutated(draw, docs):
+    """A deep copy of docs, a dict of documents, with 1-3 paths below its
+    documents replaced by values of MUTATIONS."""
+    docs = json.loads(json.dumps(docs))
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from([p for p in _paths(docs) if len(p) > 1]))  # the two roots stay objects
+        path = draw(st.sampled_from([p for p in _paths(docs) if len(p) > 1]))  # the roots stay objects
         parent = docs
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = draw(st.sampled_from(MUTATIONS))
+    return docs
+
+
+@st.composite
+def mutated_search(draw):
+    kind, params, space = draw(st.sampled_from(SEARCH_INPUTS))
+    docs = _mutated(draw, {"params": params, "space": space})
     return [
         "search", "--kind", kind, "--params", json.dumps(docs["params"]), "--space", json.dumps(docs["space"]),
         "--seed", "3", "--max-evals", draw(st.sampled_from(["1", "3", "40"])),
@@ -799,10 +806,42 @@ def mutated_search(draw):
     ]
 
 
+# valid `plan` and `verify --random` params as (kind, params), whose specs,
+# permutations, subset families and orbits the builders derive without
+# parsing them again; the gate mutates their paths
+BUILD_INPUTS = [
+    ("SymmetricGM", {"spec": _columns(3, 2, 2), "lhs_exponent": "5/2"}),
+    ("MinkowskiRaise", {"spec": _columns(1, "inf", 2), "perm": [2, 1, 3], "direction": "raise"}),
+    ("SortedSandwich", {"spec": _columns(2, "inf", "1/2")}),
+    ("BleiPS", {"n": 3, "k": 1, "q": [3, 3, "inf"], "strategy": "random", "seed": 5}),
+    ("BleiPS", {"n": 3, "k": 2, "q": [4, 4, "inf"], "c": ["1/2", "1/2", "1/2"]}),
+    ("PopaSinnamonSecond", {"q": [3, 3, "inf"], "axes": ["a", "b", "c"]}),
+]
+
+
+@st.composite
+def mutated_build(draw):
+    kind, params = draw(st.sampled_from(BUILD_INPUTS))
+    args = ["--kind", kind, "--params", json.dumps(_mutated(draw, {"params": params})["params"])]
+    if draw(st.booleans()):
+        return ["plan", *args]
+    return ["verify", *args, "--random", "2", "--seed", "1"]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(argv=mutated_search())
 def test_mutated_search_inputs_exit_cleanly(argv):
-    # 1-3 paths of a valid document replaced by a hostile value: `search`
+    _assert_exits_cleanly(argv)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=mutated_build())
+def test_mutated_plan_and_verify_inputs_exit_cleanly(argv):
+    _assert_exits_cleanly(argv)
+
+
+def _assert_exits_cleanly(argv):
+    # 1-3 paths of a valid document replaced by a hostile value: the command
     # exits 0, 1 or 2 and raises nothing; exit 2 prints no stdout
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixednorm import INF, ValidationError, as_exponent, harmonic_mean, reciprocal, to_float
 from mixednorm.catalog import solve_subset_coefficients
@@ -129,6 +131,47 @@ def test_huge_decimal_exponents_are_rejected_before_fraction():
         solve_subset_coefficients(3, 1, "user", coefficients=["1e999999999", 1, 1])
     assert time.perf_counter() - start < 1.0
     assert as_exponent("1e-0000000000000000000000000005") == Fraction(1, 10**5)
+
+
+# numerators and denominators up to about 2^1100, so beyond the float range
+# both ways; powers of two, short numerators and the exact values of floats
+# (subnormal ones too) make the dyadic cases that a float can represent
+_PARTS = st.one_of(st.integers(1, 2**1100), st.integers(1, 2**60), st.integers(0, 1100).map(lambda k: 2**k))
+_FRACTIONS = st.one_of(
+    st.builds(Fraction, _PARTS, _PARTS),
+    st.floats(min_value=5e-324, allow_infinity=False).map(Fraction),
+)
+
+
+def _doc_by_the_fraction_rule(e):
+    """exponent_to_doc as it read before the power-of-two test: a float
+    wherever the float converts back to e exactly."""
+    if e.denominator == 1:
+        return int(e)
+    f = to_float(e)
+    return f if Fraction(f) == e else str(e)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(e=_FRACTIONS)
+def test_float_conversions_agree_with_fraction_float(e):
+    try:
+        want = float(e)
+    except OverflowError:
+        want = math.inf
+    if want in (0.0, math.inf):
+        with pytest.raises(ValidationError, match="float range"):
+            to_float(e)
+    else:
+        assert to_float(e).hex() == want.hex()
+    try:
+        want_doc = _doc_by_the_fraction_rule(e)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="float range"):
+            exponent_to_doc(e)
+        return
+    got = exponent_to_doc(e)
+    assert (type(got), got) == (type(want_doc), want_doc)
 
 
 def test_harmonic_mean_known_values():

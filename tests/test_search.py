@@ -562,6 +562,24 @@ def test_each_wave_scores_its_first_points_in_one_call(monkeypatch, wide_space):
     assert sizes[0] == 11 and sum(sizes) == res.evaluations == 300
 
 
+@pytest.mark.parametrize("restarts", [6, 10**6])
+def test_only_starts_that_climb_build_a_generator(monkeypatch, wide_space, restarts):
+    # one _rng(seed, 2, si) for each start with a budget above 0, and one
+    # _rng(seed, 1) for the random starts' first points; at 10**6 restarts
+    # about 10,000 starts run with a budget of 0
+    keys = []
+
+    def recorded(seed, *key):
+        keys.append(key)
+        return np.random.default_rng([seed, *key])
+
+    monkeypatch.setattr(search, "_rng", recorded)
+    boxes = len(search._indicator_starts(wide_space, 1))
+    climbing = [si for si, b in enumerate(search._budgets(boxes, boxes + restarts, 10_000)) if b > 0]
+    maximize_ratio(perturbed_gm1(), wide_space, seed=4, max_evals=10_000, restarts=restarts)
+    assert keys == [(1,)] + [(2, si) for si in climbing]
+
+
 @pytest.mark.parametrize("max_evals", [1, 3, 5, 6, 11, 60, 400])
 @pytest.mark.parametrize("restarts", [0, 6, 10**6])
 def test_budget_schedule_accounts_for_every_evaluation(wide_space, max_evals, restarts):
