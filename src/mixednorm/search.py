@@ -5,9 +5,9 @@ are derived from (seed, kind index, trial index), so a sweep's report is a
 pure function of its config.  Every trial draws from the same fixed ranges
 of axis sizes, weights and values (the module constants below), which the
 report's config echoes.  The violation search climbs by populations
-of multiplicative perturbations (exponents may be infinite, so there is no
-gradient to follow) and always starts from the indicator family that makes
-the geometric-mean inequalities tight.
+of log-uniform multiplicative perturbations (exponents may be infinite, so
+there is no gradient to follow) and always starts from the indicator family
+that makes the geometric-mean inequalities tight.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .catalog import KINDS, InequalityInstance, build_instance, instance_to_doc
 from .documents import space_to_doc, tensor_to_doc
 from .errors import ValidationError, as_count
 from .evaluation import evaluate_batch, evaluate_instance
-from .exponents import INF, as_exponent, harmonic_mean, json_float, reciprocal
+from .exponents import INF, as_exponent, exponent_to_doc, harmonic_mean, json_float, reciprocal
 from .perms import _kept_pairs, orbit
 from .spaces import Pass, Tensor
 from .specs import Axis, NormSpec, ProductSpace, as_axis_id
@@ -300,11 +300,12 @@ def maximize_ratio(
     `restarts` costs nothing beyond the budget.  Each start's budget is fixed
     before anything climbs (_budgets): an even share of what is left where it
     begins, all of which it spends.  A (1+λ) step scores _POPULATION
-    log-normal perturbations of the current tensors and moves to the best if
-    it beats them, and the step size follows the 1/5 success rule, up to
-    _INIT_STEP.  A step below _MIN_STEP is reset to _INIT_STEP at the current
-    point, which is the start's best; fresh random points are the `restarts`
-    starts' job.
+    log-uniform perturbations of the current tensors, each cell's factor
+    exp(step · u) with u uniform on ±√3 (variance 1, as a standard normal's,
+    at a fraction of its cost to draw), moves to the best if it beats them,
+    and the step size follows the 1/5 success rule, up to _INIT_STEP.  A
+    step below _MIN_STEP is reset to _INIT_STEP at the current point, which
+    is the start's best; fresh random points are the `restarts` starts' job.
 
     The starts climb in lockstep waves of consecutive starts, as many as
     have populations within _WAVE_BYTES (at least one).  One evaluate_batch
@@ -347,8 +348,9 @@ def maximize_ratio(
                 size = min(_POPULATION, left[i])
                 left[i] -= size
                 block = population[end : end + size]
-                rngs[i].standard_normal(out=block)
-                block *= steps[i]
+                rngs[i].random(out=block)
+                block -= 0.5
+                block *= steps[i] * math.sqrt(12)  # U(-1/2, 1/2) has variance 1/12
                 np.exp(block, out=block)
                 block *= currents[i]
                 spans.append(range(end, end + size))
@@ -375,6 +377,9 @@ def maximize_ratio(
 
 _EXP_POOL = ("1/3", "1/2", "2/3", "1", "4/3", "3/2", "2", "3", "4", "inf")
 _FINITE_POOL = ("1/3", "1/2", "2/3", "1", "4/3", "3/2", "2", "3", "4")
+# Each pool entry's exponent and its document value, parsed once.
+_POOL_EXPONENT = {s: as_exponent(s) for s in _EXP_POOL}
+_POOL_DOC = {s: exponent_to_doc(e) for s, e in _POOL_EXPONENT.items()}
 
 
 def _pick_exponents(rng, n, pool=_EXP_POOL, distinct_cap=None):
@@ -386,11 +391,12 @@ def _pick_exponents(rng, n, pool=_EXP_POOL, distinct_cap=None):
 
 
 def _sorted_desc(exps):
-    return sorted(exps, key=lambda s: as_exponent(s), reverse=True)
+    return sorted(exps, key=_POOL_EXPONENT.__getitem__, reverse=True)
 
 
-def _spec_doc(exps, n):
-    return NormSpec(tuple(zip(exps, (f"x{i}" for i in range(1, n + 1))))).to_doc()
+def _spec_doc(exps):
+    """The document of the spec with pool exponents exps on axes x1, x2, ..."""
+    return {"columns": [{"p": _POOL_DOC[e], "axis": f"x{i}"} for i, e in enumerate(exps, 1)]}
 
 
 def _random_q_list(rng, count, denom=12):
@@ -436,21 +442,21 @@ def random_params(kind: str, rng: np.random.Generator, max_axes: int = _MAX_AXES
     if kind == "MinkowskiRaise":
         n = int(rng.integers(2, max_axes + 1))
         exps = _pick_exponents(rng, n)
-        spec = NormSpec(tuple(zip(exps, (f"x{i}" for i in range(1, n + 1)))))
+        spec = NormSpec._of(tuple((_POOL_EXPONENT[e], f"x{i}") for i, e in enumerate(exps, 1)))
         direction = "raise" if rng.integers(2) else "lower"
         candidates = _monotone_images(spec, direction)
         perm = candidates[int(rng.integers(len(candidates)))]
-        return {"spec": spec.to_doc(), "perm": list(perm), "direction": direction}
+        return {"spec": _spec_doc(exps), "perm": list(perm), "direction": direction}
     if kind == "SortedSandwich":
         n = int(rng.integers(1, max_axes + 1))
-        return {"spec": _spec_doc(_pick_exponents(rng, n), n)}
+        return {"spec": _spec_doc(_pick_exponents(rng, n))}
     if kind == "SymmetricHolder":
         n = int(rng.integers(1, max_axes + 1))
-        return {"spec": _spec_doc(_pick_exponents(rng, n, distinct_cap=3), n)}
+        return {"spec": _spec_doc(_pick_exponents(rng, n, distinct_cap=3))}
     if kind in ("SymmetricGM", "SymmetricGM1"):
         n = int(rng.integers(1, max_axes + 1))
         exps = _sorted_desc(_pick_exponents(rng, n, distinct_cap=3))
-        return {"spec": _spec_doc(exps, n)}
+        return {"spec": _spec_doc(exps)}
     if kind == "Blei21":
         J = int(rng.integers(2, max_axes + 1))
         K = int(rng.integers(1, J))
@@ -461,7 +467,7 @@ def random_params(kind: str, rng: np.random.Generator, max_axes: int = _MAX_AXES
         while True:
             p = _FINITE_POOL[int(rng.integers(len(_FINITE_POOL)))]
             q = _EXP_POOL[int(rng.integers(len(_EXP_POOL)))]
-            if as_exponent(p) < as_exponent(q):
+            if _POOL_EXPONENT[p] < _POOL_EXPONENT[q]:
                 return {"J": J, "K": K, "q": q, "p": p}
     if kind in ("PopaSinnamonFirst", "PopaSinnamonSecond"):
         n = int(rng.integers(2, max_axes + 1))

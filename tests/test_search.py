@@ -425,8 +425,10 @@ def _reference_search(inst, space, seed, max_evals, restarts):
     spelled out: the indicator starts scored first, then random starts drawn
     from one generator in start order, each start's climb from its own
     generator with an even share of the budget left where it begins, in
-    populations of 8, with the 1/5 rule on a step of at most 0.5 and the
-    reset below 1e-4, and the first best start kept on a tie."""
+    populations of 8 whose factors are exp of the step times a uniform draw
+    of variance 1 (u - 0.5 times sqrt(12), in maximize_ratio's order of
+    operations), with the 1/5 rule on a step of at most 0.5 and the reset
+    below 1e-4, and the first best start kept on a tie."""
     evals = 0
 
     def score(population):
@@ -452,7 +454,7 @@ def _reference_search(inst, space, seed, max_evals, restarts):
         rng, step = np.random.default_rng([seed, 2, si]), 0.5
         while budget > 0:
             size = min(8, budget)
-            population = current * np.exp(step * rng.standard_normal((size, *current.shape)))
+            population = current * np.exp((rng.random((size, *current.shape)) - 0.5) * (step * math.sqrt(12)))
             found = score(population)
             budget -= size
             wins = [j for j, r in enumerate(found) if r > ratio]
@@ -562,6 +564,26 @@ def test_each_wave_scores_its_first_points_in_one_call(monkeypatch, wide_space):
     assert sizes[0] == 11 and sum(sizes) == res.evaluations == 300
 
 
+def test_climb_perturbations_have_bounded_support(monkeypatch, wide_space):
+    # the first step's factors population / current for the 6 random starts
+    # (a box start has zeros): the log of each is uniform on +-0.5 sqrt(3)
+    # at the first step of 0.5, so it is bounded, unlike a normal draw's
+    calls = []
+
+    def recorded(inst, space, arrays, tolerance=1e-8):
+        calls.append(np.array(arrays))  # a copy: the population buffer is reused
+        return evaluate_batch(inst, space, arrays, tolerance)
+
+    monkeypatch.setattr(search, "evaluate_batch", recorded)
+    maximize_ratio(perturbed_gm1(), wide_space, seed=4, max_evals=300, restarts=6)
+    firsts, population = calls[0], calls[1]
+    assert len(firsts) == 11 and len(population) == 11 * 8
+    factors = population[5 * 8 :].reshape(6, 8, *firsts.shape[1:]) / firsts[5:, None]
+    assert np.all(factors >= math.exp(-0.5 * math.sqrt(3)))
+    assert np.all(factors <= math.exp(0.5 * math.sqrt(3)))
+    assert len(np.unique(factors)) > 1
+
+
 @pytest.mark.parametrize("restarts", [6, 10**6])
 def test_only_starts_that_climb_build_a_generator(monkeypatch, wide_space, restarts):
     # one _rng(seed, 2, si) for each start with a budget above 0, and one
@@ -611,6 +633,15 @@ def test_random_params_build_for_every_kind():
             inst = build_instance(kind, random_params(kind, rng))
             assert inst.kind == kind
             assert inst.arity >= 1
+
+
+def test_random_spec_documents_are_those_of_the_parsed_spec():
+    # the pools' document values are parsed once: the same as a spec's to_doc
+    assert [search._POOL_DOC[e] for e in ("1/2", "2", "1/3", "inf")] == [0.5, 2, "1/3", "inf"]
+    exps = list(search._EXP_POOL)
+    spec = NormSpec(tuple((e, f"x{i}") for i, e in enumerate(exps, 1)))
+    assert search._spec_doc(exps) == spec.to_doc()
+    assert search._sorted_desc(exps) == exps[::-1]
 
 
 def test_random_params_honour_max_axes():
