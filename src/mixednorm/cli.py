@@ -169,13 +169,13 @@ def _cmd_plan(args) -> int:
 def _cmd_verify(args) -> int:
     from .documents import space_from_doc, tensor_from_doc
     from .evaluation import evaluate_instance
-    from .search import TrialConfig, random_inputs
 
     inst = _instance_from_args(args)
     reports = []
     if args.random is not None:
         if args.tensors:
             raise ValidationError("give either --tensors or --random, not both")
+        from .search import TrialConfig, random_inputs
         cfg = TrialConfig(seed=args.seed, trials=args.random, tolerance=args.tol)
         n = len(inst.axis_ids)
         for t in range(args.random):

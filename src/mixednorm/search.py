@@ -313,7 +313,7 @@ def maximize_ratio(
     each step draws every live start's population into one reused buffer
     and scores it in one call, so a small space pays for a call once a step,
     not once a start.  The bound keeps memory flat in `restarts`, where a
-    lockstep of all starts would hold all their tensors at once.  A start
+    lockstep of all starts would stack all their tensors in one pass.  A start
     reads only its own generator, budget and ratios, and evaluate_batch
     gives each set the same bits in a call of any size, so the result is
     that of climbing the starts one after another, the first start of the

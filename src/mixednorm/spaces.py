@@ -21,12 +21,12 @@ is reduced once.  A caller names the slot sum and lists the slots; the
 pass forms the sum only for two or more slots, and reads a lone slot's
 input for it otherwise.  Each `run` takes K sets of raw values and the
 space, logs the values and the space's weights itself, runs that one plan
-on the sets, and chooses how.  Within `_BATCH_BYTES` the logs stack into
-one C-ordered array with a leading set axis and a row per input (and one
-for the slot sum), and each plan node collapses one axis for every set and
-every (row, exponent) pair reducing it at that depth, by one in-place
-shifted log-sum-exp (a maximum for an infinite exponent); more sets run in
-chunks of as many as stack.  A set too large to stack alone streams:
+on the sets, and chooses how.  Where one set fits `_BATCH_BYTES`, all K
+stack into one C-ordered array with a row per input (and one for the slot
+sum) ahead of the set axis, and each plan node collapses one axis for every
+set and (row, exponent) pair reducing it at that depth, by one in-place
+shifted log-sum-exp (a maximum for an infinite exponent), in the stack
+itself for the root's spare rows.  A set too large to stack alone streams:
 each pair is reduced from the raw inputs by one block loop, which sees the
 inputs as (lead, rest) matrices and takes blocks of at most `_BATCH_BYTES`
 as ranges of their columns (columns of an (n0, rest) matrix, or whole rows
@@ -152,20 +152,24 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-# A batched work array holds one row per (input, exponent) pair that a plan
-# node reduces.  Stacking rows saves numpy's per-call overhead, which
-# dominates on small arrays; once a reduction's input and work array no
-# longer fit in a core's L2 cache together, rows reduced one at a time are
-# faster.  Measured on a 2-vCPU Xeon (2 MiB L2 per core), SymmetricHolder
-# with 12 distinct inputs on four axes ran 0.69x the row-at-a-time time with
-# 0.43 MB batched arrays, 0.81x at 0.68 MB, 1.07x at 1.0 MB and 1.25x at
-# 1.5 MB; Quad6 broke even near 0.4-0.6 MB.  It is also the block size of
-# the streamed path (_stream_plan), so that a block's log and work arrays
-# stay cache-sized and the allocator reuses their memory (with blocks
-# of one 13 MB slice, a call page-faulted about 1 GB).  On a 96x96x96x178
-# input (1.26 GB) the grid's MinkowskiRaise, SymmetricGM1 and HolderMixed
-# took about 2.0, 3.7 and 3.7 s in blocks, against 3.8, 7.0 and 4.5 s on
-# whole arrays.  A block is also the unit of work handed to a worker (_map).
+# The most bytes of one set's rows in a work array: a set within it stacks
+# with its call's other sets, a larger one streams.  Stacking rows saves
+# numpy's per-call overhead, which dominates on small arrays; once a
+# reduction's input and work array no longer fit in a core's L2 cache
+# together, rows reduced one at a time are faster.  Measured on a 2-vCPU
+# Xeon (2 MiB L2 per core), SymmetricHolder with 12 distinct inputs on four
+# axes ran 0.69x the row-at-a-time time with 0.43 MB batched arrays, 0.81x
+# at 0.68 MB, 1.07x at 1.0 MB and 1.25x at 1.5 MB; Quad6 broke even near
+# 0.4-0.6 MB.  Sets cost no more in one stack, so the caller bounds them
+# (search._WAVE_BYTES): on a 2-vCPU AMD EPYC a Quad6 5^4 set took 29.3 us
+# in a stack of 32 and 39.5 us in chunks of 14, and 35.6 and 37.8 us for
+# 2,048 sets (a 72 MB stack).  It is also the block size of the streamed
+# path (_stream_plan), so that a block's log and work arrays stay
+# cache-sized and the allocator reuses their memory (with blocks of one
+# 13 MB slice, a call page-faulted about 1 GB).  On a 96x96x96x178 input
+# (1.26 GB) the grid's MinkowskiRaise, SymmetricGM1 and HolderMixed took
+# about 2.0, 3.7 and 3.7 s in blocks, against 3.8, 7.0 and 4.5 s on whole
+# arrays.  A block is also the unit of work handed to a worker (_map).
 _BATCH_BYTES = 1 << 19
 
 _POOL_BYTES = 1 << 25  # a smaller loop runs inline: it gains little on threads, and its time varies more
@@ -186,15 +190,15 @@ def _map(task, items: list, nbytes: int) -> list:
         return list(pool.map(quiet, items))
 
 
-def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray) -> np.ndarray:
+def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray, spare: bool = False) -> np.ndarray:
     """Collapse axis ax of a log array, or of a stack of them with rows on
     axis 0.  pf is None for an infinite exponent, else a float or the rows'
     float exponents as a (k, 1, ..., 1) column.  logw is the axis's log
-    weights shaped to broadcast along ax.  rows is not written.
+    weights shaped to broadcast along ax.  rows is written only if spare.
     """
     if pf is None:
         return np.maximum.reduce(rows, axis=ax)
-    a = np.multiply(rows, pf)
+    a = np.multiply(rows, pf, out=rows if spare else None)
     a += logw
     out = _logsumexp_inplace(a, ax)
     out /= pf
@@ -233,28 +237,23 @@ class Pass:
         values on space (or on any space of the same axis order): a (K,
         inputs, *shape) array of K sets, or a list of one set's input
         arrays, arrays[r] for row r.  The pass logs the values and the
-        space's weights itself, and does not write the arrays.
-
-        Up to as many sets as stack within _BATCH_BYTES stack into one
-        (sets, height, *shape) array, and more run in chunks of that many; a
-        set too large to stack alone streams on its own."""
+        space's weights itself, and does not write the arrays.  A set within
+        _BATCH_BYTES stacks with all the others, rows first, in one (height,
+        sets, *shape) array; a larger one streams on its own."""
         logw = {a.id: np.log(np.asarray(a.weights, dtype=float)) for a in space.axes}
         sets = arrays if isinstance(arrays, np.ndarray) else [arrays]
         one, n = sets[0][0], self.inputs
         out = [[0.0] * self.count for _ in range(len(sets))]
-        chunk = _BATCH_BYTES // (self.width * one.nbytes)
         with np.errstate(divide="ignore", over="ignore"):
-            if not chunk:
+            if self.width * one.nbytes > _BATCH_BYTES:
                 for values, norms in zip(sets, out):
                     _stream_plan(self.plan, values, logw, norms, True, self.fold)
                 return out
-            for k in range(0, len(sets), chunk):
-                part = sets[k : k + chunk]
-                stack = np.empty((len(part), self.height, *one.shape))
-                np.log(part, out=stack[:, :n])
-                if self.fold:
-                    self.fold(stack.swapaxes(0, 1), out=stack[:, n])
-                _run_plan(self.plan, stack, logw, out[k : k + chunk])
+            stack = np.empty((self.height, len(sets), *one.shape))
+            np.log(sets, out=stack[:n].swapaxes(0, 1))
+            if self.fold:
+                self.fold(stack, out=stack[n])
+            _run_plan(self.plan, stack, logw, out)
         return out
 
 
@@ -272,8 +271,8 @@ def _fold(slots, mean: bool, logs, out=None) -> np.ndarray:
 
 def _compile(group, remaining, depth):
     """The reduction plan of group, (output index, row, float columns)
-    triples sharing their first `depth` columns, over a stack with a set
-    axis and a row axis first and the `remaining` axes after them.
+    triples sharing their first `depth` columns, over a stack with a row
+    axis and a set axis first and the `remaining` axes after them.
 
     The plan is a tuple tree built by a trie walk over the columns, so each
     distinct (row, column prefix) is reduced once.  A node is (children,
@@ -282,9 +281,8 @@ def _compile(group, remaining, depth):
     with a finite exponent, or every one with an infinite exponent.  It also
     lists those pairs, with None for an infinite exponent, which a streamed
     run reduces one at a time.  A child holds its axis among the `remaining`
-    axes, and the index of its rows in a stack, past the whole set axis.
-    Returns (plan, width): width is the most rows of one set a work array
-    holds.
+    axes, the index of its rows in a stack, and whether it is spare.  Returns
+    (plan, width): width is the most rows of one set a work array holds.
     """
     if not remaining:
         return ((), tuple((i, pos) for i, pos, _ in group)), 0
@@ -293,7 +291,7 @@ def _compile(group, remaining, depth):
         aid, pf = member[2][depth]
         children.setdefault((aid, pf == math.inf), []).append(member)
     nodes, width = [], 1
-    for (aid, infinite), members in children.items():
+    for k, ((aid, infinite), members) in enumerate(children.items()):
         ax = remaining.index(aid)
         where: dict = {}  # (row, exponent) -> row of the child's array
         for _, pos, cols in members:
@@ -308,30 +306,32 @@ def _compile(group, remaining, depth):
             sel = np.array(rows)
         pf = pairs[0][1] if len(pairs) == 1 else None
         if len(pairs) > 1 and not infinite:
-            pf = np.array([p for _, p in pairs]).reshape((-1,) + (1,) * len(remaining))
+            pf = np.array([p for _, p in pairs]).reshape((-1,) + (1,) * (len(remaining) + 1))
         sub, sub_width = _compile(
             [(i, where[pos, cols[depth][1]], cols) for i, pos, cols in members],
             remaining[:ax] + remaining[ax + 1 :],
             depth + 1,
         )
+        spare = not (depth or infinite) and isinstance(sel, slice) and sel.stop - sel.start == len(rows)
+        spare = spare and not any(pos in rows for later in list(children.values())[k + 1 :] for _, pos, _ in later)
         lead = (-1,) + (1,) * (len(remaining) - ax - 1)
-        nodes.append((ax, (slice(None), sel), pf, aid, lead, pairs, sub))
+        nodes.append((ax, sel, pf, spare, aid, lead, pairs, sub))
         width = max(width, len(rows), sub_width)
     return (tuple(nodes), ()), width
 
 
 def _run_plan(plan, stack: np.ndarray, logw, out) -> None:
-    """Evaluate a compiled plan on a stack of log arrays with a set axis
-    and a row axis first, writing set k's log norm of each request to
-    out[k][index].  stack is not written; the caller holds
-    np.errstate(divide="ignore", over="ignore")."""
+    """Evaluate a compiled plan on a stack of log arrays with a row axis
+    and a set axis first, writing set k's log norm of each request to
+    out[k][index].  Only a spare child writes the stack, in its own rows;
+    the caller holds np.errstate(divide="ignore", over="ignore")."""
     children, outputs = plan
     if outputs:
-        for norms, row in zip(out, stack.tolist()):
+        for norms, row in zip(out, stack.T.tolist()):
             for i, pos in outputs:
                 norms[i] = row[pos]
-    for ax, sel, pf, aid, lead, _, sub in children:
-        _run_plan(sub, _reduce_column(stack[sel], pf, ax + 2, logw[aid].reshape(lead)), logw, out)
+    for ax, sel, pf, spare, aid, lead, _, sub in children:
+        _run_plan(sub, _reduce_column(stack[sel], pf, ax + 2, logw[aid].reshape(lead), spare), logw, out)
 
 
 def _stream_plan(plan, arrays, logw, out, log: bool = False, fold=None) -> None:
@@ -347,12 +347,12 @@ def _stream_plan(plan, arrays, logw, out, log: bool = False, fold=None) -> None:
     np.errstate(divide="ignore", over="ignore").
     """
     children, _ = plan
-    heads = [(pos, ax, p, aid) for ax, _, _, aid, _, pairs, _ in children for pos, p in pairs]
+    heads = [(pos, ax, p, aid) for ax, _, _, _, aid, _, pairs, _ in children for pos, p in pairs]
     reduced = iter(_reduce_blocks(arrays, heads, logw, log, fold))
     for *_, pairs, sub in children:
         rows = [next(reduced) for _ in pairs]
         if not rows[0].ndim or 8 * len(rows) * rows[0].size <= _BATCH_BYTES:
-            _run_plan(sub, np.stack(rows)[None], logw, [out])
+            _run_plan(sub, np.stack(rows)[:, None], logw, [out])
         else:
             _stream_plan(sub, rows, logw, out)
 

@@ -1015,7 +1015,7 @@ def _stacked_plans():
     run = spaces._run_plan
 
     def spy(plan, stack, *args):
-        seen.append((id(plan), len(stack)))
+        seen.append((id(plan), stack.shape[1]))
         return run(plan, stack, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1164,7 +1164,7 @@ def test_batched_rows_equal_evaluate_instance(kind, seed, sets, budget):
 def test_batched_rows_above_the_batch_budget_equal_evaluate_instance():
     rng = np.random.default_rng(11)
     # 16 Quad6 sets on 5^4 stack 112 rows, above the budget, where one set
-    # stacks: they run in chunks of as many sets as stack
+    # stacks: they all run in one stack
     quad6 = build_instance("Quad6")
     small = ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, 5)))) for a in quad6.axis_ids))
     # a product integral whose every input row is above the budget on its own
@@ -1177,18 +1177,18 @@ def test_batched_rows_above_the_batch_budget_equal_evaluate_instance():
             _check_batch_rows(inst, space, _batch_values(rng, sets, inst.arity, space.shape))
     assert id(holder._passes[large.ids, (0, 1)][0].plan) in streamed
     # the batch and evaluate_instance share Quad6's one pass, and its plan
-    # ran on stacks of 14 and 2 sets for each batched call, then of one set
+    # ran on one stack of 16 sets for each batched call, then of one set
     # for each evaluate_instance, and never streamed
     (chunked, _), = quad6._passes.values()
-    assert [sets for plan, sets in stacked if plan == id(chunked.plan)] == [14, 2] * 2 + [1] * 16
+    assert [sets for plan, sets in stacked if plan == id(chunked.plan)] == [16] * 2 + [1] * 16
     assert id(chunked.plan) not in streamed
 
 
 def test_many_small_input_sets_run_in_chunks_that_stack(monkeypatch):
     # 40,000 sets on a 2-atom axis stack 1.9 MB of rows, above the budget,
-    # but each set stacks in 48 bytes: the sets run in a few chunks of as
-    # many as stack, not one reduction per row, and each ratio keeps the
-    # bits of the set evaluated in a smaller batch
+    # but each set stacks in 48 bytes: the sets run in one stack, not one
+    # reduction per row, and each ratio keeps the bits of the set evaluated
+    # in a smaller batch
     inst = build_instance("HolderMixed", {"specs": [NormSpec.uniform(2, ("x1",)).to_doc()] * 2})
     space = ProductSpace((Axis("x1", (0.5, 2.0)),))
     values = _batch_values(np.random.default_rng(40), 40_000, 2, space.shape)
@@ -1198,6 +1198,49 @@ def test_many_small_input_sets_run_in_chunks_that_stack(monkeypatch):
     monkeypatch.setattr(spaces, "_reduce_column", lambda *args: calls.append(1) or reduce_column(*args))
     assert [float(r).hex() for r in evaluate_batch(inst, space, values)] == apart
     assert len(calls) <= 8
+
+
+def test_a_root_reduced_in_place_leaves_its_siblings_and_the_inputs_intact(monkeypatch):
+    # a spare child of a plan's root reduces its rows of the pass's stack in
+    # place, and each set keeps the bits of a pass that never writes it;
+    # SymmetricGM1's root children share its one row, which a first child
+    # reads for two exponents, Blei21's last child reads its one row for two
+    # exponents, SymmetricGM's gather rows among spare runs, and
+    # SymmetricHolder's with distinct inputs gather rows beside an infinite
+    # exponent's run
+    cols = lambda *ps: {"columns": [{"p": p, "axis": f"x{j + 1}"} for j, p in enumerate(ps)]}
+    cases = [
+        ("SymmetricGM1", {"spec": cols(3, 2, 2, 1)}),
+        ("Blei21", {"J": 3, "K": 2}),
+        ("SymmetricGM", {"spec": cols(3, 2, 2, 1)}),
+        ("SymmetricHolder", {"spec": cols(2, 3, "inf")}),
+    ]
+    rng = np.random.default_rng(29)
+    seen, reduce_column = set(), spaces._reduce_column
+    for kind, params in cases:
+        inst = build_instance(kind, params)
+        space = random_space(rng, inst.axis_ids)
+        values = _batch_values(rng, 40, inst.arity, space.shape)
+        before = values.copy()
+        with monkeypatch.context() as mp:
+            mp.setattr(spaces, "_reduce_column", lambda *args: reduce_column(*args[:4]))
+            unwritten = [float(r).hex() for r in evaluate_batch(inst, space, values)]
+        _check_batch_rows(inst, space, values)
+        assert [float(r).hex() for r in evaluate_batch(inst, space, values)] == unwritten
+        assert values.tobytes() == before.tobytes()
+        (ev, _), = inst._passes.values()
+        read = []
+        for _, sel, _, spare, _, _, pairs, _ in ev.plan[0]:
+            rows = [pos for pos, _ in pairs]
+            features = {
+                "spare": spare,
+                "shared": bool(set(rows) & set(read)),
+                "gathered": not isinstance(sel, slice),
+                "broadcast": len(set(rows)) < len(rows),
+            }
+            seen |= {name for name, on in features.items() if on}
+            read += rows
+    assert seen == {"spare", "shared", "gathered", "broadcast"}
 
 
 def test_one_plan_serves_every_number_of_input_sets(monkeypatch):

@@ -397,6 +397,22 @@ def test_exact_subcommands_start_without_numpy(argv, numpy_loaded):
     assert proc.stderr.splitlines()[-1] == f"numpy loaded: {numpy_loaded}"
 
 
+@pytest.mark.parametrize(
+    "argv, search_loaded",
+    [
+        (["verify", "--kind", "Littlewood43", "--tensors", TENSOR_2x2], False),
+        (["verify", "--kind", "Littlewood43", "--random", "1", "--seed", "1"], True),
+    ],
+    ids=("tensors", "random"),
+)
+def test_verify_imports_the_search_module_only_for_random_inputs(argv, search_loaded):
+    cold_run = _COLD_RUN.replace("numpy", "mixednorm.search")
+    proc = subprocess.run([sys.executable, "-c", cold_run, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["trials"] == 1
+    assert proc.stderr.splitlines()[-1] == f"mixednorm.search loaded: {search_loaded}"
+
+
 # ---------------------------------------------------------------------------
 # malformed and extreme inputs, every subcommand
 

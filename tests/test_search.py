@@ -524,10 +524,11 @@ def test_climb_follows_the_reference_one_start_a_wave(monkeypatch, wide_space):
 
 def test_climb_memory_does_not_grow_with_restarts():
     # a wave's population buffer holds at most _WAVE_BYTES, and the pass it
-    # feeds stacks at most _BATCH_BYTES: 200 restarts on Quad6 5^4 stay
+    # feeds stacks that wave's sets: 200 restarts on Quad6 5^4 stay
     # within 3 x _WAVE_BYTES, where keeping all 209 starts live takes 60 MiB
     quad6 = build_instance("Quad6")
     space = ProductSpace(tuple(Axis(a, (1.0, 2.0, 3.0, 4.0, 5.0)) for a in quad6.axis_ids))
+    import numpy.random  # numpy loads it on first use, so its import counts only where this test runs first
     tracemalloc.start()
     try:
         res = maximize_ratio(quad6, space, seed=1, max_evals=3000, restarts=200)

@@ -24,6 +24,9 @@ HolderMixed, MinkowskiRaise or SymmetricGM1 with one tensor in every slot
 (and HolderMixed with distinct tensors too), on 32^4 and on 48x40x36x64
 (33.75 MiB, so its large loops run on threads), at the default
 spaces._BATCH_BYTES and at 256 bytes.
+Each "batch" digest covers `float.hex` of the `evaluate_batch` ratios of
+40 seeded input sets of one kind, a seeded `random_params` draw on a seeded
+space of 2-5 atoms an axis, all 40 in one call.
 The "public names" digest covers each name of `sorted(mixednorm.__all__)`
 with the `__module__` and `__qualname__` of what it resolves to, or the
 `repr` of a constant.
@@ -107,6 +110,7 @@ import json, math
 import numpy as np
 import mixednorm as mn
 from mixednorm import spaces
+from mixednorm.search import random_params
 
 def spec(ps):
     return {"columns": [{"p": p, "axis": f"x{j + 1}"} for j, p in enumerate(ps)]}
@@ -141,6 +145,13 @@ for shape in ((32, 32, 32, 32), (48, 40, 36, 64)):
                 label = f"floats {name} {'x'.join(map(str, shape))} {budget} B {inputs}"
                 out[label] = " ".join(float(v).hex() for v in sides)
         spaces._BATCH_BYTES = default
+for k, kind in enumerate(mn.KINDS):
+    rng = np.random.default_rng([20261022, k])
+    inst = mn.build_instance(kind, random_params(kind, rng, max_axes=4))
+    sp = space(rng, [int(n) for n in rng.integers(2, 6, len(inst.axis_ids))])
+    values = np.exp(rng.uniform(-4.0, 4.0, (40, inst.arity, *sp.shape)))
+    values[rng.random(values.shape) < 0.05] = 0.0
+    out[f"batch {kind} 40 sets"] = " ".join(float(r).hex() for r in mn.evaluate_batch(inst, sp, values))
 print(json.dumps(out))
 """
 
