@@ -23,26 +23,31 @@ input for it otherwise.  Each `run` takes K sets of raw values and the
 space, logs the values and the space's weights itself, runs that one plan
 on the sets, and chooses how.  Where one set fits `_BATCH_BYTES`, all K
 stack into one C-ordered array with a row per input (and one for the slot
-sum) ahead of the set axis, and each plan node collapses one axis for every
-set and (row, exponent) pair reducing it at that depth, by one in-place
-shifted log-sum-exp (a maximum for an infinite exponent), in the stack
-itself for the root's spare rows.  A set too large to stack alone streams:
-each pair is reduced from the raw inputs by one block loop, which sees the
-inputs as (lead, rest) matrices and takes blocks of at most `_BATCH_BYTES`
-as ranges of their columns (columns of an (n0, rest) matrix, or whole rows
-of an (outer, rest) one seen as a single row), each block logged once for
-every pair that shares it, and the block's slot sum formed from those
-logs, until a node's outputs fit the budget, or are scalars, and stack
-again.  No array the size of an input is made.  A block is the unit of
-work of `_map`, which runs a large loop on threads of its own, one per CPU
-up to 8, and joins them before it returns; no result depends on the count.
+sum) first and the sets last, so that each operation's inner loop runs
+over K times the cells after the axis it reduces, and each plan node
+collapses one axis for every set and (row, exponent) pair reducing it at
+that depth, by one in-place shifted log-sum-exp (a maximum for an infinite
+exponent), in the stack itself for the root's spare rows.  With one set
+the stack is a lone array's layout.  A set too large to stack alone
+streams: each pair is reduced from the raw inputs by one block loop, which
+sees the inputs as (lead, rest) matrices and takes blocks of at most
+`_BATCH_BYTES` as ranges of their columns (columns of an (n0, rest)
+matrix, or whole rows of an (outer, rest) one seen as a single row), each
+block logged once for every pair that shares it, and the block's slot sum
+formed from those logs, until a node's outputs fit the budget, or are
+scalars, and stack again.  No array the size of an input is made.  A block
+is the unit of work of `_map`, which runs a large loop on threads of its
+own, one per CPU up to 8, and joins them before it returns; no result
+depends on the count.
 `mixed_norm_log`, `integrate_product`, `evaluation.evaluate_instance` and
 `search.scaling_probe` all run a `Pass` on one set of raw values;
 `evaluation.evaluate_batch` runs the same pass on K sets, one per candidate
 of a search population.
 `Tensor` stores its values in C order, so a stacked row or a block sums
-each cell in the same order as a lone array, and each entry point returns
-bit for bit what a one-spec loop over whole arrays returns.
+each cell in the same order as a lone array (where sets follow an axis
+that numpy would sum pairwise in a lone array, the sum runs on a copy with
+that axis last), and each entry point returns bit for bit what a one-spec
+loop over whole arrays returns.
 The direct path shares none of this code, so it stays an independent check.
 """
 
@@ -134,19 +139,26 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
+def _logsumexp_inplace(a: np.ndarray, axis: int, last: bool = False) -> np.ndarray:
     """Shifted log-sum-exp along one axis, keeping it with length 1.
 
     a is overwritten.  A slice that is all -inf gives -inf; the caller holds
     np.errstate(divide="ignore") for its log(0).  Log arrays never hold NaN
     (values are finite and exponents positive), so a max that is not finite
-    is infinite.
+    is infinite.  Numpy sums an axis that only 1-atom axes follow pairwise
+    once it has 8 or more atoms, and any other axis slice by slice.  With
+    last set the sum runs on a contiguous copy with the axis moved last: in
+    a stack the set axis follows it, where a lone set's array would have
+    summed it pairwise.
     """
     shift = np.maximum.reduce(a, axis=axis, keepdims=True)
     np.copyto(shift, 0.0, where=np.isinf(shift))
     a -= shift
     np.exp(a, out=a)
-    out = np.add.reduce(a, axis=axis, keepdims=True)
+    if last:
+        out = np.expand_dims(np.add.reduce(np.moveaxis(a, axis, -1).copy(), axis=-1), axis)
+    else:
+        out = np.add.reduce(a, axis=axis, keepdims=True)
     np.log(out, out=out)
     out += shift
     return out
@@ -160,13 +172,15 @@ def _logsumexp_inplace(a: np.ndarray, axis: int) -> np.ndarray:
 # Xeon (2 MiB L2 per core), SymmetricHolder with 12 distinct inputs on four
 # axes ran 0.69x the row-at-a-time time with 0.43 MB batched arrays, 0.81x
 # at 0.68 MB, 1.07x at 1.0 MB and 1.25x at 1.5 MB; Quad6 broke even near
-# 0.4-0.6 MB.  Sets cost no more in one stack, so the caller bounds them
-# (search._WAVE_BYTES): on a 2-vCPU AMD EPYC a Quad6 5^4 set took 29.3 us
-# in a stack of 32 and 39.5 us in chunks of 14, and 35.6 and 37.8 us for
-# 2,048 sets (a 72 MB stack).  It is also the block size of the streamed
-# path (_stream_plan), so that a block's log and work arrays stay
-# cache-sized and the allocator reuses their memory (with blocks of one
-# 13 MB slice, a call page-faulted about 1 GB).  On a 96x96x96x178 input
+# 0.4-0.6 MB.  All of a call's sets stack at once, and the caller bounds
+# them (search._WAVE_BYTES): on a 2-vCPU AMD EPYC one Quad6 5^4 call took
+# 32.7, 22.0, 16.9, 13.6, 11.7, 15.2 and 18.9 us a set at 8, 16, 32, 64,
+# 256, 512 and 2,048 sets (a 72 MB stack) with the sets last, against
+# 41.4, 33.1, 29.1, 27.2, 25.6, 28.1 and 33.0 us with them second, so a
+# set costs more again above a few hundred.  It is also the block size of
+# the streamed path (_stream_plan), so that a block's log and work arrays
+# stay cache-sized and the allocator reuses their memory (with blocks of
+# one 13 MB slice, a call page-faulted about 1 GB).  On a 96x96x96x178 input
 # (1.26 GB) the grid's MinkowskiRaise, SymmetricGM1 and HolderMixed took
 # about 2.0, 3.7 and 3.7 s in blocks, against 3.8, 7.0 and 4.5 s on whole
 # arrays.  A block is also the unit of work handed to a worker (_map).
@@ -190,17 +204,18 @@ def _map(task, items: list, nbytes: int) -> list:
         return list(pool.map(quiet, items))
 
 
-def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray, spare: bool = False) -> np.ndarray:
+def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray, spare: bool = False, last: bool = False) -> np.ndarray:
     """Collapse axis ax of a log array, or of a stack of them with rows on
-    axis 0.  pf is None for an infinite exponent, else a float or the rows'
-    float exponents as a (k, 1, ..., 1) column.  logw is the axis's log
-    weights shaped to broadcast along ax.  rows is written only if spare.
+    axis 0 and sets on the last axis.  pf is None for an infinite exponent,
+    else a float or the rows' float exponents as a (k, 1, ..., 1) column.
+    logw is the axis's log weights shaped to broadcast along ax.  rows is
+    written only if spare; last is handed on to _logsumexp_inplace.
     """
     if pf is None:
         return np.maximum.reduce(rows, axis=ax)
     a = np.multiply(rows, pf, out=rows if spare else None)
     a += logw
-    out = _logsumexp_inplace(a, ax)
+    out = _logsumexp_inplace(a, ax, last)
     out /= pf
     return out.reshape(a.shape[:ax] + a.shape[ax + 1 :])
 
@@ -208,7 +223,7 @@ def _reduce_column(rows: np.ndarray, pf, ax: int, logw: np.ndarray, spare: bool 
 class Pass:
     """One log-domain evaluation: the mixed norms of a set of a few inputs,
     and of the set's slot sum, compiled once for a space's axis order and run
-    on any number of sets.
+    on any number of sets, stacked on the last axis.
 
     requests holds (row, spec) pairs: row r reads input r, and row None the
     slot sum.  slots lists the input row of each slot, so a set has
@@ -238,8 +253,9 @@ class Pass:
         inputs, *shape) array of K sets, or a list of one set's input
         arrays, arrays[r] for row r.  The pass logs the values and the
         space's weights itself, and does not write the arrays.  A set within
-        _BATCH_BYTES stacks with all the others, rows first, in one (height,
-        sets, *shape) array; a larger one streams on its own."""
+        _BATCH_BYTES stacks with all the others, rows first and sets last,
+        in one (height, *shape, sets) array; a larger one streams on its
+        own."""
         logw = {a.id: np.log(np.asarray(a.weights, dtype=float)) for a in space.axes}
         sets = arrays if isinstance(arrays, np.ndarray) else [arrays]
         one, n = sets[0][0], self.inputs
@@ -249,8 +265,11 @@ class Pass:
                 for values, norms in zip(sets, out):
                     _stream_plan(self.plan, values, logw, norms, True, self.fold)
                 return out
-            stack = np.empty((self.height, len(sets), *one.shape))
-            np.log(sets, out=stack[:n].swapaxes(0, 1))
+            stack = np.empty((self.height, *one.shape, len(sets)))
+            if len(sets) > 1:
+                np.log(np.moveaxis(sets, 0, -1), out=stack[:n])
+            else:
+                np.log(sets[0], out=stack[:n, ..., 0])
             if self.fold:
                 self.fold(stack, out=stack[n])
             _run_plan(self.plan, stack, logw, out)
@@ -272,7 +291,7 @@ def _fold(slots, mean: bool, logs, out=None) -> np.ndarray:
 def _compile(group, remaining, depth):
     """The reduction plan of group, (output index, row, float columns)
     triples sharing their first `depth` columns, over a stack with a row
-    axis and a set axis first and the `remaining` axes after them.
+    axis first, the `remaining` axes after it and a set axis last.
 
     The plan is a tuple tree built by a trie walk over the columns, so each
     distinct (row, column prefix) is reduced once.  A node is (children,
@@ -281,8 +300,10 @@ def _compile(group, remaining, depth):
     with a finite exponent, or every one with an infinite exponent.  It also
     lists those pairs, with None for an infinite exponent, which a streamed
     run reduces one at a time.  A child holds its axis among the `remaining`
-    axes, the index of its rows in a stack, and whether it is spare.  Returns
-    (plan, width): width is the most rows of one set a work array holds.
+    axes, the index of its rows in a stack, whether it is spare, and the
+    shape (lead) that broadcasts the axis's log weights along it in a
+    stack.  Returns (plan, width): width is the most rows of one set a work
+    array holds.
     """
     if not remaining:
         return ((), tuple((i, pos) for i, pos, _ in group)), 0
@@ -314,7 +335,7 @@ def _compile(group, remaining, depth):
         )
         spare = not (depth or infinite) and isinstance(sel, slice) and sel.stop - sel.start == len(rows)
         spare = spare and not any(pos in rows for later in list(children.values())[k + 1 :] for _, pos, _ in later)
-        lead = (-1,) + (1,) * (len(remaining) - ax - 1)
+        lead = (-1,) + (1,) * (len(remaining) - ax)
         nodes.append((ax, sel, pf, spare, aid, lead, pairs, sub))
         width = max(width, len(rows), sub_width)
     return (tuple(nodes), ()), width
@@ -322,16 +343,21 @@ def _compile(group, remaining, depth):
 
 def _run_plan(plan, stack: np.ndarray, logw, out) -> None:
     """Evaluate a compiled plan on a stack of log arrays with a row axis
-    and a set axis first, writing set k's log norm of each request to
-    out[k][index].  Only a spare child writes the stack, in its own rows;
-    the caller holds np.errstate(divide="ignore", over="ignore")."""
+    first and a set axis last, writing set k's log norm of each request to
+    out[k][index].  With two or more sets, a child whose axis has 8 or more
+    atoms and only 1-atom axes before the sets sums with that axis last,
+    pairwise as in a lone set (_logsumexp_inplace).  Only a spare child
+    writes the stack, in its own rows; the caller holds
+    np.errstate(divide="ignore", over="ignore")."""
     children, outputs = plan
     if outputs:
         for norms, row in zip(out, stack.T.tolist()):
             for i, pos in outputs:
                 norms[i] = row[pos]
+    many = stack.shape[-1] > 1
     for ax, sel, pf, spare, aid, lead, _, sub in children:
-        _run_plan(sub, _reduce_column(stack[sel], pf, ax + 2, logw[aid].reshape(lead), spare), logw, out)
+        last = many and stack.shape[ax + 1] >= 8 and math.prod(stack.shape[ax + 2 : -1]) == 1
+        _run_plan(sub, _reduce_column(stack[sel], pf, ax + 1, logw[aid].reshape(lead), spare, last), logw, out)
 
 
 def _stream_plan(plan, arrays, logw, out, log: bool = False, fold=None) -> None:
@@ -352,7 +378,7 @@ def _stream_plan(plan, arrays, logw, out, log: bool = False, fold=None) -> None:
     for *_, pairs, sub in children:
         rows = [next(reduced) for _ in pairs]
         if not rows[0].ndim or 8 * len(rows) * rows[0].size <= _BATCH_BYTES:
-            _run_plan(sub, np.stack(rows)[:, None], logw, [out])
+            _run_plan(sub, np.stack(rows)[..., None], logw, [out])
         else:
             _stream_plan(sub, rows, logw, out)
 

@@ -1015,7 +1015,7 @@ def _stacked_plans():
     run = spaces._run_plan
 
     def spy(plan, stack, *args):
-        seen.append((id(plan), stack.shape[1]))
+        seen.append((id(plan), stack.shape[-1]))
         return run(plan, stack, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1159,6 +1159,27 @@ def test_batched_rows_equal_evaluate_instance(kind, seed, sets, budget):
     space = random_space(rng, ids)
     with _batch_budget(budget):
         _check_batch_rows(inst, space, _batch_values(rng, sets, inst.arity, space.shape))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(4, 40), (2, 3, 100), (13, 2, 9), (10, 3, 17), (9, 1), (12, 1, 1), (3, 10, 1), (1, 16, 1)],
+)
+def test_batched_rows_on_long_axes_equal_evaluate_instance(shape):
+    # a stack puts its sets on the last axis; numpy sums a lone set's axis of
+    # 8 or more atoms pairwise where only 1-atom axes follow it, so a batch
+    # must too: a last axis of 8-100 atoms, and a long axis before 1-atom ones
+    # (a sum that parts in its last bit often rounds to the same log, so each
+    # kind is drawn three times)
+    rng = np.random.default_rng(sum(shape))
+    for kind in ("HolderMixed", "MinkowskiRaise", "SymmetricGM1", "SymmetricHolder", "SortedSandwich", "Blei21") * 3:
+        inst = build_instance(kind, random_params(kind, rng, max_axes=len(shape)))
+        while len(inst.axis_ids) != len(shape):
+            inst = build_instance(kind, random_params(kind, rng, max_axes=len(shape)))
+        ids = [inst.axis_ids[k] for k in rng.permutation(len(shape))]
+        space = ProductSpace(tuple(Axis(a, tuple(np.exp(rng.uniform(-2, 2, n)))) for a, n in zip(ids, shape)))
+        sets = int(rng.integers(2, 10))
+        _check_batch_rows(inst, space, _batch_values(rng, sets, inst.arity, shape))
 
 
 def test_batched_rows_above_the_batch_budget_equal_evaluate_instance():

@@ -26,7 +26,10 @@ HolderMixed, MinkowskiRaise or SymmetricGM1 with one tensor in every slot
 spaces._BATCH_BYTES and at 256 bytes.
 Each "batch" digest covers `float.hex` of the `evaluate_batch` ratios of
 40 seeded input sets of one kind, a seeded `random_params` draw on a seeded
-space of 2-5 atoms an axis, all 40 in one call.
+space of 2-5 atoms an axis, all 40 in one call.  Each "batch <kind> long
+axes" digest covers HolderMixed, MinkowskiRaise or SymmetricGM1 the same
+way, 12 seeded sets a call on a 4x40 and on a 3x10x1 space: axes of 8 or
+more atoms that only 1-atom axes follow, which numpy sums pairwise.
 The "public names" digest covers each name of `sorted(mixednorm.__all__)`
 with the `__module__` and `__qualname__` of what it resolves to, or the
 `repr` of a constant.
@@ -152,6 +155,20 @@ for k, kind in enumerate(mn.KINDS):
     values = np.exp(rng.uniform(-4.0, 4.0, (40, inst.arity, *sp.shape)))
     values[rng.random(values.shape) < 0.05] = 0.0
     out[f"batch {kind} 40 sets"] = " ".join(float(r).hex() for r in mn.evaluate_batch(inst, sp, values))
+long_axes = {  # each kind's params on n axes
+    "HolderMixed": lambda n: {"specs": [spec(["2", "3", "4"][:n]), spec(["2", "3/2", "4/3"][:n])]},
+    "MinkowskiRaise": lambda n: {"spec": spec(["4/3", "2", "3"][:n]), "perm": list(range(n, 0, -1)), "direction": "raise"},
+    "SymmetricGM1": lambda n: {"spec": spec([3, 2, 1][-n:])},
+}
+for k, (name, params) in enumerate(long_axes.items()):
+    hexes = []
+    for shape in ((4, 40), (3, 10, 1)):
+        rng = np.random.default_rng([20261023, k, len(shape)])
+        inst, sp = mn.build_instance(name, params(len(shape))), space(rng, shape)
+        values = np.exp(rng.uniform(-4.0, 4.0, (12, inst.arity, *shape)))
+        values[rng.random(values.shape) < 0.05] = 0.0
+        hexes += [float(r).hex() for r in mn.evaluate_batch(inst, sp, values)]
+    out[f"batch {name} long axes"] = " ".join(hexes)
 print(json.dumps(out))
 """
 
